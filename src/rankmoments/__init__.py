@@ -3,9 +3,8 @@ under bivariate normal and contaminated-normal models.
 """
 
 from .correlation import (PairedSample, SStatistic, compute_ranks,
-                          daniels_gamma, inequality_check, kendall,
-                          kendall_fast, kendall_from_ranks, pearson, spearman,
-                          spearman_via_s)
+                          daniels_gamma, inequality_check, kendall, pearson,
+                          spearman, spearman_via_s)
 from .orthant import (CorrelationMatrix4, WIntegrandTerms, orthant_p2,
                       orthant_p3, orthant_p4, w_from_p4, w_integral,
                       w_integrand_terms)
@@ -26,6 +25,25 @@ from .simulate import (ExperimentConfig, TrialReport, compare_report,
 from .quadrature import QuadratureSettings, integrate_adaptive
 from . import errors
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "PairedSample", "SStatistic", "compute_ranks", "daniels_gamma",
+    "inequality_check", "kendall", "pearson", "spearman", "spearman_via_s",
+    "CorrelationMatrix4", "WIntegrandTerms", "orthant_p2", "orthant_p3",
+    "orthant_p4", "w_from_p4", "w_integral", "w_integrand_terms",
+    "BinormalParams", "OmegaValues", "cov_rs_rk_asymptotic",
+    "cov_rs_rk_exact", "cov_series_asymptotic", "derive_pattern_matrices",
+    "lemma2_moments", "omega4", "omegas", "tabulate_omegas",
+    "var_rs_asymptotic", "var_rs_exact",
+    "ContaminationParams", "MixtureCorrelations", "expected_rk_contaminated",
+    "expected_rs_contaminated", "mixture_correlations", "rival_formula_star",
+    "sample_contaminated", "sample_contaminated_block",
+    "EstimatorKind", "MomentReport", "are", "bias_theoretical", "crlb",
+    "estimate", "estimate_from_coefficients", "moment_report",
+    "variance_theoretical",
+    "ExperimentConfig", "TrialReport", "compare_report", "run_experiment",
+    "sample_binormal", "sample_binormal_block",
+    "QuadratureSettings", "integrate_adaptive",
+    "errors",
+]

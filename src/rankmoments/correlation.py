@@ -85,14 +85,20 @@ def _check_ties(values: np.ndarray, name: str):
         raise TieError(name, tuple(float(v) for v in uniq[counts > 1]))
 
 
+def _ranks_rows(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of each row of x, via argsort-of-argsort."""
+    order = np.argsort(x, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    rows = np.arange(x.shape[0])[:, None]
+    ranks[rows, order] = np.arange(1, x.shape[1] + 1)
+    return ranks
+
+
 def compute_ranks(sample: PairedSample) -> RankVector:
     """Ranks by position in the sorted sequence, via argsort-of-argsort."""
     _check_ties(sample.x, "x")
     _check_ties(sample.y, "y")
-    p = np.empty(sample.n, dtype=np.int64)
-    q = np.empty(sample.n, dtype=np.int64)
-    p[np.argsort(sample.x, kind="stable")] = np.arange(1, sample.n + 1)
-    q[np.argsort(sample.y, kind="stable")] = np.arange(1, sample.n + 1)
+    p, q = _ranks_rows(np.stack((sample.x, sample.y)))
     return RankVector(p=p, q=q)
 
 
@@ -119,78 +125,75 @@ def spearman(sample: PairedSample) -> float:
     return float(1 - Fraction(6 * d2, n * (n * n - 1)))
 
 
+# Rows are counted in chunks of about this many elements. It bounds the
+# counter's scratch memory (a few int64 arrays of this length, well under
+# 1 MB) whatever the block shape, as long as one padded row fits.
+_CHUNK_ELEMENTS = 2 ** 13
+
+
+def inversions_rows(perms: np.ndarray) -> np.ndarray:
+    """Inversion count of each row of a (b, n) array of permutations of
+    0..n-1, in O(b n log^2 n) time and O(n) memory per chunk.
+
+    Bottom-up merge counting (Knight 1966) vectorised across rows. Each
+    row is padded to a power of two with increasing values above n, which
+    adds no inversions. At width w every pair of sorted runs is merged by
+    one np.sort of the runs of 2w, with the low bit of each value marking
+    the right run. A right-run element's place in the merged run is its
+    place in the right run plus the left-run elements below it; the rest
+    of the left run is inverted with it.
+    """
+    b, n = perms.shape
+    width = 1 << max(n - 1, 0).bit_length()
+    rows = max(1, _CHUNK_ELEMENTS // width)
+    out = np.empty(b, dtype=np.int64)
+    for lo in range(0, b, rows):
+        chunk = perms[lo:lo + rows]
+        c = len(chunk)
+        a = np.empty((c, width), dtype=np.int64)
+        a[:, :n] = chunk
+        a[:, n:] = np.arange(n, width)
+        a <<= 1
+        inv = np.zeros(c, dtype=np.int64)
+        w = 1
+        while w < width:
+            runs = a.reshape(-1, 2, w)
+            runs &= ~1
+            runs[:, 1] |= 1
+            a.reshape(-1, 2 * w).sort(axis=1)
+            places = (a.reshape(c, -1, 2 * w) & 1) @ np.arange(2 * w)
+            # each merge has w*w (left, right) pairs; the uninverted ones
+            # number the right run's places less 0 + 1 + ... + (w - 1)
+            inv += (width // (2 * w) * (w * w + w * (w - 1) // 2)
+                    - places.sum(axis=1))
+            w *= 2
+        out[lo:lo + c] = inv
+    return out
+
+
+def _discordant_rows(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
+    """Discordant pair count of each row of two (b, n) arrays of ranks
+    1..n: the inversions of the y ranks placed in x-rank order."""
+    q = np.empty_like(ry)
+    q[np.arange(rx.shape[0])[:, None], rx - 1] = ry
+    q -= 1
+    return inversions_rows(q)
+
+
+def _kendall_rows(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
+    """Pair-sign correlation of each row of two (b, n) rank arrays.
+
+    (P - 2D) and the pair count P are exact doubles, so each value is the
+    correctly-rounded double of the rational (P - 2D)/P.
+    """
+    pairs = rx.shape[1] * (rx.shape[1] - 1) // 2
+    return (pairs - 2 * _discordant_rows(rx, ry)) / pairs
+
+
 def kendall(sample: PairedSample) -> float:
-    """Pair-sign correlation, O(n^2) reference implementation."""
-    _check_ties(sample.x, "x")
-    _check_ties(sample.y, "y")
-    x, y = sample.x, sample.y
-    sx = np.sign(x[:, None] - x[None, :])
-    sy = np.sign(y[:, None] - y[None, :])
-    n = sample.n
-    t = int((sx * sy).sum())
-    return float(Fraction(t, n * (n - 1)))
-
-
-def _merge_count(a: np.ndarray) -> int:
-    """Number of inversions in a, by bottom-up merge counting."""
-    a = a.copy()
-    n = len(a)
-    buf = np.empty_like(a)
-    inv = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            if mid == hi:
-                continue
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if a[i] <= a[j]:
-                    buf[k] = a[i]
-                    i += 1
-                else:
-                    buf[k] = a[j]
-                    inv += mid - i
-                    j += 1
-                k += 1
-            while i < mid:
-                buf[k] = a[i]
-                i += 1
-                k += 1
-            while j < hi:
-                buf[k] = a[j]
-                j += 1
-                k += 1
-            a[lo:hi] = buf[lo:hi]
-        width *= 2
-    return inv
-
-
-try:  # jit-compiled inversion counter; falls back to the python loop
-    from numba import njit
-
-    _merge_count_fast = njit(cache=True)(_merge_count)
-except ImportError:  # pragma: no cover
-    _merge_count_fast = _merge_count
-
-
-def count_inversions(a: np.ndarray) -> int:
-    return int(_merge_count_fast(np.ascontiguousarray(a, dtype=np.int64)))
-
-
-def kendall_fast(sample: PairedSample) -> float:
-    """O(n log n) pair-sign correlation via inversion counting."""
+    """Pair-sign correlation, via the discordant count of the ranks."""
     ranks = compute_ranks(sample)
-    return kendall_from_ranks(ranks.p, ranks.q)
-
-
-def kendall_from_ranks(p: np.ndarray, q: np.ndarray) -> float:
-    """Pair-sign correlation of two tie-free rank vectors."""
-    n = len(p)
-    order = np.argsort(p)
-    discordant = count_inversions(q[order])
-    return float(1 - Fraction(4 * discordant, n * (n - 1)))
+    return float(_kendall_rows(ranks.p[None], ranks.q[None])[0])
 
 
 def daniels_gamma(scores: ScoreSystem) -> float:
@@ -233,10 +236,8 @@ def spearman_via_s(sample: PairedSample) -> tuple[float, SStatistic]:
     s = int(((p - 1) * (q - 1)).sum())
     # i_term counts ordered pairs with both differences positive, i.e.
     # concordant unordered pairs
-    sx = np.sign(sample.x[:, None] - sample.x[None, :])
-    sy = np.sign(sample.y[:, None] - sample.y[None, :])
-    i_term = int(((sx > 0) & (sy > 0)).sum())
     k_term = n * (n - 1) // 2
+    i_term = k_term - int(_discordant_rows(p[None], q[None])[0])
     l_term = k_term
     j_term = s - i_term
     t = 4 * i_term - 2 * k_term - 2 * l_term + n * (n - 1)

@@ -25,12 +25,11 @@ from .binormal import cov_rs_rk_exact, lemma2_moments, var_rs_exact
 from .contaminated import (ContaminationParams, expected_rk_contaminated,
                            expected_rs_contaminated, rival_formula_star,
                            sample_contaminated_block)
-from .correlation import PairedSample, count_inversions
+from .correlation import PairedSample, _kendall_rows, _ranks_rows
 from .errors import DomainError, ResourceError
 from .estimators import EstimatorKind, bias_theoretical, variance_theoretical
 
 _DEFAULT_BLOCK = 4096
-_PAIRWISE_LIMIT = 64          # n above this switches Kendall to inversion counting
 _DEFAULT_BUDGET = 10 ** 9     # cap on trials * n per cell
 
 _ALL_KINDS = frozenset(EstimatorKind)
@@ -167,18 +166,10 @@ def sample_binormal_block(rho: float, n: int, stream: np.random.Generator,
     return u, rho * u + math.sqrt(1 - rho * rho) * v
 
 
-def _ranks_rows(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    rows = np.arange(x.shape[0])[:, None]
-    ranks[rows, order] = np.arange(1, x.shape[1] + 1)
-    return ranks
-
-
 def _coefficients_block(x: np.ndarray, y: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (r_P, r_S, r_K) for a block of samples."""
-    b, n = x.shape
+    n = x.shape[1]
     xc = x - x.mean(axis=1, keepdims=True)
     yc = y - y.mean(axis=1, keepdims=True)
     denom = np.sqrt((xc * xc).sum(axis=1) * (yc * yc).sum(axis=1))
@@ -189,20 +180,7 @@ def _coefficients_block(x: np.ndarray, y: np.ndarray
     ry = _ranks_rows(y)
     d2 = ((rx - ry) ** 2).sum(axis=1)
     r_s = 1 - 6.0 * d2 / (n * (n * n - 1))
-
-    if n <= _PAIRWISE_LIMIT:
-        sx = np.sign(x[:, :, None] - x[:, None, :])
-        sy = np.sign(y[:, :, None] - y[:, None, :])
-        t = (sx * sy).sum(axis=(1, 2)) / 2
-        r_k = t / (n * (n - 1) / 2)
-    else:
-        order = np.argsort(x, axis=1, kind="stable")
-        y_in_x_order = np.take_along_axis(ry, order, axis=1)
-        inv = np.empty(b, dtype=np.int64)
-        for i in range(b):
-            inv[i] = count_inversions(y_in_x_order[i])
-        r_k = 1 - 4.0 * inv / (n * (n - 1))
-    return r_p, r_s, r_k
+    return r_p, r_s, _kendall_rows(rx, ry)
 
 
 _POWER_KEYS = ("s1", "s2", "s3", "s4")

@@ -1,6 +1,9 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from scipy.stats import kendalltau
 
 from rankmoments.binormal import cov_rs_rk_exact, var_rs_exact
 from rankmoments.cli import main, parse_grid
@@ -116,6 +119,26 @@ class TestEstimate:
 
     def test_missing_file_exit_4(self, capsys):
         assert run(["estimate", "/nonexistent/file.csv"], capsys)[0] == 4
+
+    def test_large_sample_memory(self, tmp_path, capsys):
+        # 20 000 pairs: an n x n pair-sign matrix alone would be 3.2 GB
+        rng = np.random.default_rng(20000)
+        x = rng.standard_normal(20000)
+        y = 0.6 * x + 0.8 * rng.standard_normal(20000)
+        f = tmp_path / "d.csv"
+        f.write_text("".join(f"{a!r},{b!r}\n"
+                             for a, b in zip(x.tolist(), y.tolist())))
+        tracemalloc.start()
+        try:
+            code, out, _ = run(["estimate", "--precision", "15", str(f)],
+                               capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        fields = dict(line.split("=") for line in out.splitlines())
+        assert abs(float(fields["r_k"]) - kendalltau(x, y)[0]) <= 1e-12
+        assert peak < 50 * 2 ** 20
 
     def test_too_few_rows_exit_3(self, tmp_path, capsys):
         f = tmp_path / "d.csv"

@@ -1,14 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmoments.correlation import (PairedSample, compute_ranks,
-                                     daniels_gamma, inequality_check, kendall,
-                                     kendall_fast, kendall_from_ranks,
-                                     pearson, scores_kendall, scores_pearson,
+from rankmoments.correlation import (_CHUNK_ELEMENTS, PairedSample,
+                                     _kendall_rows, compute_ranks,
+                                     daniels_gamma, inequality_check,
+                                     inversions_rows, kendall, pearson,
+                                     scores_kendall, scores_pearson,
                                      scores_spearman, spearman,
                                      spearman_via_s)
 from rankmoments.errors import SizeError, TieError
@@ -21,6 +23,19 @@ def sample(x, y):
 
 def random_sample(rng, n):
     return sample(rng.permutation(n) + 1.0, rng.permutation(n) + 1.0)
+
+
+def kendall_oracle(s):
+    """Pair-sign correlation, O(n^2) reference implementation."""
+    sx = np.sign(s.x[:, None] - s.x[None, :])
+    sy = np.sign(s.y[:, None] - s.y[None, :])
+    t = int((sx * sy).sum())
+    return float(Fraction(t, s.n * (s.n - 1)))
+
+
+def inversions_oracle(a):
+    """Pairs i < j with a[i] > a[j], by comparing all pairs."""
+    return int(np.triu(a[:, None] > a[None, :], 1).sum())
 
 
 perm_strategy = st.integers(0, 2 ** 32 - 1)
@@ -80,7 +95,7 @@ class TestProperties:
     @given(perm_strategy, st.integers(3, 50))
     def test_fast_kendall_matches_reference(self, seed, n):
         s = random_sample(np.random.default_rng(seed), n)
-        assert kendall_fast(s) == pytest.approx(kendall(s), abs=1e-15)
+        assert kendall(s) == kendall_oracle(s)
 
     @settings(max_examples=200, deadline=None)
     @given(perm_strategy, st.integers(3, 50))
@@ -141,12 +156,35 @@ def test_kendall_from_ranks_matches():
     rng = np.random.default_rng(5)
     s = random_sample(rng, 40)
     rv = compute_ranks(s)
-    assert kendall_from_ranks(rv.p, rv.q) == pytest.approx(kendall(s), abs=1e-15)
+    assert _kendall_rows(rv.p[None], rv.q[None])[0] == kendall_oracle(s)
 
 
 def test_large_n_fast_path():
     rng = np.random.default_rng(11)
     s = random_sample(rng, 2000)
-    rv = compute_ranks(s)
-    assert kendall_from_ranks(rv.p, rv.q) == pytest.approx(kendall_fast(s),
-                                                           abs=1e-15)
+    assert kendall(s) == kendall_oracle(s)
+
+
+class TestInversionCounter:
+    NS = (2, 3, 4, 5, 31, 32, 33, 64, 65, 1000)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_matches_oracle(self, n):
+        rng = np.random.default_rng(n)
+        perms = np.array([rng.permutation(n) for _ in range(6)])
+        assert inversions_rows(perms).tolist() == [
+            inversions_oracle(p) for p in perms]
+
+    @pytest.mark.parametrize("n", NS)
+    def test_identity_and_reversal(self, n):
+        rows = np.array([np.arange(n), np.arange(n)[::-1]])
+        assert inversions_rows(rows).tolist() == [0, n * (n - 1) // 2]
+
+    def test_partial_last_chunk(self):
+        # n = 20 pads to 32, so a chunk holds _CHUNK_ELEMENTS // 32 rows
+        rows_per_chunk = _CHUNK_ELEMENTS // 32
+        rng = np.random.default_rng(3)
+        perms = np.array([rng.permutation(20)
+                          for _ in range(2 * rows_per_chunk + 3)])
+        assert inversions_rows(perms).tolist() == [
+            inversions_oracle(p) for p in perms]

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from rankmoments.contaminated import ContaminationParams
+from rankmoments.correlation import PairedSample, kendall
 from rankmoments.errors import DomainError, ResourceError
 from rankmoments.estimators import EstimatorKind
 from rankmoments.simulate import (CellResult, ExperimentConfig, ReportRow,
-                                  SeriesStats, TrialReport, compare_report,
+                                  SeriesStats, TrialReport,
+                                  _coefficients_block, compare_report,
                                   format_report_csv, run_experiment,
                                   sample_binormal, sample_binormal_block,
                                   threads_limit)
@@ -38,6 +40,16 @@ class TestSampler:
         sample = sample_binormal(0.6, 1000, rng)
         r = np.corrcoef(sample.x, sample.y)[0, 1]
         assert 0.55 <= r <= 0.65
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("n", [10, 64, 65, 1000])
+    def test_block_kendall_matches_single_sample(self, n):
+        rng = np.random.default_rng(n)
+        x, y = sample_binormal_block(0.5, n, rng, size=5)
+        r_k = _coefficients_block(x, y)[2]
+        assert r_k.tolist() == [kendall(PairedSample(x=x[i], y=y[i]))
+                                for i in range(5)]
 
 
 class TestDeterminism:
