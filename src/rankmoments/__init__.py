@@ -5,9 +5,8 @@ under bivariate normal and contaminated-normal models.
 from .correlation import (PairedSample, SStatistic, compute_ranks,
                           daniels_gamma, inequality_check, kendall, pearson,
                           spearman, spearman_via_s)
-from .orthant import (CorrelationMatrix4, WIntegrandTerms, orthant_p2,
-                      orthant_p3, orthant_p4, w_from_p4, w_integral,
-                      w_integrand_terms)
+from .orthant import (CorrelationMatrix4, orthant_p2, orthant_p3, orthant_p4,
+                      w_from_p4, w_integral)
 from .binormal import (BinormalParams, OmegaValues, cov_rs_rk_asymptotic,
                        cov_rs_rk_exact, cov_series_asymptotic,
                        derive_pattern_matrices, lemma2_moments, omega4,
@@ -16,13 +15,13 @@ from .binormal import (BinormalParams, OmegaValues, cov_rs_rk_asymptotic,
 from .contaminated import (ContaminationParams, MixtureCorrelations,
                            expected_rk_contaminated, expected_rs_contaminated,
                            mixture_correlations, rival_formula_star,
-                           sample_contaminated, sample_contaminated_block)
+                           sample_contaminated_block)
 from .estimators import (EstimatorKind, MomentReport, are, bias_theoretical,
                          crlb, estimate, estimate_from_coefficients,
                          moment_report, variance_theoretical)
 from .simulate import (ExperimentConfig, TrialReport, compare_report,
-                       run_experiment, sample_binormal, sample_binormal_block)
-from .quadrature import QuadratureSettings, integrate_adaptive
+                       run_experiment, sample_binormal_block)
+from .quadrature import integrate_adaptive
 from . import errors
 
 __version__ = "0.1.0"
@@ -30,20 +29,20 @@ __version__ = "0.1.0"
 __all__ = [
     "PairedSample", "SStatistic", "compute_ranks", "daniels_gamma",
     "inequality_check", "kendall", "pearson", "spearman", "spearman_via_s",
-    "CorrelationMatrix4", "WIntegrandTerms", "orthant_p2", "orthant_p3",
-    "orthant_p4", "w_from_p4", "w_integral", "w_integrand_terms",
+    "CorrelationMatrix4", "orthant_p2", "orthant_p3", "orthant_p4",
+    "w_from_p4", "w_integral",
     "BinormalParams", "OmegaValues", "cov_rs_rk_asymptotic",
     "cov_rs_rk_exact", "cov_series_asymptotic", "derive_pattern_matrices",
     "lemma2_moments", "omega4", "omegas", "tabulate_omegas",
     "var_rs_asymptotic", "var_rs_exact",
     "ContaminationParams", "MixtureCorrelations", "expected_rk_contaminated",
     "expected_rs_contaminated", "mixture_correlations", "rival_formula_star",
-    "sample_contaminated", "sample_contaminated_block",
+    "sample_contaminated_block",
     "EstimatorKind", "MomentReport", "are", "bias_theoretical", "crlb",
     "estimate", "estimate_from_coefficients", "moment_report",
     "variance_theoretical",
     "ExperimentConfig", "TrialReport", "compare_report", "run_experiment",
-    "sample_binormal", "sample_binormal_block",
-    "QuadratureSettings", "integrate_adaptive",
+    "sample_binormal_block",
+    "integrate_adaptive",
     "errors",
 ]

@@ -24,9 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DerivationError, DomainError, NegativeVarianceError
+from .errors import (CrossCheckError, DerivationError, DomainError,
+                     NegativeVarianceError)
 from .orthant import CorrelationMatrix4, orthant_p4, w_integral
-from .quadrature import QuadratureSettings, integrate_adaptive
+from .quadrature import ABS_TOL, integrate_adaptive
 
 _NEG_CLAMP = -1e-10
 
@@ -127,7 +128,7 @@ _validation_done = False
 _validation_lock = threading.Lock()
 
 
-def _validate_patterns(settings: QuadratureSettings):
+def _validate_patterns():
     """Anchor checks at rho = 0 and rho = 1, plus the W-identities."""
     tol = 1e-9
     for rho, anchors, kind in ((0.0, _ANCHORS_P4_RHO0, "P4"),
@@ -135,10 +136,10 @@ def _validate_patterns(settings: QuadratureSettings):
         w = {}
         for label in _PATTERN_LABELS:
             mat = _pattern_matrix(_PATTERN_TEMPLATES[label], rho)
-            w[label] = w_integral(mat, settings)
+            w[label] = w_integral(mat)
             if label in anchors:
                 if kind == "P4":
-                    got = orthant_p4(mat, settings)
+                    got = orthant_p4(mat)
                 else:
                     got = w[label]
                 if abs(got - float(anchors[label])) > tol:
@@ -151,9 +152,7 @@ def _validate_patterns(settings: QuadratureSettings):
             raise DerivationError(f"W-identities violated at rho={rho}: {checks}")
 
 
-def derive_pattern_matrices(rho: float,
-                            settings: QuadratureSettings | None = None
-                            ) -> PatternMatrixTable:
+def derive_pattern_matrices(rho: float) -> PatternMatrixTable:
     """Build all twelve pattern matrices at rho and evaluate their W terms.
 
     The first call validates the whole template set against the exact
@@ -161,20 +160,19 @@ def derive_pattern_matrices(rho: float,
     """
     if not abs(rho) <= 1:
         raise DomainError(f"|rho| must be <= 1, got {rho}")
-    settings = settings or QuadratureSettings()
     global _validation_done
     with _validation_lock:
         if not _validation_done:
-            _validate_patterns(settings)
+            _validate_patterns()
             _validation_done = True
     matrices = {label: _pattern_matrix(_PATTERN_TEMPLATES[label], rho)
                 for label in _PATTERN_LABELS}
-    w_values = {label: w_integral(m, settings) for label, m in matrices.items()}
+    w_values = {label: w_integral(m) for label, m in matrices.items()}
     return PatternMatrixTable(rho=rho, matrices=matrices, w_values=w_values)
 
 
 # ---------------------------------------------------------------------------
-# Omega functions (memoized per (rho, abs_tol)).
+# Omega functions (memoized per rho).
 # ---------------------------------------------------------------------------
 
 _omega_cache: dict = {}
@@ -183,39 +181,35 @@ _omega_lock = threading.Lock()
 _OMEGA_AT_1 = (1.0, 16 / 3, 0.5)
 
 
-def omegas(rho: float, settings: QuadratureSettings | None = None) -> OmegaValues:
+def omegas(rho: float) -> OmegaValues:
     """The three quadrature-valued moment ingredients plus the integral form."""
-    settings = settings or QuadratureSettings()
-    key = (rho, settings.abs_tol)
     with _omega_lock:
-        hit = _omega_cache.get(key)
+        hit = _omega_cache.get(rho)
     if hit is not None:
         return hit
     if abs(rho) == 1.0:
         # pattern matrices are exactly singular here; use the exact values
         o1, o2, o3 = _OMEGA_AT_1
-        val = OmegaValues(o1, o2, o3, omega4(rho, settings))
+        val = OmegaValues(o1, o2, o3, omega4(rho))
     else:
-        table = derive_pattern_matrices(rho, settings)
+        table = derive_pattern_matrices(rho)
         w = table.w_values
         o1 = w["c"] + 8 * w["d"] + 2 * w["f"]
         o2 = 6 * w["g"] + 8 * w["h"] + 6 * w["l"] + 2 * w["n"] + w["o"] + 1 / 3
         o3 = 0.5 * w["g"] + w["h"]
-        val = OmegaValues(o1, o2, o3, omega4(rho, settings))
+        val = OmegaValues(o1, o2, o3, omega4(rho))
     with _omega_lock:
-        _omega_cache[key] = val
+        _omega_cache[rho] = val
     return val
 
 
-def omega4(rho: float, settings: QuadratureSettings | None = None) -> float:
+def omega4(rho: float) -> float:
     """Integral form of the covariance ingredient, as five 1-D integrals."""
     if not abs(rho) <= 1:
         raise DomainError(f"|rho| must be <= 1, got {rho}")
     if rho == 0.0:
         return 0.0
-    settings = settings or QuadratureSettings()
-    tol = settings.abs_tol / 5
-    sub = settings.max_subdivisions
+    tol = ABS_TOL / 5
 
     # first integrand carries a 1/sqrt(1-x^2) factor; x = sin(t) removes it
     def f1(t):
@@ -238,10 +232,10 @@ def omega4(rho: float, settings: QuadratureSettings | None = None) -> float:
             / np.sqrt(4 - x * x)
 
     total = integrate_adaptive(f1, 0.0, math.asin(rho) if rho >= 0
-                               else -math.asin(-rho), tol, sub)
+                               else -math.asin(-rho), tol)
     # f1 was substituted; the others integrate over [0, rho] directly
     for f in (f2, f3, f4, f5):
-        total += integrate_adaptive(f, 0.0, rho, tol, sub)
+        total += integrate_adaptive(f, 0.0, rho, tol)
     return total
 
 
@@ -281,12 +275,11 @@ def _clamp_variance(v: float, what: str) -> float:
     return max(v, 0.0)
 
 
-def var_rs_exact(rho: float, n: int,
-                 settings: QuadratureSettings | None = None) -> float:
+def var_rs_exact(rho: float, n: int) -> float:
     """Exact finite-n variance of the rank correlation."""
     if n < 4:
         raise DomainError("exact variance requires n >= 4")
-    om = omegas(rho, settings)
+    om = omegas(rho)
     p = BinormalParams(rho)
     s1, s2 = p.s1, p.s2
     pi2 = math.pi ** 2
@@ -300,12 +293,11 @@ def var_rs_exact(rho: float, n: int,
     return _clamp_variance(v, "var(r_S)")
 
 
-def var_rs_asymptotic(rho: float, n: int,
-                      settings: QuadratureSettings | None = None) -> float:
+def var_rs_asymptotic(rho: float, n: int) -> float:
     """Leading-order variance of the rank correlation."""
     if n < 1:
         raise DomainError("need n >= 1")
-    om = omegas(rho, settings)
+    om = omegas(rho)
     s2 = BinormalParams(rho).s2
     v = (9 * om.omega1 - 324 * s2 * s2 / math.pi ** 2) / n
     return _clamp_variance(v, "asymptotic var(r_S)")
@@ -314,8 +306,7 @@ def var_rs_asymptotic(rho: float, n: int,
 _COROLLARY_TOL = 1e-9
 
 
-def cov_rs_rk_exact(rho: float, n: int,
-                    settings: QuadratureSettings | None = None) -> float:
+def cov_rs_rk_exact(rho: float, n: int) -> float:
     """Exact finite-n covariance between the two rank coefficients.
 
     Evaluated from the orthant-quadrature ingredient and cross-checked
@@ -324,44 +315,33 @@ def cov_rs_rk_exact(rho: float, n: int,
     """
     if n < 4:
         raise DomainError("exact covariance requires n >= 4")
-    om = omegas(rho, settings)
-    thm = _cov_from_omega3(rho, n, om.omega3)
-    cor = _cov_from_omega4(rho, n, om.omega4)
+    om = omegas(rho)
+    thm = _cov_form(rho, n, (7 * n - 5) / 18, (n - 2) * (n - 3) * om.omega3)
+    cor = _cov_form(rho, n, (n + 1) ** 2 / 18,
+                    2 * (n - 2) * (n - 3) * om.omega4 / math.pi ** 2)
     if abs(thm - cor) > _COROLLARY_TOL:
-        raise NegativeVarianceError(
+        raise CrossCheckError(
             f"covariance cross-check failed at rho={rho}, n={n}: "
             f"{thm} vs {cor}")
     return thm
 
 
-def _cov_from_omega3(rho: float, n: int, omega3: float) -> float:
+def _cov_form(rho: float, n: int, lead: float, tail: float) -> float:
+    # the two covariance forms share every term but the first and last
     p = BinormalParams(rho)
     s1, s2 = p.s1, p.s2
     pi2 = math.pi ** 2
     return 12 / (n * (n * n - 1)) * (
-        (7 * n - 5) / 18
+        lead
         + (n - 4) * s1 * s1 / pi2
         - 5 * (n - 2) * s2 * s2 / pi2
         - 6 * (n - 2) ** 2 * s1 * s2 / pi2
-        + (n - 2) * (n - 3) * omega3)
+        + tail)
 
 
-def _cov_from_omega4(rho: float, n: int, omega4_val: float) -> float:
-    p = BinormalParams(rho)
-    s1, s2 = p.s1, p.s2
-    pi2 = math.pi ** 2
-    return 12 / (n * (n * n - 1)) * (
-        (n + 1) ** 2 / 18
-        + (n - 4) * s1 * s1 / pi2
-        - 5 * (n - 2) * s2 * s2 / pi2
-        - 6 * (n - 2) ** 2 * s1 * s2 / pi2
-        + 2 * (n - 2) * (n - 3) * omega4_val / pi2)
-
-
-def cov_rs_rk_asymptotic(rho: float, n: int,
-                         settings: QuadratureSettings | None = None) -> float:
+def cov_rs_rk_asymptotic(rho: float, n: int) -> float:
     """Leading-order covariance between the two rank coefficients."""
-    om = omegas(rho, settings)
+    om = omegas(rho)
     p = BinormalParams(rho)
     return 12 / n * (om.omega3 - 6 * p.s1 * p.s2 / math.pi ** 2)
 
@@ -393,8 +373,7 @@ class OmegaRow:
     error: str | None = None
 
 
-def tabulate_omegas(rho_grid, settings: QuadratureSettings | None = None
-                    ) -> list[OmegaRow]:
+def tabulate_omegas(rho_grid) -> list[OmegaRow]:
     """One row of (rho, omega1, omega2, omega3) per grid value.
 
     A quadrature failure annotates the row instead of dropping it.
@@ -402,7 +381,7 @@ def tabulate_omegas(rho_grid, settings: QuadratureSettings | None = None
     rows = []
     for rho in rho_grid:
         try:
-            om = omegas(float(rho), settings)
+            om = omegas(float(rho))
             rows.append(OmegaRow(float(rho), om.omega1, om.omega2, om.omega3))
         except Exception as exc:  # noqa: BLE001 - annotated per row
             rows.append(OmegaRow(float(rho), math.nan, math.nan, math.nan,

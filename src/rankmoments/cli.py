@@ -27,9 +27,9 @@ from .binormal import (cov_rs_rk_asymptotic, cov_rs_rk_exact, format_omega_csv,
 from .contaminated import ContaminationParams
 from .correlation import (PairedSample, inequality_check, kendall, pearson,
                           spearman)
-from .errors import (ConvergenceError, DerivationError, DomainError,
-                     NegativeVarianceError, RankMomentsError, SizeError,
-                     TieError)
+from .errors import (ConvergenceError, CrossCheckError, DerivationError,
+                     DomainError, NegativeVarianceError, RankMomentsError,
+                     SizeError, TieError)
 from .estimators import EstimatorKind, are, estimate_from_coefficients
 from .formatting import format_fixed
 from .simulate import (ExperimentConfig, compare_report, format_report_csv,
@@ -291,7 +291,8 @@ def main(argv=None) -> int:
     except (SizeError, DomainError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_DATA
-    except (ConvergenceError, NegativeVarianceError, DerivationError) as exc:
+    except (ConvergenceError, NegativeVarianceError, CrossCheckError,
+            DerivationError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except _IoFailure as exc:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import PairedSample
 from .errors import DomainError, SeedError
 
 
@@ -150,13 +149,6 @@ def rival_formula_star(params: ContaminationParams) -> float:
     eps = params.epsilon
     return 6 / math.pi * ((1 - eps) * math.asin(params.rho / 2)
                           + eps * math.asin(params.rho_prime / 2))
-
-
-def sample_contaminated(params: ContaminationParams, n: int,
-                        seed=None) -> PairedSample:
-    """Draw one sample of n pairs from the mixture."""
-    x, y = sample_contaminated_block(params, n, 1, seed=seed)
-    return PairedSample(x=x[0], y=y[0])
 
 
 def sample_contaminated_block(params: ContaminationParams, n: int, size: int,

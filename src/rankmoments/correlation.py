@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateError, SizeError, TieError
+from .errors import DegenerateError, DomainError, SizeError, TieError
 
 
 @dataclass(frozen=True)
@@ -29,19 +29,11 @@ class PairedSample:
         if len(x) < 2:
             raise SizeError(f"need n >= 2, got n={len(x)}")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("sample values must be finite")
+            raise DomainError("sample values must be finite")
 
     @property
     def n(self) -> int:
         return len(self.x)
-
-
-@dataclass(frozen=True)
-class RankVector:
-    """Integer ranks of x and y; each a permutation of 1..n."""
-
-    p: np.ndarray
-    q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,12 +86,12 @@ def _ranks_rows(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def compute_ranks(sample: PairedSample) -> RankVector:
-    """Ranks by position in the sorted sequence, via argsort-of-argsort."""
+def compute_ranks(sample: PairedSample) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks (p, q) of x and y, each a permutation of 1..n."""
     _check_ties(sample.x, "x")
     _check_ties(sample.y, "y")
     p, q = _ranks_rows(np.stack((sample.x, sample.y)))
-    return RankVector(p=p, q=q)
+    return p, q
 
 
 def pearson(sample: PairedSample) -> float:
@@ -113,16 +105,26 @@ def pearson(sample: PairedSample) -> float:
     return float(x @ y) / np.sqrt(sxx * syy)
 
 
-def spearman(sample: PairedSample) -> float:
-    """Rank correlation from squared rank differences.
+def _spearman_rows(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
+    """Rank correlation of each row of two (b, n) rank arrays.
 
-    Computed through exact rational arithmetic so that the value is the
-    correctly-rounded double of 1 - 6*sum(d^2)/(n(n^2-1)).
+    Each value is the correctly-rounded double of (m - 6 d2)/m with
+    m = n(n^2 - 1) and d2 the sum of squared rank differences. Both
+    integers are exact doubles while m < 2**53; beyond that Python's
+    integer division, correctly rounded at any size, takes over.
     """
-    ranks = compute_ranks(sample)
-    n = sample.n
-    d2 = int(((ranks.p - ranks.q) ** 2).sum())
-    return float(1 - Fraction(6 * d2, n * (n * n - 1)))
+    n = rx.shape[1]
+    m = n * (n * n - 1)
+    d2 = ((rx - ry) ** 2).sum(axis=1)
+    if m < 2 ** 53:
+        return (m - 6 * d2) / m
+    return np.array([(m - 6 * int(d)) / m for d in d2])
+
+
+def spearman(sample: PairedSample) -> float:
+    """Rank correlation from squared rank differences."""
+    p, q = compute_ranks(sample)
+    return float(_spearman_rows(p[None], q[None])[0])
 
 
 # Rows are counted in chunks of about this many elements. It bounds the
@@ -192,8 +194,8 @@ def _kendall_rows(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
 
 def kendall(sample: PairedSample) -> float:
     """Pair-sign correlation, via the discordant count of the ranks."""
-    ranks = compute_ranks(sample)
-    return float(_kendall_rows(ranks.p[None], ranks.q[None])[0])
+    p, q = compute_ranks(sample)
+    return float(_kendall_rows(p[None], q[None])[0])
 
 
 def daniels_gamma(scores: ScoreSystem) -> float:
@@ -217,9 +219,7 @@ def scores_kendall(sample: PairedSample) -> ScoreSystem:
 
 
 def scores_spearman(sample: PairedSample) -> ScoreSystem:
-    r = compute_ranks(sample)
-    p = r.p.astype(float)
-    q = r.q.astype(float)
+    p, q = (r.astype(float) for r in compute_ranks(sample))
     return ScoreSystem(a=p[None, :] - p[:, None], b=q[None, :] - q[:, None])
 
 
@@ -229,9 +229,8 @@ def spearman_via_s(sample: PairedSample) -> tuple[float, SStatistic]:
     All counting is done in exact integer arithmetic, so the returned
     value is bit-identical to spearman(sample).
     """
-    ranks = compute_ranks(sample)
+    p, q = compute_ranks(sample)
     n = sample.n
-    p, q = ranks.p, ranks.q
     # sum over j of H(x_i - x_j) is rank minus one
     s = int(((p - 1) * (q - 1)).sum())
     # i_term counts ordered pairs with both differences positive, i.e.

@@ -34,6 +34,10 @@ class NegativeVarianceError(RankMomentsError):
     """A theoretical variance evaluated below the roundoff clamp window."""
 
 
+class CrossCheckError(RankMomentsError):
+    """Two independent forms of one exact quantity disagree."""
+
+
 class DerivationError(RankMomentsError):
     """A derived pattern correlation matrix failed its anchor checks."""
 

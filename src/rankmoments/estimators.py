@@ -13,7 +13,6 @@ from .binormal import (cov_rs_rk_exact, lemma2_moments, omegas,
                        var_rs_exact)
 from .correlation import PairedSample, kendall, pearson, spearman
 from .errors import DomainError, SizeError
-from .quadrature import QuadratureSettings
 
 
 class EstimatorKind(enum.Enum):
@@ -74,9 +73,9 @@ def estimate_from_coefficients(kind: EstimatorKind, r_p: float | None = None,
     return min(1.0, max(-1.0, val))
 
 
-def _sigma2_s(rho: float, n: int, settings) -> float:
+def _sigma2_s(rho: float, n: int) -> float:
     # n * var(r_S), from the exact finite-n variance
-    return n * var_rs_exact(rho, n, settings)
+    return n * var_rs_exact(rho, n)
 
 
 def _sigma2_k(rho: float, n: int) -> float:
@@ -84,13 +83,12 @@ def _sigma2_k(rho: float, n: int) -> float:
     return n * lemma2_moments(rho, n)["var_rk"]
 
 
-def _sigma_sk(rho: float, n: int, settings) -> float:
+def _sigma_sk(rho: float, n: int) -> float:
     # n * cov(r_S, r_K), from the exact finite-n covariance
-    return n * cov_rs_rk_exact(rho, n, settings)
+    return n * cov_rs_rk_exact(rho, n)
 
 
-def bias_theoretical(kind: EstimatorKind, rho: float, n: int,
-                     settings: QuadratureSettings | None = None) -> float:
+def bias_theoretical(kind: EstimatorKind, rho: float, n: int) -> float:
     """Leading-order bias of the estimator at (rho, n)."""
     _check_args(rho, n, kind)
     s1 = math.asin(rho)
@@ -99,42 +97,40 @@ def bias_theoretical(kind: EstimatorKind, rho: float, n: int,
     if kind is EstimatorKind.PEARSON:
         return -rho * (1 - rho * rho) / (2 * n)
     if kind is EstimatorKind.SPEARMAN:
-        sig2_s = _sigma2_s(rho, n, settings)
+        sig2_s = _sigma2_s(rho, n)
         return (math.sqrt(4 - rho * rho) * (s1 - 3 * s2) / (n + 1)
                 - pi2 * rho * sig2_s / (72 * n))
     if kind is EstimatorKind.KENDALL:
         sig2_k = _sigma2_k(rho, n)
         return -pi2 * rho * sig2_k / (8 * n)
-    sig2_s = _sigma2_s(rho, n, settings)
+    sig2_s = _sigma2_s(rho, n)
     sig2_k = _sigma2_k(rho, n)
-    sig_sk = _sigma_sk(rho, n, settings)
+    sig_sk = _sigma_sk(rho, n)
     return -(pi2 * rho / (72 * n * (n - 2) ** 2)) * (
         (n + 1) ** 2 * sig2_s - 6 * (n + 1) * sig_sk + 9 * sig2_k)
 
 
-def variance_theoretical(kind: EstimatorKind, rho: float, n: int,
-                         settings: QuadratureSettings | None = None) -> float:
+def variance_theoretical(kind: EstimatorKind, rho: float, n: int) -> float:
     """Leading-order variance of the estimator at (rho, n)."""
     _check_args(rho, n, kind)
     pi2 = math.pi ** 2
     if kind is EstimatorKind.PEARSON:
         return (1 - rho * rho) ** 2 / (n - 1)
     if kind is EstimatorKind.SPEARMAN:
-        return pi2 * (4 - rho * rho) / 36 * var_rs_exact(rho, n, settings)
+        return pi2 * (4 - rho * rho) / 36 * var_rs_exact(rho, n)
     if kind is EstimatorKind.KENDALL:
         var_rk = lemma2_moments(rho, n)["var_rk"]
         return pi2 * (1 - rho * rho) / 4 * var_rk
-    sig2_s = _sigma2_s(rho, n, settings)
+    sig2_s = _sigma2_s(rho, n)
     sig2_k = _sigma2_k(rho, n)
-    sig_sk = _sigma_sk(rho, n, settings)
+    sig_sk = _sigma_sk(rho, n)
     return (pi2 * (4 - rho * rho) / (36 * n * (n - 2) ** 2)) * (
         (n + 1) ** 2 * sig2_s - 6 * (n + 1) * sig_sk + 9 * sig2_k)
 
 
-def moment_report(kind: EstimatorKind, rho: float, n: int,
-                  settings: QuadratureSettings | None = None) -> MomentReport:
-    b = bias_theoretical(kind, rho, n, settings)
-    v = variance_theoretical(kind, rho, n, settings)
+def moment_report(kind: EstimatorKind, rho: float, n: int) -> MomentReport:
+    b = bias_theoretical(kind, rho, n)
+    v = variance_theoretical(kind, rho, n)
     return MomentReport(kind=kind, rho=rho, n=n, bias=b, variance=v,
                         mse=v + b * b)
 
@@ -153,8 +149,7 @@ _ARE_S_AT_1 = (15 + 11 * math.sqrt(5)) / 57
 _ARE_K_AT_1 = 3 * math.sqrt(3) / (2 * math.pi)
 
 
-def are(kind: EstimatorKind, rho: float,
-        settings: QuadratureSettings | None = None) -> float:
+def are(kind: EstimatorKind, rho: float) -> float:
     """Asymptotic efficiency relative to the information bound."""
     if not abs(rho) <= 1:
         raise DomainError(f"|rho| must be <= 1, got {rho}")
@@ -169,7 +164,7 @@ def are(kind: EstimatorKind, rho: float,
     if abs(rho) == 1.0:
         return _ARE_S_AT_1
     s2 = math.asin(rho / 2)
-    om1 = omegas(rho, settings).omega1
+    om1 = omegas(rho).omega1
     denom = (4 - rho * rho) * (9 * math.pi ** 2 * om1 - 324 * s2 * s2)
     return 36 * (1 - rho * rho) ** 2 / denom
 

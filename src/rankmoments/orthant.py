@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import QuadratureSettings, integrate_adaptive
+from .quadrature import ABS_TOL, CLAMP_EPS, integrate_adaptive
 
 _PSD_TOL = -1e-10
 _SINGULAR_SWITCH = 1e-8  # use the sine substitution when |rho_1l| > 1 - this
@@ -54,17 +54,15 @@ class CorrelationMatrix4:
         return cls(rho=m)
 
 
-def orthant_p2(rho12: float, settings: QuadratureSettings | None = None) -> float:
+def orthant_p2(rho12: float) -> float:
     """P(Z1 > 0, Z2 > 0) for a standard bivariate normal pair."""
-    clamp = (settings or QuadratureSettings()).clamp_eps
-    if abs(rho12) > 1 + clamp:
+    if abs(rho12) > 1 + CLAMP_EPS:
         raise DomainError(f"|rho12| = {abs(rho12)} exceeds 1")
     r = min(1.0, max(-1.0, rho12))
     return 0.25 * (1 + 2 / math.pi * math.asin(r))
 
 
-def orthant_p3(rho12: float, rho13: float, rho23: float,
-               settings: QuadratureSettings | None = None) -> float:
+def orthant_p3(rho12: float, rho13: float, rho23: float) -> float:
     """Trivariate positive orthant probability (closed form)."""
     m = np.array([[1, rho12, rho13], [rho12, 1, rho23], [rho13, rho23, 1.0]])
     if np.linalg.eigvalsh(m).min() < _PSD_TOL:
@@ -96,36 +94,7 @@ def _abg_coeffs(r: np.ndarray, ell: int):
     return a0, a2, b0, b2, g0, g2
 
 
-@dataclass(frozen=True)
-class WIntegrandTerms:
-    """The three factors of one arcsine-integrand leg, as functions of
-    u in [0, 1]: the integrand's arcsine argument is alpha/(beta*gamma)."""
-
-    ell: int
-    alpha_l: "callable"
-    beta_l: "callable"
-    gamma_l: "callable"
-
-
-def w_integrand_terms(r: CorrelationMatrix4, ell: int) -> WIntegrandTerms:
-    """Build the alpha/beta/gamma factor functions for leg ell in {2, 3, 4}."""
-    if ell not in (2, 3, 4):
-        raise DomainError(f"leg index must be 2, 3 or 4, got {ell}")
-    a0, a2, b0, b2, g0, g2 = _abg_coeffs(r.rho, ell - 1)
-
-    def alpha(u):
-        return a0 - a2 * u * u
-
-    def beta(u):
-        return math.sqrt(max(b0 - b2 * u * u, 0.0))
-
-    def gamma(u):
-        return math.sqrt(max(g0 - g2 * u * u, 0.0))
-
-    return WIntegrandTerms(ell=ell, alpha_l=alpha, beta_l=beta, gamma_l=gamma)
-
-
-def _arcsine_ratio(u2: np.ndarray, coeffs, clamp_eps: float) -> np.ndarray:
+def _arcsine_ratio(u2: np.ndarray, coeffs) -> np.ndarray:
     """arcsin(alpha / (beta*gamma)) with degenerate-limit guards."""
     a0, a2, b0, b2, g0, g2 = coeffs
     alpha = a0 - a2 * u2
@@ -138,7 +107,7 @@ def _arcsine_ratio(u2: np.ndarray, coeffs, clamp_eps: float) -> np.ndarray:
         # 0/0 limit at a degenerate matrix; approach along decreasing u
         for i in np.flatnonzero(tiny):
             if abs(alpha[i]) < _BG_FLOOR:
-                out[i] = _ratio_limit(u2[i], coeffs, clamp_eps)
+                out[i] = _ratio_limit(u2[i], coeffs)
             else:
                 raise DomainError("arcsine argument diverges: beta*gamma -> 0 "
                                   "with nonvanishing alpha")
@@ -147,14 +116,14 @@ def _arcsine_ratio(u2: np.ndarray, coeffs, clamp_eps: float) -> np.ndarray:
     np.divide(alpha, bg, out=ratio, where=ok)
     over = ok & (np.abs(ratio) > 1)
     if over.any():
-        if np.abs(ratio[over]).max() > 1 + clamp_eps:
+        if np.abs(ratio[over]).max() > 1 + CLAMP_EPS:
             raise DomainError("arcsine argument exceeds 1 beyond the clamp margin")
         ratio[over] = np.sign(ratio[over])
     out[ok] = np.arcsin(ratio[ok])
     return out
 
 
-def _ratio_limit(u2: float, coeffs, clamp_eps: float) -> float:
+def _ratio_limit(u2: float, coeffs) -> float:
     """One-sided limit of arcsin(alpha/(beta*gamma)) by step halving in u."""
     a0, a2, b0, b2, g0, g2 = coeffs
     u = math.sqrt(max(u2, 0.0))
@@ -175,15 +144,13 @@ def _ratio_limit(u2: float, coeffs, clamp_eps: float) -> float:
     return prev if prev is not None else 0.0
 
 
-def w_integral(r: CorrelationMatrix4,
-               settings: QuadratureSettings | None = None) -> float:
+def w_integral(r: CorrelationMatrix4) -> float:
     """Quadrivariate coupling term: sum of three 1-D arcsine integrals."""
-    settings = settings or QuadratureSettings()
     m = r.rho
     legs = [ell for ell in (1, 2, 3) if m[0, ell] != 0.0]
     if not legs:
         return 0.0
-    tol_leg = settings.abs_tol / 3
+    tol_leg = ABS_TOL / 3
     total = 0.0
     for ell in legs:
         r1l = m[0, ell]
@@ -196,16 +163,14 @@ def w_integral(r: CorrelationMatrix4,
                 u2 = u * u
                 denom = np.sqrt(np.maximum(1 - r1l * r1l * u2, 1e-300))
                 return (r1l * np.cos(theta) / denom
-                        * _arcsine_ratio(u2, coeffs, settings.clamp_eps))
-            val = integrate_adaptive(f, 0.0, math.pi / 2, tol_leg,
-                                     settings.max_subdivisions)
+                        * _arcsine_ratio(u2, coeffs))
+            val = integrate_adaptive(f, 0.0, math.pi / 2, tol_leg)
         else:
             def f(u, r1l=r1l, coeffs=coeffs):
                 u2 = u * u
                 denom = np.sqrt(1 - r1l * r1l * u2)
-                return r1l / denom * _arcsine_ratio(u2, coeffs, settings.clamp_eps)
-            val = integrate_adaptive(f, 0.0, 1.0, tol_leg,
-                                     settings.max_subdivisions)
+                return r1l / denom * _arcsine_ratio(u2, coeffs)
+            val = integrate_adaptive(f, 0.0, 1.0, tol_leg)
         total += 4 / math.pi ** 2 * val
     return total
 
@@ -215,10 +180,9 @@ def _arcsin_sum(m: np.ndarray) -> float:
                for i in range(3) for j in range(i + 1, 4))
 
 
-def orthant_p4(r: CorrelationMatrix4,
-               settings: QuadratureSettings | None = None) -> float:
+def orthant_p4(r: CorrelationMatrix4) -> float:
     """Quadrivariate positive orthant probability."""
-    w = w_integral(r, settings)
+    w = w_integral(r)
     p = (1 + 2 / math.pi * _arcsin_sum(r.rho) + w) / 16
     return min(1.0, max(0.0, p))
 

@@ -8,7 +8,6 @@ error estimate falls below the absolute tolerance.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -40,19 +39,12 @@ _WG = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class QuadratureSettings:
-    """Tolerances and limits for the 1-D integrals."""
-
-    abs_tol: float = 1e-13
-    max_subdivisions: int = 400
-    clamp_eps: float = 1e-10
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+# Accuracy used for every 1-D integral of the moment theory: total
+# absolute error target, bisection budget per integral, and how far an
+# arcsine argument may exceed 1 through roundoff before it is an error.
+ABS_TOL = 1e-13
+MAX_SUBDIVISIONS = 400
+CLAMP_EPS = 1e-10
 
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
@@ -74,7 +66,7 @@ def integrate_adaptive(
     a: float,
     b: float,
     abs_tol: float,
-    max_subdivisions: int = 400,
+    max_subdivisions: int = MAX_SUBDIVISIONS,
 ) -> float:
     """Integrate a vectorized integrand f over [a, b] to absolute tolerance.
 

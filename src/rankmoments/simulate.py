@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,14 +25,12 @@ from .binormal import cov_rs_rk_exact, lemma2_moments, var_rs_exact
 from .contaminated import (ContaminationParams, expected_rk_contaminated,
                            expected_rs_contaminated, rival_formula_star,
                            sample_contaminated_block)
-from .correlation import PairedSample, _kendall_rows, _ranks_rows
+from .correlation import _kendall_rows, _ranks_rows, _spearman_rows
 from .errors import DomainError, ResourceError
 from .estimators import EstimatorKind, bias_theoretical, variance_theoretical
 
-_DEFAULT_BLOCK = 4096
-_DEFAULT_BUDGET = 10 ** 9     # cap on trials * n per cell
-
-_ALL_KINDS = frozenset(EstimatorKind)
+_BLOCK = 4096            # trials per block; each block has its own stream
+_BUDGET = 10 ** 9        # cap on trials * n per cell
 
 
 @dataclass(frozen=True)
@@ -44,10 +42,7 @@ class ExperimentConfig:
     n_list: tuple
     trials: int
     seed: int
-    estimators: frozenset = _ALL_KINDS
     contamination: ContaminationParams | None = None
-    block_size: int = _DEFAULT_BLOCK
-    budget: int = _DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.model not in ("binormal", "contaminated"):
@@ -62,8 +57,6 @@ class ExperimentConfig:
             raise DomainError("rho values must lie in [-1, 1]")
         if not 0 <= self.seed < 2 ** 64:
             raise DomainError("seed must be a 64-bit unsigned integer")
-        if self.block_size < 1:
-            raise DomainError("block_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -147,13 +140,6 @@ def threads_limit() -> int:
     return min(value, avail)
 
 
-def sample_binormal(rho: float, n: int,
-                    stream: np.random.Generator) -> PairedSample:
-    """Draw one sample of n standard-marginal correlated pairs."""
-    x, y = sample_binormal_block(rho, n, stream, size=1)
-    return PairedSample(x=x[0], y=y[0])
-
-
 def sample_binormal_block(rho: float, n: int, stream: np.random.Generator,
                           size: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Standard-marginal correlated pairs, shape (size, n) each."""
@@ -169,7 +155,6 @@ def sample_binormal_block(rho: float, n: int, stream: np.random.Generator,
 def _coefficients_block(x: np.ndarray, y: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-trial (r_P, r_S, r_K) for a block of samples."""
-    n = x.shape[1]
     xc = x - x.mean(axis=1, keepdims=True)
     yc = y - y.mean(axis=1, keepdims=True)
     denom = np.sqrt((xc * xc).sum(axis=1) * (yc * yc).sum(axis=1))
@@ -178,12 +163,7 @@ def _coefficients_block(x: np.ndarray, y: np.ndarray
 
     rx = _ranks_rows(x)
     ry = _ranks_rows(y)
-    d2 = ((rx - ry) ** 2).sum(axis=1)
-    r_s = 1 - 6.0 * d2 / (n * (n * n - 1))
-    return r_p, r_s, _kendall_rows(rx, ry)
-
-
-_POWER_KEYS = ("s1", "s2", "s3", "s4")
+    return r_p, _spearman_rows(rx, ry), _kendall_rows(rx, ry)
 
 
 def _block_sums(values: dict, shifts: dict) -> dict:
@@ -234,33 +214,25 @@ def _cell_block(config: ExperimentConfig, rho: float, n: int,
     if config.model == "binormal":
         x, y = sample_binormal_block(rho, n, stream, size=size)
     else:
-        base = config.contamination
-        params = ContaminationParams(
-            rho=rho, epsilon=base.epsilon, lambda_x=base.lambda_x,
-            lambda_y=base.lambda_y, rho_prime=base.rho_prime,
-            mu_x=base.mu_x, mu_y=base.mu_y,
-            sigma_x=base.sigma_x, sigma_y=base.sigma_y)
+        params = replace(config.contamination, rho=rho)
         x, y = sample_contaminated_block(params, n, size, seed=stream)
     r_p, r_s, r_k = _coefficients_block(x, y)
-    values = {"r_s": r_s, "r_k": r_k}
-    if EstimatorKind.PEARSON in config.estimators:
-        values["pearson"] = np.clip(r_p, -1.0, 1.0)
-    if EstimatorKind.SPEARMAN in config.estimators:
-        values["spearman"] = np.clip(2 * np.sin(np.pi * r_s / 6), -1.0, 1.0)
-    if EstimatorKind.KENDALL in config.estimators:
-        values["kendall"] = np.clip(np.sin(np.pi * r_k / 2), -1.0, 1.0)
-    if EstimatorKind.MIXED in config.estimators:
-        arg = np.pi * r_s / 6 - np.pi / 2 * (r_k - r_s) / (n - 2)
-        values["mixed"] = np.clip(2 * np.sin(arg), -1.0, 1.0)
-    return values
+    arg = np.pi * r_s / 6 - np.pi / 2 * (r_k - r_s) / (n - 2)
+    return {
+        "r_s": r_s,
+        "r_k": r_k,
+        "pearson": np.clip(r_p, -1.0, 1.0),
+        "spearman": np.clip(2 * np.sin(np.pi * r_s / 6), -1.0, 1.0),
+        "kendall": np.clip(np.sin(np.pi * r_k / 2), -1.0, 1.0),
+        "mixed": np.clip(2 * np.sin(arg), -1.0, 1.0),
+    }
 
 
 def _run_cell(config: ExperimentConfig, rho: float, n: int,
               rho_idx: int, n_idx: int, pool) -> CellResult:
     trials = config.trials
-    block = config.block_size
-    n_blocks = (trials + block - 1) // block
-    sizes = [block] * (n_blocks - 1) + [trials - block * (n_blocks - 1)]
+    n_blocks = (trials + _BLOCK - 1) // _BLOCK
+    sizes = [_BLOCK] * (n_blocks - 1) + [trials - _BLOCK * (n_blocks - 1)]
 
     first = _cell_block(config, rho, n, rho_idx, n_idx, 0, sizes[0])
     shifts = {name: float(arr.mean()) for name, arr in first.items()}
@@ -286,10 +258,10 @@ def _run_cell(config: ExperimentConfig, rho: float, n: int,
 def run_experiment(config: ExperimentConfig) -> TrialReport:
     """Run the whole grid and attach theory values to every cell."""
     for n in config.n_list:
-        if config.trials * n > config.budget:
+        if config.trials * n > _BUDGET:
             raise ResourceError(
                 f"cell budget exceeded: trials*n = {config.trials * n} "
-                f"> {config.budget}")
+                f"> {_BUDGET}")
     workers = threads_limit()
     report = TrialReport(config=config)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -324,14 +296,8 @@ def _theory_rows(config: ExperimentConfig, cell: CellResult) -> list:
         add("r_k", "var", rk.var, lm["var_rk"], rk.se_var)
         add("joint", "cov_rs_rk", cell.cov_rs_rk, cov_rs_rk_exact(rho, n),
             cell.se_cov_rs_rk)
-        target = rho
-        theory_fns = (bias_theoretical, variance_theoretical)
     else:
-        params = ContaminationParams(
-            rho=rho, epsilon=config.contamination.epsilon,
-            lambda_x=config.contamination.lambda_x,
-            lambda_y=config.contamination.lambda_y,
-            rho_prime=config.contamination.rho_prime)
+        params = replace(config.contamination, rho=rho)
         add("r_s", "mean", rs.mean, expected_rs_contaminated(params, n),
             rs.se_mean)
         add("r_s", "mean_rival", rs.mean, rival_formula_star(params),
@@ -340,23 +306,19 @@ def _theory_rows(config: ExperimentConfig, cell: CellResult) -> list:
         add("r_s", "var", rs.var, None, rs.se_var)
         add("r_k", "var", rk.var, None, rk.se_var)
         add("joint", "cov_rs_rk", cell.cov_rs_rk, None, cell.se_cov_rs_rk)
-        target = rho
-        theory_fns = None
 
-    for kind in sorted(config.estimators, key=lambda k: k.value):
+    for kind in sorted(EstimatorKind, key=lambda k: k.value):
         name = kind.value
-        if name not in cell.series:
-            continue
         s = cell.series[name]
-        if theory_fns is not None:
+        if model == "binormal":
             tb = bias_theoretical(kind, rho, n)
             tv = variance_theoretical(kind, rho, n)
             tm = tv + tb * tb
         else:
             tb = tv = tm = None
-        add(name, "bias", cell.bias(name, target), tb, s.se_mean)
+        add(name, "bias", cell.bias(name, rho), tb, s.se_mean)
         add(name, "var", s.var, tv, s.se_var)
-        add(name, "mse", cell.mse(name, target), tm, cell.se_mse(name, target))
+        add(name, "mse", cell.mse(name, rho), tm, cell.se_mse(name, rho))
     return rows
 
 
@@ -384,10 +346,7 @@ def compare_report(report: TrialReport, tol_sigmas: float) -> ComparisonSummary:
         else:
             verdict = "FAIL"
         counts[verdict] += 1
-        out.append(ReportRow(model=row.model, rho=row.rho, n=row.n,
-                             kind=row.kind, metric=row.metric,
-                             empirical=row.empirical, theory=row.theory,
-                             se=row.se, verdict=verdict))
+        out.append(replace(row, verdict=verdict))
     return ComparisonSummary(passed=counts["PASS"], failed=counts["FAIL"],
                              skipped=counts["SKIP"], rows=tuple(out))
 

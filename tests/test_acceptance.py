@@ -58,9 +58,7 @@ def mc_bias():
 @pytest.fixture(scope="module")
 def mc_are():
     cfg = ExperimentConfig(model="binormal", rho_grid=(0.0, 0.5, 0.9),
-                           n_list=(1000,), trials=ARE_TRIALS, seed=99,
-                           estimators=frozenset((EstimatorKind.PEARSON,
-                                                 EstimatorKind.KENDALL)))
+                           n_list=(1000,), trials=ARE_TRIALS, seed=99)
     return run_experiment(cfg)
 
 

@@ -8,7 +8,7 @@ from rankmoments.binormal import (BinormalParams, cov_rs_rk_asymptotic,
                                   lemma2_moments, omega4, omegas,
                                   tabulate_omegas, var_rs_asymptotic,
                                   var_rs_exact)
-from rankmoments.errors import DomainError
+from rankmoments.errors import CrossCheckError, DomainError
 
 
 class TestAnchors:
@@ -88,6 +88,11 @@ class TestCovariance:
         # independent integral route and raises on disagreement
         for rho in (0.1, 0.5, 0.8):
             cov_rs_rk_exact(rho, 12)
+
+    def test_disagreement_raises_cross_check_error(self, monkeypatch):
+        monkeypatch.setattr("rankmoments.binormal._COROLLARY_TOL", -1.0)
+        with pytest.raises(CrossCheckError):
+            cov_rs_rk_exact(0.5, 20)
 
     def test_series_matches_integral_near_zero(self):
         n = 100

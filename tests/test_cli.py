@@ -88,6 +88,12 @@ class TestMoments:
     def test_small_n_rejected(self, capsys):
         assert run(["moments", "--rho", "0.5", "--n", "3"], capsys)[0] == 3
 
+    def test_cross_check_failure_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setattr("rankmoments.binormal._COROLLARY_TOL", -1.0)
+        code, _, err = run(["moments", "--rho", "0.5", "--n", "20"], capsys)
+        assert code == 2
+        assert err.startswith("numerical failure: covariance cross-check")
+
 
 class TestEstimate:
     def test_identity_sample(self, tmp_path, capsys):
@@ -139,6 +145,14 @@ class TestEstimate:
         fields = dict(line.split("=") for line in out.splitlines())
         assert abs(float(fields["r_k"]) - kendalltau(x, y)[0]) <= 1e-12
         assert peak < 50 * 2 ** 20
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_exit_3(self, tmp_path, capsys, cell):
+        f = tmp_path / "d.csv"
+        f.write_text(f"1,1\n2,{cell}\n3,2\n4,4\n")
+        code, _, err = run(["estimate", str(f)], capsys)
+        assert code == 3
+        assert err == "invalid input: sample values must be finite\n"
 
     def test_too_few_rows_exit_3(self, tmp_path, capsys):
         f = tmp_path / "d.csv"

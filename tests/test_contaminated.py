@@ -8,7 +8,7 @@ from rankmoments.contaminated import (ContaminationParams,
                                       expected_rk_contaminated,
                                       expected_rs_contaminated,
                                       mixture_correlations,
-                                      rival_formula_star, sample_contaminated,
+                                      rival_formula_star,
                                       sample_contaminated_block)
 from rankmoments.correlation import PairedSample, kendall, spearman
 from rankmoments.errors import DomainError, SeedError
@@ -93,19 +93,19 @@ class TestSampler:
 
     def test_degenerate_correlation(self):
         p = params(rho=1.0, eps=0.0)
-        sample = sample_contaminated(p, 50, seed=1)
-        assert np.allclose(sample.x, sample.y)
+        x, y = sample_contaminated_block(p, 50, 1, seed=1)
+        assert np.allclose(x[0], y[0])
 
     def test_location_scale(self):
         p = params(eps=0.0, mu_x=10.0, mu_y=-5.0, sigma_x=0.1, sigma_y=2.0)
-        sample = sample_contaminated(p, 4000, seed=2)
-        assert abs(sample.x.mean() - 10.0) < 0.02
-        assert abs(sample.y.mean() + 5.0) < 0.2
-        assert abs(sample.x.std() - 0.1) < 0.01
+        x, y = sample_contaminated_block(p, 4000, 1, seed=2)
+        assert abs(x[0].mean() - 10.0) < 0.02
+        assert abs(y[0].mean() + 5.0) < 0.2
+        assert abs(x[0].std() - 0.1) < 0.01
 
     def test_bad_seed(self):
         with pytest.raises(SeedError):
-            sample_contaminated(params(), 10, seed="not a seed")
+            sample_contaminated_block(params(), 10, 1, seed="not a seed")
 
     def test_monte_carlo_agreement(self):
         p = params(rho=0.5, eps=0.1, lx=3.0, ly=2.0, rp=-0.4)

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmoments.correlation import (_CHUNK_ELEMENTS, PairedSample,
-                                     _kendall_rows, compute_ranks,
+                                     _kendall_rows, _spearman_rows,
+                                     compute_ranks,
                                      daniels_gamma, inequality_check,
                                      inversions_rows, kendall, pearson,
                                      scores_kendall, scores_pearson,
@@ -68,9 +69,9 @@ class TestFixtures:
 
     def test_ranks(self):
         s = sample([10, 30, 20], [1, 2, 3])
-        rv = compute_ranks(s)
-        assert rv.p.tolist() == [1, 3, 2]
-        assert rv.q.tolist() == [1, 2, 3]
+        p, q = compute_ranks(s)
+        assert p.tolist() == [1, 3, 2]
+        assert q.tolist() == [1, 2, 3]
 
     def test_ties_rejected(self):
         with pytest.raises(TieError) as exc:
@@ -155,8 +156,21 @@ class TestInequalityEdges:
 def test_kendall_from_ranks_matches():
     rng = np.random.default_rng(5)
     s = random_sample(rng, 40)
-    rv = compute_ranks(s)
-    assert _kendall_rows(rv.p[None], rv.q[None])[0] == kendall_oracle(s)
+    p, q = compute_ranks(s)
+    assert _kendall_rows(p[None], q[None])[0] == kendall_oracle(s)
+
+
+@pytest.mark.parametrize("n", [4, 65, 1000, 300_002])
+def test_spearman_rows_correctly_rounded(n):
+    # at n = 300 002, n(n^2 - 1) is not an exact double: dividing in
+    # float64 there would misround about half of the rows
+    rng = np.random.default_rng(n)
+    p = np.array([rng.permutation(n) + 1 for _ in range(6)])
+    q = np.array([rng.permutation(n) + 1 for _ in range(6)])
+    m = n * (n * n - 1)
+    want = [float(1 - Fraction(6 * int(((a - b) ** 2).sum()), m))
+            for a, b in zip(p, q)]
+    assert _spearman_rows(p, q).tolist() == want
 
 
 def test_large_n_fast_path():

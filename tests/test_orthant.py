@@ -6,9 +6,9 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from rankmoments.errors import DomainError
-from rankmoments.orthant import (CorrelationMatrix4, orthant_p2, orthant_p3,
-                                 orthant_p4, w_from_p4, w_integral,
-                                 w_integrand_terms)
+from rankmoments.orthant import (CorrelationMatrix4, _abg_coeffs, orthant_p2,
+                                 orthant_p3, orthant_p4, w_from_p4, w_integral)
+from rankmoments.quadrature import CLAMP_EPS
 
 
 def mat(r12=0.0, r13=0.0, r14=0.0, r23=0.0, r24=0.0, r34=0.0):
@@ -112,19 +112,17 @@ class TestQmcOracle:
 
 class TestIntegrandTerms:
     def test_positive_factors_and_feasible_ratio(self):
+        # alpha, beta, gamma of each leg, from the coefficients that the
+        # arcsine integrand of w_integral evaluates
         rng = np.random.default_rng(7)
-        clamp_eps = 1e-10
+        u = np.linspace(0.0, 0.999, 40)
+        u2 = u * u
         for _ in range(20):
             r = random_correlation(rng)
-            for ell in (2, 3, 4):
-                terms = w_integrand_terms(r, ell)
-                for u in np.linspace(0.0, 0.999, 40):
-                    beta, gamma = terms.beta_l(u), terms.gamma_l(u)
-                    assert beta > 0 and gamma > 0
-                    assert abs(terms.alpha_l(u) / (beta * gamma)) \
-                        <= 1 + clamp_eps
-
-    def test_bad_leg_index(self):
-        r = mat(r12=0.3)
-        with pytest.raises(DomainError):
-            w_integrand_terms(r, 1)
+            for ell in (1, 2, 3):
+                a0, a2, b0, b2, g0, g2 = _abg_coeffs(r.rho, ell)
+                beta = np.sqrt(np.maximum(b0 - b2 * u2, 0.0))
+                gamma = np.sqrt(np.maximum(g0 - g2 * u2, 0.0))
+                assert (beta > 0).all() and (gamma > 0).all()
+                assert (np.abs((a0 - a2 * u2) / (beta * gamma))
+                        <= 1 + CLAMP_EPS).all()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmoments.errors import ConvergenceError
-from rankmoments.quadrature import QuadratureSettings, integrate_adaptive
+from rankmoments.quadrature import integrate_adaptive
 
 
 def test_polynomial_exact():
@@ -45,13 +45,6 @@ def test_budget_exhaustion():
 
     with pytest.raises(ConvergenceError):
         integrate_adaptive(jagged, 0.0, 1.0, 1e-15, max_subdivisions=4)
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        QuadratureSettings(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(max_subdivisions=0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 from rankmoments.contaminated import ContaminationParams
-from rankmoments.correlation import PairedSample, kendall
+from rankmoments.correlation import PairedSample, kendall, spearman
 from rankmoments.errors import DomainError, ResourceError
-from rankmoments.estimators import EstimatorKind
 from rankmoments.simulate import (CellResult, ExperimentConfig, ReportRow,
                                   SeriesStats, TrialReport,
                                   _coefficients_block, compare_report,
                                   format_report_csv, run_experiment,
-                                  sample_binormal, sample_binormal_block,
-                                  threads_limit)
+                                  sample_binormal_block, threads_limit)
 
 
 def small_config(**kw):
@@ -31,14 +29,14 @@ class TestSampler:
 
     def test_independent_mean(self):
         rng = np.random.default_rng(1)
-        sample = sample_binormal(0.0, 100000, rng)
-        r = np.corrcoef(sample.x, sample.y)[0, 1]
+        x, y = sample_binormal_block(0.0, 100000, rng, size=1)
+        r = np.corrcoef(x[0], y[0])[0, 1]
         assert abs(r) < 3 / math.sqrt(100000)
 
     def test_strong_correlation_concentrates(self):
         rng = np.random.default_rng(2)
-        sample = sample_binormal(0.6, 1000, rng)
-        r = np.corrcoef(sample.x, sample.y)[0, 1]
+        x, y = sample_binormal_block(0.6, 1000, rng, size=1)
+        r = np.corrcoef(x[0], y[0])[0, 1]
         assert 0.55 <= r <= 0.65
 
 
@@ -50,6 +48,14 @@ class TestBlockKernel:
         r_k = _coefficients_block(x, y)[2]
         assert r_k.tolist() == [kendall(PairedSample(x=x[i], y=y[i]))
                                 for i in range(5)]
+
+    @pytest.mark.parametrize("n", [10, 64, 65, 1000])
+    def test_block_spearman_matches_single_sample(self, n):
+        rng = np.random.default_rng(n)
+        x, y = sample_binormal_block(0.5, n, rng, size=300)
+        r_s = _coefficients_block(x, y)[1]
+        assert r_s.tolist() == [spearman(PairedSample(x=x[i], y=y[i]))
+                                for i in range(300)]
 
 
 class TestDeterminism:
@@ -75,17 +81,16 @@ class TestDeterminism:
 
 class TestStreamingMoments:
     def test_matches_two_pass(self):
-        from rankmoments.simulate import _cell_block
+        from rankmoments.simulate import _BLOCK, _cell_block
 
-        cfg = small_config(trials=10000, block_size=512)
+        cfg = small_config(trials=10000)
         report = run_experiment(cfg)
         cell = report.cells[0]
 
         # regenerate the identical trial values and compute the moments
         # with plain two-pass numpy as the reference
-        n_blocks = (cfg.trials + cfg.block_size - 1) // cfg.block_size
-        sizes = [cfg.block_size] * (n_blocks - 1)
-        sizes.append(cfg.trials - sum(sizes))
+        sizes = [_BLOCK, _BLOCK, cfg.trials - 2 * _BLOCK]
+        n_blocks = len(sizes)
         blocks = [_cell_block(cfg, 0.3, 10, 0, 0, i, sizes[i])
                   for i in range(n_blocks)]
         pooled = {name: np.concatenate([b[name] for b in blocks])
@@ -174,7 +179,7 @@ class TestContaminatedRun:
 class TestGuards:
     def test_budget(self):
         with pytest.raises(ResourceError):
-            run_experiment(small_config(trials=10 ** 6, budget=10 ** 6))
+            run_experiment(small_config(trials=10 ** 6, n_list=(1001,)))
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
