@@ -6,12 +6,10 @@ from .correlation import (PairedSample, SStatistic, compute_ranks,
                           daniels_gamma, inequality_check, kendall, pearson,
                           spearman, spearman_via_s)
 from .orthant import (CorrelationMatrix4, orthant_p2, orthant_p3, orthant_p4,
-                      w_from_p4, w_integral)
+                      w_from_p4)
 from .binormal import (BinormalParams, OmegaValues, cov_rs_rk_asymptotic,
-                       cov_rs_rk_exact, cov_series_asymptotic,
-                       derive_pattern_matrices, lemma2_moments, omega4,
-                       omegas, tabulate_omegas, var_rs_asymptotic,
-                       var_rs_exact)
+                       cov_rs_rk_exact, cov_series_asymptotic, lemma2_moments,
+                       omega4, omegas, var_rs_asymptotic, var_rs_exact)
 from .contaminated import (ContaminationParams, MixtureCorrelations,
                            expected_rk_contaminated, expected_rs_contaminated,
                            mixture_correlations, rival_formula_star,
@@ -30,11 +28,10 @@ __all__ = [
     "PairedSample", "SStatistic", "compute_ranks", "daniels_gamma",
     "inequality_check", "kendall", "pearson", "spearman", "spearman_via_s",
     "CorrelationMatrix4", "orthant_p2", "orthant_p3", "orthant_p4",
-    "w_from_p4", "w_integral",
+    "w_from_p4",
     "BinormalParams", "OmegaValues", "cov_rs_rk_asymptotic",
-    "cov_rs_rk_exact", "cov_series_asymptotic", "derive_pattern_matrices",
-    "lemma2_moments", "omega4", "omegas", "tabulate_omegas",
-    "var_rs_asymptotic", "var_rs_exact",
+    "cov_rs_rk_exact", "cov_series_asymptotic", "lemma2_moments", "omega4",
+    "omegas", "var_rs_asymptotic", "var_rs_exact",
     "ContaminationParams", "MixtureCorrelations", "expected_rk_contaminated",
     "expected_rs_contaminated", "mixture_correlations", "rival_formula_star",
     "sample_contaminated_block",

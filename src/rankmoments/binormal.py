@@ -10,9 +10,11 @@ using the covariance rule for differences of i.i.d. coordinates,
     cov(X_a - X_b, X_c - X_d) = d_ac - d_ad - d_bc + d_bd   (variance 2)
     cov(X_a - X_b, Y_c - Y_d) = rho * (d_ac - d_ad - d_bc + d_bd)
 
-The derived matrices are validated once against exact anchor values at
-rho = 0 and rho = 1 and against four internal W-identities; failure
-raises DerivationError.
+Each template is split once into (same, cross), the pattern matrix being
+same + rho * cross. On first use the pairs are checked as correlation
+matrices at rho = -1 and rho = 1, which covers every |rho| <= 1, then
+against exact anchor values at rho = 0 and rho = 1 and against four
+internal W-identities; failure raises DerivationError.
 """
 
 from __future__ import annotations
@@ -97,49 +99,48 @@ _ANCHORS_W_RHO1 = {
     "g": Fraction(1, 3), "h": Fraction(1, 3), "l": Fraction(0),
     "m": Fraction(1, 3), "n": Fraction(0), "o": Fraction(1, 3),
 }
-_PATTERN_LABELS = tuple(_PATTERN_TEMPLATES)
 
 
-def _pattern_matrix(template, rho: float) -> CorrelationMatrix4:
-    def corr(z_r, z_s):
-        var_r, pr, mr = z_r
-        var_s, ps, ms = z_s
-        coef = 1.0 if var_r == var_s else rho
-        delta = ((pr == ps) - (pr == ms) - (mr == ps) + (mr == ms))
-        return coef * delta / 2.0
-
-    m = np.eye(4)
+def _split_template(template):
+    """(same, cross) with pattern matrix = same + rho * cross."""
+    same, cross = np.eye(4), np.zeros((4, 4))
     for r in range(4):
         for s in range(r + 1, 4):
-            m[r, s] = m[s, r] = corr(template[r], template[s])
-    return CorrelationMatrix4(rho=m)
+            var_r, pr, mr = template[r]
+            var_s, ps, ms = template[s]
+            delta = ((pr == ps) - (pr == ms) - (mr == ps) + (mr == ms))
+            part = same if var_r == var_s else cross
+            part[r, s] = part[s, r] = delta / 2.0
+    return same, cross
 
 
-@dataclass(frozen=True)
-class PatternMatrixTable:
-    """The twelve pattern matrices and their W values at one rho."""
-
-    rho: float
-    matrices: dict
-    w_values: dict
-
+_PATTERNS = {label: _split_template(t)
+             for label, t in _PATTERN_TEMPLATES.items()}
 
 _validation_done = False
 _validation_lock = threading.Lock()
 
 
 def _validate_patterns():
-    """Anchor checks at rho = 0 and rho = 1, plus the W-identities."""
+    """Endpoint checks of same -/+ cross, anchor checks at rho = 0 and
+    rho = 1, plus the W-identities.
+
+    The rho at which an affine matrix is a valid correlation matrix form a
+    convex set, so passing at rho = -1 and rho = 1 covers every |rho| <= 1.
+    """
+    for same, cross in _PATTERNS.values():
+        CorrelationMatrix4(same - cross)
+        CorrelationMatrix4(same + cross)
     tol = 1e-9
     for rho, anchors, kind in ((0.0, _ANCHORS_P4_RHO0, "P4"),
                                (1.0, _ANCHORS_W_RHO1, "W")):
         w = {}
-        for label in _PATTERN_LABELS:
-            mat = _pattern_matrix(_PATTERN_TEMPLATES[label], rho)
+        for label, (same, cross) in _PATTERNS.items():
+            mat = same + rho * cross
             w[label] = w_integral(mat)
             if label in anchors:
                 if kind == "P4":
-                    got = orthant_p4(mat)
+                    got = orthant_p4(CorrelationMatrix4(mat))
                 else:
                     got = w[label]
                 if abs(got - float(anchors[label])) > tol:
@@ -152,8 +153,8 @@ def _validate_patterns():
             raise DerivationError(f"W-identities violated at rho={rho}: {checks}")
 
 
-def derive_pattern_matrices(rho: float) -> PatternMatrixTable:
-    """Build all twelve pattern matrices at rho and evaluate their W terms.
+def pattern_w(label: str, rho: float) -> float:
+    """W term of one pattern matrix at rho.
 
     The first call validates the whole template set against the exact
     anchors; later calls skip the (expensive) validation.
@@ -165,10 +166,8 @@ def derive_pattern_matrices(rho: float) -> PatternMatrixTable:
         if not _validation_done:
             _validate_patterns()
             _validation_done = True
-    matrices = {label: _pattern_matrix(_PATTERN_TEMPLATES[label], rho)
-                for label in _PATTERN_LABELS}
-    w_values = {label: w_integral(m) for label, m in matrices.items()}
-    return PatternMatrixTable(rho=rho, matrices=matrices, w_values=w_values)
+    same, cross = _PATTERNS[label]
+    return w_integral(same + rho * cross)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +191,7 @@ def omegas(rho: float) -> OmegaValues:
         o1, o2, o3 = _OMEGA_AT_1
         val = OmegaValues(o1, o2, o3, omega4(rho))
     else:
-        table = derive_pattern_matrices(rho)
-        w = table.w_values
+        w = {label: pattern_w(label, rho) for label in "cdfghlno"}
         o1 = w["c"] + 8 * w["d"] + 2 * w["f"]
         o2 = 6 * w["g"] + 8 * w["h"] + 6 * w["l"] + 2 * w["n"] + w["o"] + 1 / 3
         o3 = 0.5 * w["g"] + w["h"]
@@ -362,43 +360,3 @@ def cov_series_asymptotic(rho: float, n: int) -> float:
     for k, c in enumerate(_SERIES_COEFFS):
         acc += c * rho ** (2 * k)
     return 2 / (3 * n) * acc
-
-
-@dataclass(frozen=True)
-class OmegaRow:
-    rho: float
-    omega1: float
-    omega2: float
-    omega3: float
-    error: str | None = None
-
-
-def tabulate_omegas(rho_grid) -> list[OmegaRow]:
-    """One row of (rho, omega1, omega2, omega3) per grid value.
-
-    A quadrature failure annotates the row instead of dropping it.
-    """
-    rows = []
-    for rho in rho_grid:
-        try:
-            om = omegas(float(rho))
-            rows.append(OmegaRow(float(rho), om.omega1, om.omega2, om.omega3))
-        except Exception as exc:  # noqa: BLE001 - annotated per row
-            rows.append(OmegaRow(float(rho), math.nan, math.nan, math.nan,
-                                 error=str(exc)))
-    return rows
-
-
-def format_omega_csv(rows: list[OmegaRow], precision: int = 10) -> str:
-    """Fixed-point CSV rendering with LF endings."""
-    from .formatting import format_fixed
-
-    out = ["rho,omega1,omega2,omega3"]
-    for row in rows:
-        out.append(",".join([
-            format_fixed(row.rho, 2),
-            format_fixed(row.omega1, precision),
-            format_fixed(row.omega2, precision),
-            format_fixed(row.omega3, precision),
-        ]))
-    return "\n".join(out) + "\n"

@@ -21,9 +21,8 @@ import sys
 
 import numpy as np
 
-from .binormal import (cov_rs_rk_asymptotic, cov_rs_rk_exact, format_omega_csv,
-                       lemma2_moments, tabulate_omegas, var_rs_asymptotic,
-                       var_rs_exact)
+from .binormal import (cov_rs_rk_asymptotic, cov_rs_rk_exact, lemma2_moments,
+                       omegas, var_rs_asymptotic, var_rs_exact)
 from .contaminated import ContaminationParams
 from .correlation import (PairedSample, inequality_check, kendall, pearson,
                           spearman)
@@ -85,13 +84,17 @@ def cmd_tables(args) -> int:
     grid = parse_grid(args.grid)
     if any(not 0 <= r <= 1 for r in grid):
         raise DomainError("tables grid must lie within [0, 1]")
-    rows = tabulate_omegas(grid)
-    bad = [row for row in rows if row.error is not None]
-    if bad:
-        sys.stderr.write(
-            f"quadrature failed at rho={bad[0].rho}: {bad[0].error}\n")
-        return EXIT_NUMERICAL
-    _write_out(format_omega_csv(rows, args.precision), args.out)
+    p = args.precision
+    out = ["rho,omega1,omega2,omega3"]
+    for rho in grid:
+        om = omegas(rho)
+        out.append(",".join([
+            format_fixed(rho, 2),
+            format_fixed(om.omega1, p),
+            format_fixed(om.omega2, p),
+            format_fixed(om.omega3, p),
+        ]))
+    _write_out("\n".join(out) + "\n", args.out)
     return EXIT_OK
 
 

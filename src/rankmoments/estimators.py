@@ -88,6 +88,15 @@ def _sigma_sk(rho: float, n: int) -> float:
     return n * cov_rs_rk_exact(rho, n)
 
 
+def _mixed_form(rho: float, n: int) -> float:
+    # (n+1)^2 sigma_S^2 - 6(n+1) sigma_SK + 9 sigma_K^2, the quadratic form
+    # in the mixed estimator's bias and variance
+    sig2_s = _sigma2_s(rho, n)
+    sig2_k = _sigma2_k(rho, n)
+    sig_sk = _sigma_sk(rho, n)
+    return (n + 1) ** 2 * sig2_s - 6 * (n + 1) * sig_sk + 9 * sig2_k
+
+
 def bias_theoretical(kind: EstimatorKind, rho: float, n: int) -> float:
     """Leading-order bias of the estimator at (rho, n)."""
     _check_args(rho, n, kind)
@@ -103,11 +112,7 @@ def bias_theoretical(kind: EstimatorKind, rho: float, n: int) -> float:
     if kind is EstimatorKind.KENDALL:
         sig2_k = _sigma2_k(rho, n)
         return -pi2 * rho * sig2_k / (8 * n)
-    sig2_s = _sigma2_s(rho, n)
-    sig2_k = _sigma2_k(rho, n)
-    sig_sk = _sigma_sk(rho, n)
-    return -(pi2 * rho / (72 * n * (n - 2) ** 2)) * (
-        (n + 1) ** 2 * sig2_s - 6 * (n + 1) * sig_sk + 9 * sig2_k)
+    return -(pi2 * rho / (72 * n * (n - 2) ** 2)) * _mixed_form(rho, n)
 
 
 def variance_theoretical(kind: EstimatorKind, rho: float, n: int) -> float:
@@ -121,11 +126,8 @@ def variance_theoretical(kind: EstimatorKind, rho: float, n: int) -> float:
     if kind is EstimatorKind.KENDALL:
         var_rk = lemma2_moments(rho, n)["var_rk"]
         return pi2 * (1 - rho * rho) / 4 * var_rk
-    sig2_s = _sigma2_s(rho, n)
-    sig2_k = _sigma2_k(rho, n)
-    sig_sk = _sigma_sk(rho, n)
-    return (pi2 * (4 - rho * rho) / (36 * n * (n - 2) ** 2)) * (
-        (n + 1) ** 2 * sig2_s - 6 * (n + 1) * sig_sk + 9 * sig2_k)
+    return (pi2 * (4 - rho * rho) / (36 * n * (n - 2) ** 2)) * _mixed_form(
+        rho, n)
 
 
 def moment_report(kind: EstimatorKind, rho: float, n: int) -> MomentReport:

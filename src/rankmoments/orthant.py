@@ -144,9 +144,11 @@ def _ratio_limit(u2: float, coeffs) -> float:
     return prev if prev is not None else 0.0
 
 
-def w_integral(r: CorrelationMatrix4) -> float:
-    """Quadrivariate coupling term: sum of three 1-D arcsine integrals."""
-    m = r.rho
+def w_integral(m: np.ndarray) -> float:
+    """Quadrivariate coupling term: sum of three 1-D arcsine integrals.
+
+    `m` is a 4x4 correlation matrix that the caller has already checked.
+    """
     legs = [ell for ell in (1, 2, 3) if m[0, ell] != 0.0]
     if not legs:
         return 0.0
@@ -182,7 +184,7 @@ def _arcsin_sum(m: np.ndarray) -> float:
 
 def orthant_p4(r: CorrelationMatrix4) -> float:
     """Quadrivariate positive orthant probability."""
-    w = w_integral(r)
+    w = w_integral(r.rho)
     p = (1 + 2 / math.pi * _arcsin_sum(r.rho) + w) / 16
     return min(1.0, max(0.0, p))
 

@@ -12,9 +12,8 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from rankmoments.binormal import (cov_rs_rk_asymptotic, cov_rs_rk_exact,
-                                  cov_series_asymptotic,
-                                  derive_pattern_matrices, omega4, omegas,
-                                  var_rs_exact)
+                                  cov_series_asymptotic, omega4, omegas,
+                                  pattern_w, var_rs_exact)
 from rankmoments.cli import main as cli_main
 from rankmoments.contaminated import (ContaminationParams,
                                       expected_rk_contaminated,
@@ -22,7 +21,6 @@ from rankmoments.contaminated import (ContaminationParams,
                                       rival_formula_star)
 from rankmoments.correlation import (PairedSample, inequality_check, kendall,
                                      spearman, spearman_via_s)
-from rankmoments.errors import RankMomentsError
 from rankmoments.estimators import EstimatorKind, are
 from rankmoments.orthant import CorrelationMatrix4, orthant_p4
 from rankmoments.simulate import ExperimentConfig, run_experiment
@@ -92,7 +90,7 @@ def test_criterion_02_w_identities():
     start = time.time()
     worst = 0.0
     for k in range(11):
-        w = derive_pattern_matrices(k / 10).w_values
+        w = {label: pattern_w(label, k / 10) for label in "deghlmpq"}
         worst = max(worst,
                     abs(w["e"] - 2 * w["d"]), abs(w["g"] - w["p"]),
                     abs(w["h"] - w["q"]), abs(w["m"] - 2 * w["l"] - 1 / 3))

@@ -1,14 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
+from rankmoments import binormal
 from rankmoments.binormal import (BinormalParams, cov_rs_rk_asymptotic,
                                   cov_rs_rk_exact, cov_series_asymptotic,
-                                  derive_pattern_matrices, format_omega_csv,
-                                  lemma2_moments, omega4, omegas,
-                                  tabulate_omegas, var_rs_asymptotic,
-                                  var_rs_exact)
+                                  lemma2_moments, omega4, omegas, pattern_w,
+                                  var_rs_asymptotic, var_rs_exact)
 from rankmoments.errors import CrossCheckError, DomainError
+from rankmoments.orthant import CorrelationMatrix4
 
 
 class TestAnchors:
@@ -36,7 +37,7 @@ class TestAnchors:
 class TestWIdentities:
     @pytest.mark.parametrize("rho", [0.0, 0.25, 0.5, 0.75, 0.95])
     def test_identities(self, rho):
-        w = derive_pattern_matrices(rho).w_values
+        w = {label: pattern_w(label, rho) for label in "deghlmpq"}
         assert w["e"] == pytest.approx(2 * w["d"], abs=1e-10)
         assert w["g"] == pytest.approx(w["p"], abs=1e-10)
         assert w["h"] == pytest.approx(w["q"], abs=1e-10)
@@ -130,21 +131,26 @@ class TestLemma2:
         assert lo <= lm["mean_rs"] <= hi
 
 
-class TestTables:
-    def test_tabulate_and_format(self):
-        rows = tabulate_omegas([0.0, 0.5, 1.0])
-        assert all(r.error is None for r in rows)
-        text = format_omega_csv(rows)
-        lines = text.splitlines()
-        assert lines[0] == "rho,omega1,omega2,omega3"
-        assert lines[1] == "0.00,0.1111111111,0.5555555556,0.0555555556"
-        assert len(lines) == 4
-        assert text.endswith("\n") and "\r" not in text
+class TestPatternMatrices:
+    @pytest.mark.parametrize("label", sorted(binormal._PATTERNS))
+    def test_valid_on_whole_domain(self, label):
+        same, cross = binormal._PATTERNS[label]
+        for rho in np.linspace(-1.0, 1.0, 41):
+            CorrelationMatrix4(same + rho * cross)
 
-    def test_deterministic(self):
-        a = format_omega_csv(tabulate_omegas([0.3, 0.7]))
-        b = format_omega_csv(tabulate_omegas([0.3, 0.7]))
-        assert a == b
+    def test_omegas_evaluates_eight_w(self, monkeypatch):
+        pattern_w("c", 0.0)  # the one-time validation runs here
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+        calls = []
+        w_integral = binormal.w_integral
+
+        def counted(m):
+            calls.append(m)
+            return w_integral(m)
+
+        monkeypatch.setattr("rankmoments.binormal.w_integral", counted)
+        omegas(0.4321)
+        assert len(calls) == 8
 
 
 class TestPermutationOracle:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau
 
-from rankmoments.binormal import cov_rs_rk_exact, var_rs_exact
+from rankmoments.binormal import cov_rs_rk_exact, omegas, var_rs_exact
 from rankmoments.cli import main, parse_grid
-from rankmoments.errors import DomainError
+from rankmoments.errors import ConvergenceError, DomainError
 from rankmoments.formatting import format_fixed
 
 
@@ -50,11 +50,27 @@ class TestTables:
         lines = out.splitlines()
         assert lines[0] == "rho,omega1,omega2,omega3"
         assert len(lines) == 4
-        assert lines[1].startswith("0.00,0.1111111111")
+        assert lines[1] == "0.00,0.1111111111,0.5555555556,0.0555555556"
+        assert out.endswith("\n") and "\r" not in out
 
     def test_out_of_range_grid(self, capsys):
         code, _, err = run(["tables", "--grid=-0.5(0.5)0.5"], capsys)
         assert code == 3
+
+    def test_convergence_failure_exit_2(self, tmp_path, monkeypatch, capsys):
+        omegas(0.5)  # the one-time pattern validation runs here
+
+        def fail(*args, **kwargs):
+            raise ConvergenceError("forced")
+
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+        monkeypatch.setattr("rankmoments.orthant.integrate_adaptive", fail)
+        target = tmp_path / "t.csv"
+        code, out, err = run(["tables", "--grid", "0.4321",
+                              "--out", str(target)], capsys)
+        assert code == 2
+        assert err.startswith("numerical failure: ")
+        assert out == "" and not target.exists()
 
     def test_file_output_identical(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

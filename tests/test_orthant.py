@@ -62,7 +62,7 @@ class TestP4:
     def test_w_roundtrip(self):
         rng = np.random.default_rng(4)
         m = random_correlation(rng)
-        w = w_integral(m)
+        w = w_integral(m.rho)
         assert w_from_p4(orthant_p4(m), m) == pytest.approx(w, abs=1e-10)
 
     def test_orthants_partition_space(self):

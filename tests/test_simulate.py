@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -7,8 +6,7 @@ import pytest
 from rankmoments.contaminated import ContaminationParams
 from rankmoments.correlation import PairedSample, kendall, spearman
 from rankmoments.errors import DomainError, ResourceError
-from rankmoments.simulate import (CellResult, ExperimentConfig, ReportRow,
-                                  SeriesStats, TrialReport,
+from rankmoments.simulate import (ExperimentConfig, ReportRow, TrialReport,
                                   _coefficients_block, compare_report,
                                   format_report_csv, run_experiment,
                                   sample_binormal_block, threads_limit)
