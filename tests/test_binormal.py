@@ -8,6 +8,7 @@ from rankmoments.binormal import (BinormalParams, cov_rs_rk_asymptotic,
                                   cov_rs_rk_exact, cov_series_asymptotic,
                                   lemma2_moments, omega4, omegas, pattern_w,
                                   var_rs_asymptotic, var_rs_exact)
+from rankmoments.cli import main
 from rankmoments.errors import CrossCheckError, DomainError
 from rankmoments.orthant import CorrelationMatrix4
 
@@ -151,6 +152,29 @@ class TestPatternMatrices:
         monkeypatch.setattr("rankmoments.binormal.w_integral", counted)
         omegas(0.4321)
         assert len(calls) == 8
+
+
+class TestTables:
+    """The omega table as the ``tables`` command writes it."""
+
+    @staticmethod
+    def _table(grid, capsys):
+        assert main(["tables", "--grid", grid]) == 0
+        return capsys.readouterr().out
+
+    def test_tabulate_and_format(self, capsys):
+        text = self._table("0(0.5)1", capsys)
+        lines = text.splitlines()
+        assert lines[0] == "rho,omega1,omega2,omega3"
+        assert lines[1] == "0.00,0.1111111111,0.5555555556,0.0555555556"
+        assert len(lines) == 4
+        assert text.endswith("\n") and "\r" not in text
+
+    def test_deterministic(self, capsys, monkeypatch):
+        a = self._table("0.3(0.4)0.7", capsys)
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+        b = self._table("0.3(0.4)0.7", capsys)
+        assert a == b
 
 
 class TestPermutationOracle:
