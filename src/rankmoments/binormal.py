@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (CrossCheckError, DerivationError, DomainError,
                      NegativeVarianceError)
-from .orthant import CorrelationMatrix4, orthant_p4, w_integral
+from .orthant import CorrelationMatrix4, _p4_from_w, w_integral
 from .quadrature import ABS_TOL, integrate_adaptive
 
 _NEG_CLAMP = -1e-10
@@ -134,27 +134,25 @@ def _validate_patterns():
     tol = 1e-9
     for rho, anchors, kind in ((0.0, _ANCHORS_P4_RHO0, "P4"),
                                (1.0, _ANCHORS_W_RHO1, "W")):
-        w = {}
-        for label, (same, cross) in _PATTERNS.items():
-            mat = same + rho * cross
-            w[label] = w_integral(mat)
-            if label in anchors:
-                if kind == "P4":
-                    got = orthant_p4(CorrelationMatrix4(mat))
-                else:
-                    got = w[label]
-                if abs(got - float(anchors[label])) > tol:
-                    raise DerivationError(
-                        f"pattern {label} fails its rho={rho} anchor: "
-                        f"{kind}={got!r}, expected {float(anchors[label])!r}")
+        mats = {label: same + rho * cross
+                for label, (same, cross) in _PATTERNS.items()}
+        w = dict(zip(mats, w_integral(np.stack(list(mats.values()))).tolist()))
+        for label, anchor in anchors.items():
+            got = _p4_from_w(mats[label], w[label]) if kind == "P4" \
+                else w[label]
+            if abs(got - float(anchor)) > tol:
+                raise DerivationError(
+                    f"pattern {label} fails its rho={rho} anchor: "
+                    f"{kind}={got!r}, expected {float(anchor)!r}")
         checks = (w["e"] - 2 * w["d"], w["g"] - w["p"], w["h"] - w["q"],
                   w["m"] - 2 * w["l"] - 1 / 3)
         if max(abs(v) for v in checks) > 1e-10:
             raise DerivationError(f"W-identities violated at rho={rho}: {checks}")
 
 
-def pattern_w(label: str, rho: float) -> float:
-    """W term of one pattern matrix at rho.
+def pattern_w(labels: str, rho: float) -> dict:
+    """W terms at rho of the pattern matrices named by the letters of
+    labels, from one lock-step w_integral run, keyed by letter.
 
     The first call validates the whole template set against the exact
     anchors; later calls skip the (expensive) validation.
@@ -166,8 +164,9 @@ def pattern_w(label: str, rho: float) -> float:
         if not _validation_done:
             _validate_patterns()
             _validation_done = True
-    same, cross = _PATTERNS[label]
-    return w_integral(same + rho * cross)
+    stack = np.stack([same + rho * cross
+                      for same, cross in (_PATTERNS[c] for c in labels)])
+    return dict(zip(labels, w_integral(stack).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +190,7 @@ def omegas(rho: float) -> OmegaValues:
         o1, o2, o3 = _OMEGA_AT_1
         val = OmegaValues(o1, o2, o3, omega4(rho))
     else:
-        w = {label: pattern_w(label, rho) for label in "cdfghlno"}
+        w = pattern_w("cdfghlno", rho)
         o1 = w["c"] + 8 * w["d"] + 2 * w["f"]
         o2 = 6 * w["g"] + 8 * w["h"] + 6 * w["l"] + 2 * w["n"] + w["o"] + 1 / 3
         o3 = 0.5 * w["g"] + w["h"]
@@ -229,11 +228,16 @@ def omega4(rho: float) -> float:
         return 2 * np.arcsin(x * np.sqrt((3 - x * x) / (4 - 2 * x * x))) \
             / np.sqrt(4 - x * x)
 
-    total = integrate_adaptive(f1, 0.0, math.asin(rho) if rho >= 0
-                               else -math.asin(-rho), tol)
+    fs = (f1, f2, f3, f4, f5)
     # f1 was substituted; the others integrate over [0, rho] directly
-    for f in (f2, f3, f4, f5):
-        total += integrate_adaptive(f, 0.0, rho, tol)
+    upper = (math.asin(rho) if rho >= 0 else -math.asin(-rho),
+             rho, rho, rho, rho)
+    pieces = integrate_adaptive(
+        lambda x: np.stack([g(row) for g, row in zip(fs, x)]),
+        np.zeros(5), np.array(upper), tol).tolist()
+    total = pieces[0]
+    for piece in pieces[1:]:
+        total += piece
     return total
 
 

@@ -40,6 +40,9 @@ EXIT_DATA = 3
 EXIT_IO = 4
 
 _GRID_RE = re.compile(r"^\s*([-+0-9.eE]+)\(([-+0-9.eE]+)\)([-+0-9.eE]+)\s*$")
+# most points a grid may have; checked before the list is built, since a
+# 10**9-point list alone takes about 30 GB
+_MAX_GRID_POINTS = 10_001
 
 
 def parse_grid(spec: str) -> list:
@@ -56,9 +59,14 @@ def parse_grid(spec: str) -> list:
         return [start]
     if step == 0 or (stop - start) * step < 0:
         raise DomainError(f"grid {spec!r} does not terminate")
-    count = int(round((stop - start) / step))
+    steps = (stop - start) / step
+    # keeps count + 1 <= _MAX_GRID_POINTS below, and rejects an infinite span
+    if not steps < _MAX_GRID_POINTS - 0.5:
+        raise DomainError(f"grid {spec!r} has more than {_MAX_GRID_POINTS} "
+                          f"points")
+    count = int(round(steps))
     if abs(start + count * step - stop) > 1e-9 * max(1.0, abs(step)):
-        count = math.floor((stop - start) / step + 1e-9)
+        count = math.floor(steps + 1e-9)
     grid = [start + k * step for k in range(count + 1)]
     grid[-1] = min(grid[-1], stop) if step > 0 else max(grid[-1], stop)
     # snap near-zero artifacts of repeated float addition

@@ -1,15 +1,16 @@
 """Positive orthant probabilities of zero-mean multivariate normal vectors
 in dimensions 2-4.
 
-The quadrivariate case is reduced to three 1-D arcsine integrals; each is
-evaluated by adaptive Gauss-Kronrod quadrature. Near-singular correlation
-matrices (needed at the correlation-one anchor points) are handled by a
-sine substitution that removes the endpoint singularity and by guarded
-evaluation of the arcsine argument.
+The quadrivariate case is reduced to three 1-D arcsine integrals, evaluated
+by adaptive Gauss-Kronrod quadrature in lock-step over a stack of
+matrices. Near-singular correlation matrices (needed at the correlation-one
+anchor points) are handled by a sine substitution that removes the
+endpoint singularity and by guarded evaluation of the arcsine argument.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,7 +96,11 @@ def _abg_coeffs(r: np.ndarray, ell: int):
 
 
 def _arcsine_ratio(u2: np.ndarray, coeffs) -> np.ndarray:
-    """arcsin(alpha / (beta*gamma)) with degenerate-limit guards."""
+    """arcsin(alpha / (beta*gamma)) with degenerate-limit guards.
+
+    Each coefficient broadcasts against u2, e.g. as a (K, 1) column for
+    the K rows of a lock-step integrand.
+    """
     a0, a2, b0, b2, g0, g2 = coeffs
     alpha = a0 - a2 * u2
     beta2 = np.maximum(b0 - b2 * u2, 0.0)
@@ -105,9 +110,10 @@ def _arcsine_ratio(u2: np.ndarray, coeffs) -> np.ndarray:
     tiny = bg < _BG_FLOOR
     if tiny.any():
         # 0/0 limit at a degenerate matrix; approach along decreasing u
-        for i in np.flatnonzero(tiny):
+        for i in zip(*np.nonzero(tiny)):
             if abs(alpha[i]) < _BG_FLOOR:
-                out[i] = _ratio_limit(u2[i], coeffs)
+                out[i] = _ratio_limit(u2[i], [np.broadcast_to(c, u2.shape)[i]
+                                              for c in coeffs])
             else:
                 raise DomainError("arcsine argument diverges: beta*gamma -> 0 "
                                   "with nonvanishing alpha")
@@ -144,37 +150,49 @@ def _ratio_limit(u2: float, coeffs) -> float:
     return prev if prev is not None else 0.0
 
 
-def w_integral(m: np.ndarray) -> float:
-    """Quadrivariate coupling term: sum of three 1-D arcsine integrals.
+def _plain_leg(r1l, coeffs, u):
+    u2 = u * u
+    denom = np.sqrt(1 - r1l * r1l * u2)
+    return r1l / denom * _arcsine_ratio(u2, coeffs)
 
-    `m` is a 4x4 correlation matrix that the caller has already checked.
+
+def _sine_leg(r1l, coeffs, theta):
+    # u = sin(theta) removes the inverse-square-root endpoint singularity
+    # when |r1l| ~ 1
+    u = np.sin(theta)
+    u2 = u * u
+    denom = np.sqrt(np.maximum(1 - r1l * r1l * u2, 1e-300))
+    return r1l * np.cos(theta) / denom * _arcsine_ratio(u2, coeffs)
+
+
+def w_integral(ms: np.ndarray) -> np.ndarray:
+    """Quadrivariate coupling terms of a (M, 4, 4) stack of correlation
+    matrices that the caller has already checked.
+
+    Each W is a sum of up to three 1-D arcsine integrals, one per nonzero
+    r_1l. The legs of all M matrices are integrated in lock-step: one run
+    for |r_1l| <= 1 - 1e-8, a second, sine-substituted run for the rest.
     """
-    legs = [ell for ell in (1, 2, 3) if m[0, ell] != 0.0]
-    if not legs:
-        return 0.0
-    tol_leg = ABS_TOL / 3
-    total = 0.0
-    for ell in legs:
-        r1l = m[0, ell]
-        coeffs = _abg_coeffs(m, ell)
-        if abs(r1l) > 1 - _SINGULAR_SWITCH:
-            # u = sin(theta) removes the inverse-square-root endpoint
-            # singularity when |r1l| ~ 1
-            def f(theta, r1l=r1l, coeffs=coeffs):
-                u = np.sin(theta)
-                u2 = u * u
-                denom = np.sqrt(np.maximum(1 - r1l * r1l * u2, 1e-300))
-                return (r1l * np.cos(theta) / denom
-                        * _arcsine_ratio(u2, coeffs))
-            val = integrate_adaptive(f, 0.0, math.pi / 2, tol_leg)
-        else:
-            def f(u, r1l=r1l, coeffs=coeffs):
-                u2 = u * u
-                denom = np.sqrt(1 - r1l * r1l * u2)
-                return r1l / denom * _arcsine_ratio(u2, coeffs)
-            val = integrate_adaptive(f, 0.0, 1.0, tol_leg)
-        total += 4 / math.pi ** 2 * val
-    return total
+    legs = [(i, m[0, ell], _abg_coeffs(m, ell))
+            for i, m in enumerate(ms) for ell in (1, 2, 3) if m[0, ell] != 0.0]
+    singular = np.array([abs(r1l) > 1 - _SINGULAR_SWITCH
+                         for _, r1l, _ in legs], dtype=bool)
+    leg_values = np.empty(len(legs))
+    for mask, integrand, upper in ((~singular, _plain_leg, 1.0),
+                                   (singular, _sine_leg, math.pi / 2)):
+        rows = np.flatnonzero(mask)
+        if rows.size == 0:
+            continue
+        r1l = np.array([legs[j][1] for j in rows])[:, None]
+        coeffs = tuple(np.array(c)[:, None]
+                       for c in zip(*(legs[j][2] for j in rows)))
+        leg_values[rows] = integrate_adaptive(
+            functools.partial(integrand, r1l, coeffs),
+            np.zeros(rows.size), np.full(rows.size, upper), ABS_TOL / 3)
+    totals = [0.0] * len(ms)
+    for (i, _, _), val in zip(legs, leg_values.tolist()):
+        totals[i] += 4 / math.pi ** 2 * val
+    return np.array(totals)
 
 
 def _arcsin_sum(m: np.ndarray) -> float:
@@ -182,11 +200,15 @@ def _arcsin_sum(m: np.ndarray) -> float:
                for i in range(3) for j in range(i + 1, 4))
 
 
+def _p4_from_w(m: np.ndarray, w: float) -> float:
+    """Orthant probability of a checked 4x4 matrix from its coupling term."""
+    p = (1 + 2 / math.pi * _arcsin_sum(m) + w) / 16
+    return float(min(1.0, max(0.0, p)))
+
+
 def orthant_p4(r: CorrelationMatrix4) -> float:
     """Quadrivariate positive orthant probability."""
-    w = w_integral(r.rho)
-    p = (1 + 2 / math.pi * _arcsin_sum(r.rho) + w) / 16
-    return min(1.0, max(0.0, p))
+    return _p4_from_w(r.rho, w_integral(r.rho[None])[0])
 
 
 def w_from_p4(p4: float, r: CorrelationMatrix4) -> float:

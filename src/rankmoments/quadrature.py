@@ -2,7 +2,8 @@
 
 A 7-point Gauss / 15-point Kronrod pair is applied per interval; the
 interval with the largest error estimate is bisected until the summed
-error estimate falls below the absolute tolerance.
+error estimate falls below the absolute tolerance. Several integrals can
+run in lock-step, sharing one integrand call per round of bisections.
 """
 
 from __future__ import annotations
@@ -47,11 +48,16 @@ MAX_SUBDIVISIONS = 400
 CLAMP_EPS = 1e-10
 
 
-def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-    """Return (kronrod_value, error_estimate) for one interval."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + half * _XK), dtype=float)
+def _nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Kronrod nodes of the (K, p) panels [lo, hi], as a (K, 15 p) array."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    return (mid[:, :, None] + half[:, :, None] * _XK).reshape(len(lo), -1)
+
+
+def _panel(fx: np.ndarray, lo: float, hi: float):
+    """Return (kronrod_value, error_estimate) from one panel's 15 values."""
+    half = 0.5 * (hi - lo)
     k = half * float(np.dot(_WK, fx))
     g = half * float(np.dot(_WG, fx[1::2]))
     # standard QUADPACK-style rescaled error estimate
@@ -61,37 +67,76 @@ def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
     return k, err
 
 
+def _round(f, count: int, panels: dict) -> dict:
+    """One lock-step round: evaluate the panels {k: [(lo, hi), ...]} of
+    integrals k < count, equally many each, in one call of f, and return
+    {k: [(value, error), ...]}."""
+    width = len(next(iter(panels.values())))
+    lo = np.full((count, width), np.nan)
+    hi = np.full_like(lo, np.nan)
+    ends = np.array(list(panels.values()))
+    lo[list(panels)], hi[list(panels)] = ends[:, :, 0], ends[:, :, 1]
+    fx = np.ascontiguousarray(f(_nodes(lo, hi)), dtype=float)
+    fx = fx.reshape(count, width, len(_XK))
+    return {k: [_panel(fx[k, j], *panel) for j, panel in enumerate(row)]
+            for k, row in panels.items()}
+
+
 def integrate_adaptive(
     f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    a: float | np.ndarray,
+    b: float | np.ndarray,
     abs_tol: float,
     max_subdivisions: int = MAX_SUBDIVISIONS,
-) -> float:
+) -> float | np.ndarray:
     """Integrate a vectorized integrand f over [a, b] to absolute tolerance.
 
-    Raises ConvergenceError if the subdivision budget is exhausted first.
+    `a` and `b` are floats, or arrays of K interval ends whose integrals
+    run in lock-step. f receives a (K, m) array of nodes, row k belonging
+    to integral k and NaN once that integral is done (or its interval is
+    empty), and returns the values in the same shape. Each integral keeps
+    its own max-error heap and bisects exactly as it would alone; in every
+    round each unfinished integral bisects its worst panel, and the nodes
+    of all the children go to one call of f. Float ends give a float,
+    array ends an array of K values.
+
+    Raises ConvergenceError, naming the interval, if an integral exhausts
+    its subdivision budget before its summed error estimate reaches abs_tol.
     """
-    if a == b:
-        return 0.0
-    val, err = _gk15(f, a, b)
-    # max-heap of (-error, a, b, value)
-    heap = [(-err, a, b, val)]
-    total_val, total_err = val, err
-    for _ in range(max_subdivisions):
-        if total_err <= abs_tol:
-            return total_val
-        neg_err, lo, hi, old_val = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        total_val += v1 + v2 - old_val
-        total_err += e1 + e2 - (-neg_err)
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-    if total_err <= abs_tol:
-        return total_val
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                               np.atleast_1d(np.asarray(b, dtype=float)))
+    count = len(a)
+    values = np.zeros(count)
+    # per unfinished integral: max-heap of (-error, lo, hi, value), and the
+    # summed value and error of its panels
+    heaps, total_val, total_err = {}, {}, {}
+    first = {k: [(float(lo), float(hi))]
+             for k, (lo, hi) in enumerate(zip(a, b)) if lo != hi}
+    if first:
+        for k, [(val, err)] in _round(f, count, first).items():
+            heaps[k] = [(-err, *first[k][0], val)]
+            total_val[k], total_err[k] = val, err
+    for subdivisions in range(max_subdivisions + 1):
+        for k in [k for k in heaps if total_err[k] <= abs_tol]:
+            values[k] = total_val[k]
+            del heaps[k]
+        if not heaps:
+            return float(values[0]) if scalar else values
+        if subdivisions == max_subdivisions:
+            break
+        popped = {k: heapq.heappop(heap) for k, heap in heaps.items()}
+        halves = {}
+        for k, (_, lo, hi, _) in popped.items():
+            mid = 0.5 * (lo + hi)
+            halves[k] = [(lo, mid), (mid, hi)]
+        for k, [(v1, e1), (v2, e2)] in _round(f, count, halves).items():
+            neg_err, _, _, old_val = popped[k]
+            total_val[k] += v1 + v2 - old_val
+            total_err[k] += e1 + e2 - (-neg_err)
+            for (lo, hi), val, err in zip(halves[k], (v1, v2), (e1, e2)):
+                heapq.heappush(heaps[k], (-err, lo, hi, val))
+    k = next(iter(heaps))
     raise ConvergenceError(
-        f"quadrature on [{a}, {b}] stalled at error {total_err:.3e} "
-        f"(target {abs_tol:.3e}) after {max_subdivisions} subdivisions"
-    )
+        f"quadrature on [{a[k]}, {b[k]}] stalled at error {total_err[k]:.3e} "
+        f"(target {abs_tol:.3e}) after {max_subdivisions} subdivisions")

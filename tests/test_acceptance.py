@@ -90,7 +90,7 @@ def test_criterion_02_w_identities():
     start = time.time()
     worst = 0.0
     for k in range(11):
-        w = {label: pattern_w(label, k / 10) for label in "deghlmpq"}
+        w = pattern_w("deghlmpq", k / 10)
         worst = max(worst,
                     abs(w["e"] - 2 * w["d"]), abs(w["g"] - w["p"]),
                     abs(w["h"] - w["q"]), abs(w["m"] - 2 * w["l"] - 1 / 3))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ class TestAnchors:
 class TestWIdentities:
     @pytest.mark.parametrize("rho", [0.0, 0.25, 0.5, 0.75, 0.95])
     def test_identities(self, rho):
-        w = {label: pattern_w(label, rho) for label in "deghlmpq"}
+        w = pattern_w("deghlmpq", rho)
         assert w["e"] == pytest.approx(2 * w["d"], abs=1e-10)
         assert w["g"] == pytest.approx(w["p"], abs=1e-10)
         assert w["h"] == pytest.approx(w["q"], abs=1e-10)
@@ -145,13 +146,17 @@ class TestPatternMatrices:
         calls = []
         w_integral = binormal.w_integral
 
-        def counted(m):
-            calls.append(m)
-            return w_integral(m)
+        def counted(ms):
+            calls.append(ms)
+            return w_integral(ms)
 
         monkeypatch.setattr("rankmoments.binormal.w_integral", counted)
-        omegas(0.4321)
-        assert len(calls) == 8
+        rho = 0.4321
+        omegas(rho)
+        assert len(calls) == 1
+        expected = [same + rho * cross for same, cross in
+                    (binormal._PATTERNS[label] for label in "cdfghlno")]
+        np.testing.assert_array_equal(calls[0], np.stack(expected))
 
 
 class TestTables:
@@ -175,6 +180,19 @@ class TestTables:
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         b = self._table("0.3(0.4)0.7", capsys)
         assert a == b
+
+    def test_no_warnings(self, capsys, monkeypatch):
+        # the NaN rows of finished integrals must not warn, here or in the
+        # one-time validation
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+        monkeypatch.setattr("rankmoments.binormal._validation_done", False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["tables", "--grid", "0(0.01)1"]) == 0
+            omegas(-0.7)
+            omegas(0.999999)
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 102 and err == ""
 
 
 class TestPermutationOracle:

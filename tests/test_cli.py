@@ -42,6 +42,21 @@ class TestGridParser:
         with pytest.raises(DomainError):
             parse_grid("0(-0.1)1")
 
+    def test_length_limit(self):
+        assert len(parse_grid("0(0.0001)1")) == 10_001
+        assert len(parse_grid("1(-0.0001)0")) == 10_001
+        for spec in ("0(0.00009999)1", "0(1e-300)1", "0(1)1e999"):
+            with pytest.raises(DomainError, match="more than 10001 points"):
+                parse_grid(spec)
+
+    @pytest.mark.parametrize("command", [
+        ["tables"], ["are"], ["simulate", "--n", "10", "--trials", "10"]])
+    def test_too_long_grid_exit_3(self, command, capsys):
+        # a 10**9-point list would need about 30 GB: it must not be built
+        code, out, err = run(command + ["--grid", "0(1e-9)1"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("invalid input: grid '0(1e-9)1' has more than")
+
 
 class TestTables:
     def test_small_grid(self, capsys):

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import qmc
 
+from rankmoments import binormal
 from rankmoments.errors import DomainError
 from rankmoments.orthant import (CorrelationMatrix4, _abg_coeffs, orthant_p2,
                                  orthant_p3, orthant_p4, w_from_p4, w_integral)
@@ -62,8 +63,17 @@ class TestP4:
     def test_w_roundtrip(self):
         rng = np.random.default_rng(4)
         m = random_correlation(rng)
-        w = w_integral(m.rho)
+        w = w_integral(m.rho[None])[0]
         assert w_from_p4(orthant_p4(m), m) == pytest.approx(w, abs=1e-10)
+
+    def test_stacked_w_matches_single(self):
+        # the patterns at rho = 1 have |r_1l| = 1 legs: the sine branch
+        rng = np.random.default_rng(11)
+        mats = [random_correlation(rng).rho for _ in range(20)]
+        mats += [same + cross for same, cross in binormal._PATTERNS.values()]
+        assert any(np.abs(m[0, 1:]).max() > 1 - 1e-8 for m in mats)
+        single = [w_integral(m[None])[0] for m in mats]
+        assert w_integral(np.stack(mats)).tolist() == single
 
     def test_orthants_partition_space(self):
         # the 16 sign-flipped orthant probabilities must sum to 1
