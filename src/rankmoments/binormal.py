@@ -20,6 +20,7 @@ internal W-identities; failure raises DerivationError.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,8 +29,8 @@ import numpy as np
 
 from .errors import (CrossCheckError, DerivationError, DomainError,
                      NegativeVarianceError)
-from .orthant import CorrelationMatrix4, _p4_from_w, w_integral
-from .quadrature import ABS_TOL, integrate_adaptive
+from .orthant import CorrelationMatrix4, _p4_from_w, w_integral, w_legs
+from .quadrature import ABS_TOL, Family, integrate_families
 
 _NEG_CLAMP = -1e-10
 
@@ -150,20 +151,26 @@ def _validate_patterns():
             raise DerivationError(f"W-identities violated at rho={rho}: {checks}")
 
 
-def pattern_w(labels: str, rho: float) -> dict:
-    """W terms at rho of the pattern matrices named by the letters of
-    labels, from one lock-step w_integral run, keyed by letter.
-
-    The first call validates the whole template set against the exact
-    anchors; later calls skip the (expensive) validation.
-    """
+def _check_rho(rho):
     if not abs(rho) <= 1:
         raise DomainError(f"|rho| must be <= 1, got {rho}")
+
+
+def _ensure_validated():
+    """Validate the whole template set once per process; later calls skip
+    the (expensive) validation."""
     global _validation_done
     with _validation_lock:
         if not _validation_done:
             _validate_patterns()
             _validation_done = True
+
+
+def pattern_w(labels: str, rho: float) -> dict:
+    """W terms at rho of the pattern matrices named by the letters of
+    labels, from one lock-step w_integral run, keyed by letter."""
+    _check_rho(rho)
+    _ensure_validated()
     stack = np.stack([same + rho * cross
                       for same, cross in (_PATTERNS[c] for c in labels)])
     return dict(zip(labels, w_integral(stack).tolist()))
@@ -178,67 +185,106 @@ _omega_lock = threading.Lock()
 
 _OMEGA_AT_1 = (1.0, 16 / 3, 0.5)
 
+# the eight patterns the omegas read, as (8, 4, 4) same and cross stacks
+_OMEGA_LETTERS = "cdfghlno"
+_OMEGA_SAME, _OMEGA_CROSS = (
+    np.stack(part) for part in zip(*(_PATTERNS[c] for c in _OMEGA_LETTERS)))
 
-def omegas(rho: float) -> OmegaValues:
-    """The three quadrature-valued moment ingredients plus the integral form."""
+# rho per lock-step pass: about 12 * 19 W legs plus 12 * 5 omega4 pieces,
+# which keeps a pass's arrays near 1 MB for a grid of any length
+_RHOS_PER_PASS = 12
+
+
+# omega4 is a sum of five 1-D integrals over [0, rho]. The first integrand
+# carries a 1/sqrt(1-x^2) factor; x = sin(t) removes it, so that piece runs
+# over [0, asin(rho)] instead.
+def _omega4_f1(t):
+    x = np.sin(t)
+    return np.arcsin(x / 3) + 2 * np.arcsin(x / np.sqrt(3))
+
+
+def _omega4_f2(x):
+    return -2 * np.arcsin(x / 2 * np.sqrt((1 - x * x) / (9 - 3 * x * x))) \
+        / np.sqrt(4 - x * x)
+
+
+def _omega4_f3(x):
+    return np.arcsin(x / 2 * (5 - x * x) / (3 - x * x)) / np.sqrt(4 - x * x)
+
+
+def _omega4_f4(x):
+    return -2 * np.arcsin(x * np.sqrt((1 - x * x) / (12 - 6 * x * x))) \
+        / np.sqrt(4 - x * x)
+
+
+def _omega4_f5(x):
+    return 2 * np.arcsin(x * np.sqrt((3 - x * x) / (4 - 2 * x * x))) \
+        / np.sqrt(4 - x * x)
+
+
+_OMEGA4_PIECES = (_omega4_f1, _omega4_f2, _omega4_f3, _omega4_f4, _omega4_f5)
+
+
+def omegas(rho):
+    """The three quadrature-valued moment ingredients plus the integral
+    form, as OmegaValues at one rho, or as a list of them for a sequence
+    of rho.
+
+    Values are cached per rho. The rho not in the cache are computed
+    _RHOS_PER_PASS at a time, each group in one lock-step pass over the
+    arcsine legs of its eight pattern matrices and its five omega4
+    pieces; every integral keeps its own bisections, so a value does not
+    depend on the rho it was computed with.
+    """
+    single = isinstance(rho, numbers.Real)
+    rhos = [rho] if single else list(rho)
+    for r in rhos:
+        _check_rho(r)
     with _omega_lock:
-        hit = _omega_cache.get(rho)
-    if hit is not None:
-        return hit
-    if abs(rho) == 1.0:
-        # pattern matrices are exactly singular here; use the exact values
-        o1, o2, o3 = _OMEGA_AT_1
-        val = OmegaValues(o1, o2, o3, omega4(rho))
-    else:
-        w = pattern_w("cdfghlno", rho)
-        o1 = w["c"] + 8 * w["d"] + 2 * w["f"]
-        o2 = 6 * w["g"] + 8 * w["h"] + 6 * w["l"] + 2 * w["n"] + w["o"] + 1 / 3
-        o3 = 0.5 * w["g"] + w["h"]
-        val = OmegaValues(o1, o2, o3, omega4(rho))
-    with _omega_lock:
-        _omega_cache[rho] = val
-    return val
+        found = {r: _omega_cache[r] for r in rhos if r in _omega_cache}
+    missing = [r for r in dict.fromkeys(rhos) if r not in found]
+    for start in range(0, len(missing), _RHOS_PER_PASS):
+        computed = _omega_pass(missing[start:start + _RHOS_PER_PASS])
+        with _omega_lock:
+            _omega_cache.update(computed)
+        found.update(computed)
+    values = [found[r] for r in rhos]
+    return values[0] if single else values
+
+
+def _omega_pass(rhos: list) -> dict:
+    """{rho: OmegaValues} for distinct rho, from one integrate_families run."""
+    _ensure_validated()
+    inner = [r for r in rhos if abs(r) < 1]
+    stack = _OMEGA_SAME + np.array(inner)[:, None, None, None] * _OMEGA_CROSS
+    legs, fold = w_legs(stack.reshape(-1, 4, 4))
+    # pattern matrices are exactly singular at |rho| = 1 (exact values
+    # below), and omega4 vanishes at rho = 0
+    tilted = [r for r in rhos if r != 0.0]
+    uppers = [np.array([math.asin(r) if r >= 0 else -math.asin(-r)
+                        for r in tilted])] + [np.array(tilted)] * 4
+    pieces = [Family(g, np.zeros(len(tilted)), upper, ABS_TOL / 5)
+              for g, upper in zip(_OMEGA4_PIECES, uppers)]
+    values = integrate_families(legs + pieces)
+    w = dict(zip(inner, fold(*values[:2]).reshape(-1, 8).tolist()))
+    o4 = dict(zip(tilted, sum(values[3:], values[2]).tolist()))
+    out = {}
+    for r in rhos:
+        if abs(r) == 1.0:
+            o1, o2, o3 = _OMEGA_AT_1
+        else:
+            c, d, f, g, h, l, n, o = w[r]
+            o1 = c + 8 * d + 2 * f
+            o2 = 6 * g + 8 * h + 6 * l + 2 * n + o + 1 / 3
+            o3 = 0.5 * g + h
+        out[r] = OmegaValues(o1, o2, o3, o4.get(r, 0.0))
+    return out
 
 
 def omega4(rho: float) -> float:
-    """Integral form of the covariance ingredient, as five 1-D integrals."""
-    if not abs(rho) <= 1:
-        raise DomainError(f"|rho| must be <= 1, got {rho}")
-    if rho == 0.0:
-        return 0.0
-    tol = ABS_TOL / 5
-
-    # first integrand carries a 1/sqrt(1-x^2) factor; x = sin(t) removes it
-    def f1(t):
-        x = np.sin(t)
-        return np.arcsin(x / 3) + 2 * np.arcsin(x / np.sqrt(3))
-
-    def f2(x):
-        return -2 * np.arcsin(x / 2 * np.sqrt((1 - x * x) / (9 - 3 * x * x))) \
-            / np.sqrt(4 - x * x)
-
-    def f3(x):
-        return np.arcsin(x / 2 * (5 - x * x) / (3 - x * x)) / np.sqrt(4 - x * x)
-
-    def f4(x):
-        return -2 * np.arcsin(x * np.sqrt((1 - x * x) / (12 - 6 * x * x))) \
-            / np.sqrt(4 - x * x)
-
-    def f5(x):
-        return 2 * np.arcsin(x * np.sqrt((3 - x * x) / (4 - 2 * x * x))) \
-            / np.sqrt(4 - x * x)
-
-    fs = (f1, f2, f3, f4, f5)
-    # f1 was substituted; the others integrate over [0, rho] directly
-    upper = (math.asin(rho) if rho >= 0 else -math.asin(-rho),
-             rho, rho, rho, rho)
-    pieces = integrate_adaptive(
-        lambda x: np.stack([g(row) for g, row in zip(fs, x)]),
-        np.zeros(5), np.array(upper), tol).tolist()
-    total = pieces[0]
-    for piece in pieces[1:]:
-        total += piece
-    return total
+    """Integral form of the covariance ingredient, as five 1-D integrals:
+    the omega4 field of omegas(rho)."""
+    return omegas(rho).omega4
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,7 @@ def cmd_tables(args) -> int:
         raise DomainError("tables grid must lie within [0, 1]")
     p = args.precision
     out = ["rho,omega1,omega2,omega3"]
-    for rho in grid:
-        om = omegas(rho)
+    for rho, om in zip(grid, omegas(grid)):
         out.append(",".join([
             format_fixed(rho, 2),
             format_fixed(om.omega1, p),
@@ -216,6 +215,7 @@ def cmd_are(args) -> int:
     if grid is None:
         raise DomainError("are requires --rho or --grid")
     p = args.precision
+    omegas(grid)  # the whole grid in lock-step passes, before are() reads it
     out = ["rho,are_spearman,are_kendall"]
     for rho in grid:
         out.append(",".join([

@@ -10,14 +10,13 @@ endpoint singularity and by guarded evaluation of the arcsine argument.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import ABS_TOL, CLAMP_EPS, integrate_adaptive
+from .quadrature import ABS_TOL, CLAMP_EPS, Family, integrate_families
 
 _PSD_TOL = -1e-10
 _SINGULAR_SWITCH = 1e-8  # use the sine substitution when |rho_1l| > 1 - this
@@ -74,7 +73,8 @@ def orthant_p3(rho12: float, rho13: float, rho23: float) -> float:
 
 def _abg_coeffs(r: np.ndarray, ell: int):
     """Polynomial coefficients of alpha/beta/gamma in u^2 for leg ell in {1,2,3}
-    (0-based index of the partner variable)."""
+    (0-based index of the partner variable). r is one 4x4 matrix, or a
+    (4, 4, M) stack that gives arrays of M coefficients."""
     r12, r13, r14 = r[0, 1], r[0, 2], r[0, 3]
     r23, r24, r34 = r[1, 2], r[1, 3], r[2, 3]
     if ell == 1:
@@ -150,13 +150,13 @@ def _ratio_limit(u2: float, coeffs) -> float:
     return prev if prev is not None else 0.0
 
 
-def _plain_leg(r1l, coeffs, u):
+def _plain_leg(u, r1l, *coeffs):
     u2 = u * u
     denom = np.sqrt(1 - r1l * r1l * u2)
     return r1l / denom * _arcsine_ratio(u2, coeffs)
 
 
-def _sine_leg(r1l, coeffs, theta):
+def _sine_leg(theta, r1l, *coeffs):
     # u = sin(theta) removes the inverse-square-root endpoint singularity
     # when |r1l| ~ 1
     u = np.sin(theta)
@@ -165,34 +165,49 @@ def _sine_leg(r1l, coeffs, theta):
     return r1l * np.cos(theta) / denom * _arcsine_ratio(u2, coeffs)
 
 
-def w_integral(ms: np.ndarray) -> np.ndarray:
-    """Quadrivariate coupling terms of a (M, 4, 4) stack of correlation
-    matrices that the caller has already checked.
+def w_legs(ms: np.ndarray):
+    """The 1-D arcsine integrals whose sums are the coupling terms of a
+    (M, 4, 4) stack of correlation matrices that the caller has already
+    checked.
 
-    Each W is a sum of up to three 1-D arcsine integrals, one per nonzero
-    r_1l. The legs of all M matrices are integrated in lock-step: one run
-    for |r_1l| <= 1 - 1e-8, a second, sine-substituted run for the rest.
+    Each W is a sum of up to three legs, one per nonzero r_1l. Returns two
+    families, the legs with |r_1l| <= 1 - 1e-8 and the sine-substituted
+    rest, and the map from their values to the M coupling terms; each W
+    sums its legs in leg order.
     """
-    legs = [(i, m[0, ell], _abg_coeffs(m, ell))
-            for i, m in enumerate(ms) for ell in (1, 2, 3) if m[0, ell] != 0.0]
-    singular = np.array([abs(r1l) > 1 - _SINGULAR_SWITCH
-                         for _, r1l, _ in legs], dtype=bool)
-    leg_values = np.empty(len(legs))
+    # one row per leg, matrix-major then by ell: owner, r_1l, coefficients
+    r = np.moveaxis(ms, 0, -1)
+    table = np.stack([np.stack([np.arange(len(ms)), r[0, ell],
+                                *_abg_coeffs(r, ell)], axis=-1)
+                      for ell in (1, 2, 3)], axis=1).reshape(-1, 8)
+    table = table[table[:, 1] != 0.0]
+    singular = np.abs(table[:, 1]) > 1 - _SINGULAR_SWITCH
+    families = []
     for mask, integrand, upper in ((~singular, _plain_leg, 1.0),
                                    (singular, _sine_leg, math.pi / 2)):
-        rows = np.flatnonzero(mask)
-        if rows.size == 0:
-            continue
-        r1l = np.array([legs[j][1] for j in rows])[:, None]
-        coeffs = tuple(np.array(c)[:, None]
-                       for c in zip(*(legs[j][2] for j in rows)))
-        leg_values[rows] = integrate_adaptive(
-            functools.partial(integrand, r1l, coeffs),
-            np.zeros(rows.size), np.full(rows.size, upper), ABS_TOL / 3)
-    totals = [0.0] * len(ms)
-    for (i, _, _), val in zip(legs, leg_values.tolist()):
-        totals[i] += 4 / math.pi ** 2 * val
-    return np.array(totals)
+        params = tuple(table[mask, 1:].T)
+        count = int(mask.sum())
+        families.append(Family(integrand, np.zeros(count),
+                               np.full(count, upper), ABS_TOL / 3, params))
+    owner = table[:, 0].astype(int)
+
+    def fold(plain: np.ndarray, sine: np.ndarray) -> np.ndarray:
+        leg_values = np.empty(len(table))
+        leg_values[~singular], leg_values[singular] = plain, sine
+        totals = np.zeros(len(ms))
+        # unbuffered, in leg order: each W adds its legs left to right
+        np.add.at(totals, owner, 4 / math.pi ** 2 * leg_values)
+        return totals
+
+    return families, fold
+
+
+def w_integral(ms: np.ndarray) -> np.ndarray:
+    """Quadrivariate coupling terms of a (M, 4, 4) stack of correlation
+    matrices that the caller has already checked, from one lock-step run
+    over all their legs."""
+    families, fold = w_legs(ms)
+    return fold(*integrate_families(families))
 
 
 def _arcsin_sum(m: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .binormal import cov_rs_rk_exact, lemma2_moments, var_rs_exact
+from .binormal import cov_rs_rk_exact, lemma2_moments, omegas, var_rs_exact
 from .contaminated import (ContaminationParams, expected_rk_contaminated,
                            expected_rs_contaminated, rival_formula_star,
                            sample_contaminated_block)
@@ -262,6 +262,8 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
             raise ResourceError(
                 f"cell budget exceeded: trials*n = {config.trials * n} "
                 f"> {_BUDGET}")
+    if config.model == "binormal":
+        omegas(config.rho_grid)  # the theory rows' omegas, in lock-step passes
     workers = threads_limit()
     report = TrialReport(config=config)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None

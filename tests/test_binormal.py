@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,8 @@ from rankmoments.binormal import (BinormalParams, cov_rs_rk_asymptotic,
 from rankmoments.cli import main
 from rankmoments.errors import CrossCheckError, DomainError
 from rankmoments.orthant import CorrelationMatrix4
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestAnchors:
@@ -144,19 +151,92 @@ class TestPatternMatrices:
         pattern_w("c", 0.0)  # the one-time validation runs here
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         calls = []
-        w_integral = binormal.w_integral
+        w_legs = binormal.w_legs
 
         def counted(ms):
             calls.append(ms)
-            return w_integral(ms)
+            return w_legs(ms)
 
-        monkeypatch.setattr("rankmoments.binormal.w_integral", counted)
+        monkeypatch.setattr("rankmoments.binormal.w_legs", counted)
         rho = 0.4321
         omegas(rho)
         assert len(calls) == 1
         expected = [same + rho * cross for same, cross in
                     (binormal._PATTERNS[label] for label in "cdfghlno")]
         np.testing.assert_array_equal(calls[0], np.stack(expected))
+
+
+class TestOmegaGrid:
+    """omegas over a sequence: chunked lock-step passes, one cache."""
+
+    RHOS = [0.0, 1.0, -1.0, 0.999999, -0.999999, 0.37, -0.7, 0.123456,
+            0.5, 0.99, 0.0, 0.37]
+
+    @staticmethod
+    def _fields(values):
+        return [(v.omega1, v.omega2, v.omega3, v.omega4) for v in values]
+
+    def test_sequence_matches_single_calls(self, monkeypatch):
+        pattern_w("c", 0.0)  # the one-time validation runs here
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+        monkeypatch.setattr("rankmoments.binormal._RHOS_PER_PASS", 3)
+        grid = omegas(self.RHOS)
+        assert isinstance(grid, list) and len(grid) == len(self.RHOS)
+        hits = omegas(self.RHOS)
+        single = []
+        for rho in self.RHOS:
+            monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+            single.append(omegas(rho))
+            assert omega4(rho) == single[-1].omega4
+        assert self._fields(grid) == self._fields(hits) == self._fields(single)
+        assert omegas(np.array(self.RHOS[:3])) == grid[:3]
+        assert grid[1].omega1 == 1.0 and grid[0].omega4 == 0.0
+
+    def test_bad_rho_anywhere_in_the_grid(self, monkeypatch):
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+        with pytest.raises(DomainError):
+            omegas([0.5, float("nan")])
+        with pytest.raises(DomainError):
+            omegas([0.5, -1.5])
+        assert binormal._omega_cache == {}
+
+    def test_memory_bounded_on_long_grid(self, monkeypatch):
+        # chunked passes whose panel storage grows with the rounds run: an
+        # unchunked pass, or a dense MAX_SUBDIVISIONS-wide panel table,
+        # needs several times this bound
+        pattern_w("c", 0.0)  # the one-time validation runs here
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+        grid = np.linspace(-1.0, 1.0, 1001).tolist()
+        tracemalloc.start()
+        try:
+            values = omegas(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(values) == 1001
+        assert peak < 3 * 2 ** 20
+
+    def test_independent_of_blas_kernel(self):
+        # no value may depend on which OpenBLAS kernel DYNAMIC_ARCH picks
+        code = ("import numpy as np\n"
+                "from rankmoments.binormal import omegas\n"
+                "for v in omegas(np.linspace(-1, 1, 13).tolist()"
+                " + [0.999999, 0.123456]):\n"
+                "    print(repr((v.omega1, v.omega2, v.omega3, v.omega4)))\n")
+        outputs = []
+        for coretype in (None, "Prescott"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=False)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(outputs[0].splitlines()) == 15
+        assert outputs[0] == outputs[1]
 
 
 class TestTables:
@@ -182,8 +262,8 @@ class TestTables:
         assert a == b
 
     def test_no_warnings(self, capsys, monkeypatch):
-        # the NaN rows of finished integrals must not warn, here or in the
-        # one-time validation
+        # no integrand evaluation may warn, here or in the one-time
+        # validation
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         monkeypatch.setattr("rankmoments.binormal._validation_done", False)
         with warnings.catch_warnings():

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau
 
+from rankmoments import quadrature
 from rankmoments.binormal import cov_rs_rk_exact, omegas, var_rs_exact
 from rankmoments.cli import main, parse_grid
 from rankmoments.errors import ConvergenceError, DomainError
@@ -79,12 +81,28 @@ class TestTables:
             raise ConvergenceError("forced")
 
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
-        monkeypatch.setattr("rankmoments.orthant.integrate_adaptive", fail)
+        monkeypatch.setattr("rankmoments.quadrature.integrate_adaptive", fail)
         target = tmp_path / "t.csv"
         code, out, err = run(["tables", "--grid", "0.4321",
                               "--out", str(target)], capsys)
         assert code == 2
         assert err.startswith("numerical failure: ")
+        assert out == "" and not target.exists()
+
+    def test_grid_pass_stall_exit_2(self, tmp_path, monkeypatch, capsys):
+        # a real stall inside a whole-grid pass: two bisections per integral
+        omegas(0.5)  # the one-time pattern validation runs here
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+        monkeypatch.setattr(
+            "rankmoments.quadrature.integrate_adaptive",
+            functools.partial(quadrature.integrate_adaptive,
+                              max_subdivisions=2))
+        target = tmp_path / "t.csv"
+        code, out, err = run(["tables", "--grid", "0(0.05)1",
+                              "--out", str(target)], capsys)
+        assert code == 2
+        assert err.startswith("numerical failure: quadrature on [")
+        assert "stalled" in err and "after 2 subdivisions" in err
         assert out == "" and not target.exists()
 
     def test_file_output_identical(self, tmp_path, capsys):

@@ -1,13 +1,15 @@
 import heapq
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmoments.errors import ConvergenceError
-from rankmoments.quadrature import _WG, _WK, _XK, integrate_adaptive
+from rankmoments.quadrature import (_WG, _WK, _XK, _gk15, _nodes,
+                                   integrate_adaptive)
 
 
 def test_polynomial_exact():
@@ -56,22 +58,20 @@ def test_exponential_matches_closed_form(a, b):
 
 
 def one_at_a_time(f, a, b, abs_tol, max_subdivisions=400):
-    """Reference: one integral, one GK15 panel per integrand call."""
+    """Reference: one integral, one GK15 panel per integrand call, bisected
+    from a max-error heap. Returns the value and the bisection count."""
     def gk15(lo, hi):
-        half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
-        fx = np.asarray(f(mid + half * _XK), dtype=float)
-        k = half * float(np.dot(_WK, fx))
-        g = half * float(np.dot(_WG, fx[1::2]))
-        err = abs(k - g)
-        return k, min(err, (200.0 * err) ** 1.5) if err > 0 else err
+        fx = np.asarray(f(_nodes(np.array([[lo]]), np.array([[hi]]))))
+        k, err = _gk15(fx.reshape(1, 1, 15), np.array([[lo]]), np.array([[hi]]))
+        return float(k[0, 0]), float(err[0, 0])
 
     if a == b:
-        return 0.0
+        return 0.0, 0
     val, err = gk15(a, b)
     heap, total_val, total_err = [(-err, a, b, val)], val, err
-    for _ in range(max_subdivisions):
+    for bisections in range(max_subdivisions):
         if total_err <= abs_tol:
-            return total_val
+            return total_val, bisections
         neg_err, lo, hi, old_val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         (v1, e1), (v2, e2) = gk15(lo, mid), gk15(mid, hi)
@@ -90,34 +90,77 @@ def test_lock_step_matches_one_at_a_time():
     def f(x):
         return np.cos(x * x) + 1.0 / (0.1 + x * x)
 
-    rows = []
+    seen = []
 
-    def recorded(x):
-        rows.append(np.isnan(x).all(axis=1))
+    def recorded(nodes):
+        x, rows = nodes
+        assert x.shape == (len(rows), x.shape[1])
+        seen.append(rows.tolist())
         return f(x)
 
-    batch = integrate_adaptive(recorded, a, b, 1e-13)
+    indexed = integrate_adaptive(recorded, a, b, 1e-13, indexed=True)
+    batch = integrate_adaptive(f, a, b, 1e-13)
     single = [integrate_adaptive(f, lo, hi, 1e-13) for lo, hi in zip(a, b)]
-    reference = [one_at_a_time(f, lo, hi, 1e-13)
-                 for lo, hi in zip(a.tolist(), b.tolist())]
+    reference, bisections = zip(*(one_at_a_time(f, lo, hi, 1e-13)
+                                  for lo, hi in zip(a.tolist(), b.tolist())))
     assert all(isinstance(v, float) for v in single)
-    assert batch.tolist() == single == reference
+    assert indexed.tolist() == batch.tolist() == single == list(reference)
     assert single[3] == 0.0
-    # one call per round; finished and empty integrals are NaN rows
-    assert len(rows) > 3 and all(r.shape == (6,) for r in rows)
-    assert all(r[3] for r in rows) and not rows[-1][1] and rows[-1][0]
+    # one call per round, on the unfinished integrals only: integral k is
+    # in rounds 0..bisections[k], the empty one in none
+    assert max(bisections) > 3
+    assert seen == [[k for k in range(6) if k != 3 and bisections[k] >= j]
+                    for j in range(max(bisections) + 1)]
 
 
 def test_lock_step_stall_names_its_interval():
-    def f(x):
+    def f(nodes):
+        x, rows = nodes
         out = np.sin(x)
-        out[1] = np.cos(1e7 * x[1]) / np.sqrt(np.abs(x[1] - 0.3) + 1e-15)
+        jag = rows == 1
+        out[jag] = np.cos(1e7 * x[jag]) / np.sqrt(np.abs(x[jag] - 0.3) + 1e-15)
         return out
 
     a, b = np.array([0.0, 0.25, 0.0]), np.array([1.0, 0.75, 2.0])
     with pytest.raises(ConvergenceError, match=r"on \[0\.25, 0\.75\] stalled"):
-        integrate_adaptive(f, a, b, 1e-13, max_subdivisions=4)
+        integrate_adaptive(f, a, b, 1e-13, max_subdivisions=4, indexed=True)
     # the other two converge on their own
     assert integrate_adaptive(np.sin, a[[0, 2]], b[[0, 2]], 1e-13).tolist() \
         == [integrate_adaptive(np.sin, 0.0, 1.0, 1e-13),
             integrate_adaptive(np.sin, 0.0, 2.0, 1e-13)]
+
+
+def test_per_integral_tolerance():
+    # each integral stops at its own tolerance, as it would alone
+    a, b = np.zeros(3), np.array([12.0, 12.0, 3.0])
+    tol = np.array([1e-13, 1e-6, 1e-9])
+
+    def f(x):
+        return np.cos(x * x)
+
+    assert integrate_adaptive(f, a, b, tol).tolist() == [
+        integrate_adaptive(f, 0.0, hi, t) for hi, t in zip(b, tol)]
+
+
+def _moment_errors(nodes, weights, degree):
+    """Largest |sum w x^p - integral of x^p over [-1, 1]| for p <= degree,
+    in exact arithmetic on the double constants."""
+    mp.mp.dps = 40
+    xs = [mp.mpf(float(v)) for v in nodes]
+    ws = [mp.mpf(float(v)) for v in weights]
+    return max(abs(mp.fsum(w * x ** p for x, w in zip(xs, ws))
+                   - (mp.mpf(2) / (p + 1) if p % 2 == 0 else 0))
+               for p in range(degree + 1))
+
+
+def test_gk15_constants():
+    # the full-precision QUADPACK values: the weights sum to 2 and the
+    # Kronrod (Gauss) rule integrates x^p exactly for p <= 22 (13), up to
+    # the rounding of the constants to double
+    assert abs(math.fsum(_WK.tolist()) - 2) <= 4.5e-16
+    assert abs(math.fsum(_WG.tolist()) - 2) <= 4.5e-16
+    assert _moment_errors(_XK, _WK, 22) <= 4.5e-16
+    assert _moment_errors(_XK[1::2], _WG, 13) <= 4.5e-16
+    assert _XK.tolist() == [-v for v in _XK[::-1].tolist()]
+    assert _WK.tolist() == _WK[::-1].tolist()
+    assert _WG.tolist() == _WG[::-1].tolist()
