@@ -3,43 +3,37 @@ under bivariate normal and contaminated-normal models.
 """
 
 from .correlation import (PairedSample, SStatistic, compute_ranks,
-                          daniels_gamma, inequality_check, kendall, pearson,
-                          spearman, spearman_via_s)
-from .orthant import (CorrelationMatrix4, orthant_p2, orthant_p3, orthant_p4,
-                      w_from_p4)
-from .binormal import (BinormalParams, OmegaValues, cov_rs_rk_asymptotic,
-                       cov_rs_rk_exact, cov_series_asymptotic, lemma2_moments,
-                       omega4, omegas, var_rs_asymptotic, var_rs_exact)
+                          inequality_check, kendall, pearson, spearman,
+                          spearman_via_s)
+from .orthant import CorrelationMatrix4, orthant_p2, orthant_p3, orthant_p4
+from .binormal import (OmegaValues, cov_rs_rk_asymptotic, cov_rs_rk_exact,
+                       cov_series_asymptotic, lemma2_moments, omega4, omegas,
+                       var_rs_asymptotic, var_rs_exact)
 from .contaminated import (ContaminationParams, MixtureCorrelations,
                            expected_rk_contaminated, expected_rs_contaminated,
                            mixture_correlations, rival_formula_star,
                            sample_contaminated_block)
-from .estimators import (EstimatorKind, MomentReport, are, bias_theoretical,
-                         crlb, estimate, estimate_from_coefficients,
-                         moment_report, variance_theoretical)
+from .estimators import (EstimatorKind, are, bias_theoretical, crlb,
+                         estimate_from_coefficients, variance_theoretical)
 from .simulate import (ExperimentConfig, TrialReport, compare_report,
                        run_experiment, sample_binormal_block)
-from .quadrature import integrate_adaptive
 from . import errors
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PairedSample", "SStatistic", "compute_ranks", "daniels_gamma",
-    "inequality_check", "kendall", "pearson", "spearman", "spearman_via_s",
+    "PairedSample", "SStatistic", "compute_ranks", "inequality_check",
+    "kendall", "pearson", "spearman", "spearman_via_s",
     "CorrelationMatrix4", "orthant_p2", "orthant_p3", "orthant_p4",
-    "w_from_p4",
-    "BinormalParams", "OmegaValues", "cov_rs_rk_asymptotic",
-    "cov_rs_rk_exact", "cov_series_asymptotic", "lemma2_moments", "omega4",
-    "omegas", "var_rs_asymptotic", "var_rs_exact",
+    "OmegaValues", "cov_rs_rk_asymptotic", "cov_rs_rk_exact",
+    "cov_series_asymptotic", "lemma2_moments", "omega4", "omegas",
+    "var_rs_asymptotic", "var_rs_exact",
     "ContaminationParams", "MixtureCorrelations", "expected_rk_contaminated",
     "expected_rs_contaminated", "mixture_correlations", "rival_formula_star",
     "sample_contaminated_block",
-    "EstimatorKind", "MomentReport", "are", "bias_theoretical", "crlb",
-    "estimate", "estimate_from_coefficients", "moment_report",
-    "variance_theoretical",
+    "EstimatorKind", "are", "bias_theoretical", "crlb",
+    "estimate_from_coefficients", "variance_theoretical",
     "ExperimentConfig", "TrialReport", "compare_report", "run_experiment",
     "sample_binormal_block",
-    "integrate_adaptive",
     "errors",
 ]

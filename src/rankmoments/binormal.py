@@ -36,25 +36,6 @@ _NEG_CLAMP = -1e-10
 
 
 @dataclass(frozen=True)
-class BinormalParams:
-    """Population correlation with its two derived arcsines."""
-
-    rho: float
-
-    def __post_init__(self):
-        if not abs(self.rho) <= 1:
-            raise DomainError(f"|rho| must be <= 1, got {self.rho}")
-
-    @property
-    def s1(self) -> float:
-        return math.asin(self.rho)
-
-    @property
-    def s2(self) -> float:
-        return math.asin(self.rho / 2)
-
-
-@dataclass(frozen=True)
 class OmegaValues:
     omega1: float
     omega2: float
@@ -293,17 +274,14 @@ def omega4(rho: float) -> float:
 
 def lemma2_moments(rho: float, n: int) -> dict:
     """Known closed-form moments of the three coefficients."""
-    if not abs(rho) <= 1:
-        raise DomainError(f"|rho| must be <= 1, got {rho}")
+    _check_rho(rho)
     if n < 2:
         raise DomainError("need n >= 2")
-    p = BinormalParams(rho)
-    s1, s2 = p.s1, p.s2
+    s1, s2 = math.asin(rho), math.asin(rho / 2)
     pi2 = math.pi ** 2
     mean_rp = rho * (1 - (1 - rho * rho) / (2 * n))
     var_rp = (1 - rho * rho) ** 2 / (n - 1)
     mean_rs = 6 / (math.pi * (n + 1)) * (s1 + (n - 2) * s2)
-    mean_rs_asymp = 6 / math.pi * s2
     mean_rk = 2 / math.pi * s1
     var_rk = 2 / (n * (n - 1)) * (1 - 4 * s1 * s1 / pi2
                                   + 2 * (n - 2) * (1 / 9 - 4 * s2 * s2 / pi2))
@@ -311,7 +289,6 @@ def lemma2_moments(rho: float, n: int) -> dict:
         "mean_rp": mean_rp,
         "var_rp": var_rp,
         "mean_rs": mean_rs,
-        "mean_rs_asymp": mean_rs_asymp,
         "mean_rk": mean_rk,
         "var_rk": var_rk,
     }
@@ -328,8 +305,7 @@ def var_rs_exact(rho: float, n: int) -> float:
     if n < 4:
         raise DomainError("exact variance requires n >= 4")
     om = omegas(rho)
-    p = BinormalParams(rho)
-    s1, s2 = p.s1, p.s2
+    s1, s2 = math.asin(rho), math.asin(rho / 2)
     pi2 = math.pi ** 2
     v = (6 / (n * (n + 1))
          + 9 * (n - 2) * (n - 3) * ((n - 4) * om.omega1 + om.omega2)
@@ -346,7 +322,7 @@ def var_rs_asymptotic(rho: float, n: int) -> float:
     if n < 1:
         raise DomainError("need n >= 1")
     om = omegas(rho)
-    s2 = BinormalParams(rho).s2
+    s2 = math.asin(rho / 2)
     v = (9 * om.omega1 - 324 * s2 * s2 / math.pi ** 2) / n
     return _clamp_variance(v, "asymptotic var(r_S)")
 
@@ -376,8 +352,7 @@ def cov_rs_rk_exact(rho: float, n: int) -> float:
 
 def _cov_form(rho: float, n: int, lead: float, tail: float) -> float:
     # the two covariance forms share every term but the first and last
-    p = BinormalParams(rho)
-    s1, s2 = p.s1, p.s2
+    s1, s2 = math.asin(rho), math.asin(rho / 2)
     pi2 = math.pi ** 2
     return 12 / (n * (n * n - 1)) * (
         lead
@@ -390,8 +365,8 @@ def _cov_form(rho: float, n: int, lead: float, tail: float) -> float:
 def cov_rs_rk_asymptotic(rho: float, n: int) -> float:
     """Leading-order covariance between the two rank coefficients."""
     om = omegas(rho)
-    p = BinormalParams(rho)
-    return 12 / n * (om.omega3 - 6 * p.s1 * p.s2 / math.pi ** 2)
+    s1, s2 = math.asin(rho), math.asin(rho / 2)
+    return 12 / n * (om.omega3 - 6 * s1 * s2 / math.pi ** 2)
 
 
 _SERIES_COEFFS = (1.0, -1.24858961, 0.06830496, 0.07280482,

@@ -7,8 +7,9 @@ Subcommands:
   simulate  run a Monte Carlo campaign and write a comparison report
   are       print asymptotic relative efficiencies on a grid
 
-Exit codes: 0 success, 2 numerical failure, 3 data precondition violated,
-4 I/O or parse error.
+Exit codes: 0 success, 2 numerical failure, 3 data precondition violated
+(ties, constant column, too few rows, bad parameters), 4 I/O or parse
+error.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from .binormal import (cov_rs_rk_asymptotic, cov_rs_rk_exact, lemma2_moments,
 from .contaminated import ContaminationParams
 from .correlation import (PairedSample, inequality_check, kendall, pearson,
                           spearman)
-from .errors import (ConvergenceError, CrossCheckError, DerivationError,
-                     DomainError, NegativeVarianceError, RankMomentsError,
-                     SizeError, TieError)
+from .errors import (ConvergenceError, CrossCheckError, DegenerateError,
+                     DerivationError, DomainError, NegativeVarianceError,
+                     RankMomentsError, SizeError, TieError)
 from .estimators import EstimatorKind, are, estimate_from_coefficients
 from .formatting import format_fixed
 from .simulate import (ExperimentConfig, compare_report, format_report_csv,
@@ -299,7 +300,7 @@ def main(argv=None) -> int:
     except TieError as exc:
         sys.stderr.write(f"tied data: {exc}\n")
         return EXIT_DATA
-    except (SizeError, DomainError) as exc:
+    except (SizeError, DomainError, DegenerateError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_DATA
     except (ConvergenceError, NegativeVarianceError, CrossCheckError,

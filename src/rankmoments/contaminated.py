@@ -1,8 +1,8 @@
 """Moments of the rank coefficients under a two-component normal mixture.
 
 Each observation pair independently comes from the nominal component
-N(mu, sigma^2) with correlation rho (probability 1 - epsilon) or from an
-inflated component with scale multipliers lambda_x, lambda_y and its own
+with standard normal margins and correlation rho (probability
+1 - epsilon) or from an inflated component with scale multipliers lambda_x, lambda_y and its own
 correlation rho_prime (probability epsilon).
 
 Because ranks are invariant to the common location and scale, the
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SeedError
+from .orthant import asin_clamped, orthant_p2
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,6 @@ class ContaminationParams:
     lambda_x: float
     lambda_y: float
     rho_prime: float
-    mu_x: float = 0.0
-    mu_y: float = 0.0
-    sigma_x: float = 1.0
-    sigma_y: float = 1.0
 
     def __post_init__(self):
         if not abs(self.rho) <= 1:
@@ -45,8 +42,6 @@ class ContaminationParams:
             raise DomainError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if self.lambda_x <= 0 or self.lambda_y <= 0:
             raise DomainError("scale multipliers must be positive")
-        if self.sigma_x <= 0 or self.sigma_y <= 0:
-            raise DomainError("sigmas must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,20 +92,12 @@ def mixture_correlations(params: ContaminationParams) -> MixtureCorrelations:
                                pair_weights=pair_w, triple_weights=triple_w)
 
 
-def _orthant2(r: float) -> float:
-    # P(Z1 > 0, Z2 > 0) for standard bivariate normal with correlation r
-    return 0.25 + math.asin(r) / (2 * math.pi)
-
-
-def expected_rk_contaminated(params: ContaminationParams, n: int | None = None,
+def expected_rk_contaminated(params: ContaminationParams,
                              limit: bool = False) -> float:
-    """Expected concordance coefficient under the mixture.
-
-    The exact value does not depend on n (for n >= 2). With limit=True the
-    small-epsilon linearization is returned instead.
+    """Expected concordance coefficient under the mixture, the same for
+    every n >= 2. With limit=True the small-epsilon linearization is
+    returned instead.
     """
-    if n is not None and n < 2:
-        raise DomainError("need n >= 2")
     if limit:
         eps = params.epsilon
         return 2 / math.pi * ((1 - 2 * eps) * math.asin(params.rho)
@@ -118,7 +105,7 @@ def expected_rk_contaminated(params: ContaminationParams, n: int | None = None,
     mc = mixture_correlations(params)
     acc = 0.0
     for r, w in zip(mc.pair, mc.pair_weights):
-        acc += w * math.asin(r)
+        acc += w * asin_clamped(r)
     return 2 / math.pi * acc
 
 
@@ -133,9 +120,9 @@ def expected_rs_contaminated(params: ContaminationParams, n: int,
                               + eps * math.asin(params.rho_prime))
     mc = mixture_correlations(params)
     # E1: orthant probability of two differences built from the same pair
-    e1 = sum(w * _orthant2(r) for r, w in zip(mc.pair, mc.pair_weights))
+    e1 = sum(w * orthant_p2(r) for r, w in zip(mc.pair, mc.pair_weights))
     # E2: orthant probability of two differences sharing one observation
-    e2 = sum(w * _orthant2(r) for r, w in zip(mc.triple, mc.triple_weights))
+    e2 = sum(w * orthant_p2(r) for r, w in zip(mc.triple, mc.triple_weights))
     es = n * (n - 1) * e1 + n * (n - 1) * (n - 2) * e2
     return 12 * (es - n * (n - 1) ** 2 / 4) / (n * (n * n - 1))
 
@@ -156,7 +143,7 @@ def sample_contaminated_block(params: ContaminationParams, n: int, size: int,
     """Draw `size` samples of n pairs from the mixture.
 
     Returns (x, y) arrays of shape (size, n). Each pair independently
-    picks its component; location and scale are applied per component.
+    picks its component; the nominal component has unit scales.
     """
     if n < 1 or size < 1:
         raise DomainError("n and size must be positive")
@@ -174,9 +161,7 @@ def sample_contaminated_block(params: ContaminationParams, n: int, size: int,
 
     a0, b0 = cholesky_pair(params.rho)
     a1, b1 = cholesky_pair(params.rho_prime)
-    x_std = np.where(contaminated, params.lambda_x * u, u)
+    x = np.where(contaminated, params.lambda_x * u, u)
     y_core = np.where(contaminated, a1 * u + b1 * v, a0 * u + b0 * v)
-    y_std = np.where(contaminated, params.lambda_y * y_core, y_core)
-    x = params.mu_x + params.sigma_x * x_std
-    y = params.mu_y + params.sigma_y * y_std
+    y = np.where(contaminated, params.lambda_y * y_core, y_core)
     return x, y

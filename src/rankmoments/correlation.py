@@ -1,6 +1,6 @@
-"""Ranks, the three classical correlation coefficients, and the
-generalized score-based coefficient, plus an integer-statistic route to
-the rank correlation used as an exact cross-check."""
+"""Ranks and the three classical correlation coefficients, plus an
+integer-statistic route to the rank correlation used as an exact
+cross-check."""
 
 from __future__ import annotations
 
@@ -34,25 +34,6 @@ class PairedSample:
     @property
     def n(self) -> int:
         return len(self.x)
-
-
-@dataclass(frozen=True)
-class ScoreSystem:
-    """Antisymmetric pairwise score matrices a_ij, b_ij."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        for name, m in (("a", a), ("b", b)):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"{name} must be square")
-            if not np.allclose(m, -m.T, atol=1e-12):
-                raise ValueError(f"{name} must be antisymmetric with zero diagonal")
 
 
 @dataclass(frozen=True)
@@ -196,31 +177,6 @@ def kendall(sample: PairedSample) -> float:
     """Pair-sign correlation, via the discordant count of the ranks."""
     p, q = compute_ranks(sample)
     return float(_kendall_rows(p[None], q[None])[0])
-
-
-def daniels_gamma(scores: ScoreSystem) -> float:
-    """Generalized score-product coefficient sum(ab)/sqrt(sum(a^2)sum(b^2))."""
-    a, b = scores.a, scores.b
-    saa = float((a * a).sum())
-    sbb = float((b * b).sum())
-    if saa == 0.0 or sbb == 0.0:
-        raise DegenerateError("score matrix is identically zero")
-    return float((a * b).sum()) / np.sqrt(saa * sbb)
-
-
-def scores_pearson(sample: PairedSample) -> ScoreSystem:
-    return ScoreSystem(a=sample.x[None, :] - sample.x[:, None],
-                       b=sample.y[None, :] - sample.y[:, None])
-
-
-def scores_kendall(sample: PairedSample) -> ScoreSystem:
-    return ScoreSystem(a=np.sign(sample.x[None, :] - sample.x[:, None]),
-                       b=np.sign(sample.y[None, :] - sample.y[:, None]))
-
-
-def scores_spearman(sample: PairedSample) -> ScoreSystem:
-    p, q = (r.astype(float) for r in compute_ranks(sample))
-    return ScoreSystem(a=p[None, :] - p[:, None], b=q[None, :] - q[:, None])
 
 
 def spearman_via_s(sample: PairedSample) -> tuple[float, SStatistic]:

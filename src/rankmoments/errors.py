@@ -19,7 +19,7 @@ class SizeError(RankMomentsError):
 
 
 class DegenerateError(RankMomentsError):
-    """Zero-variance coordinate or identically-zero score matrix."""
+    """Zero-variance coordinate."""
 
 
 class DomainError(RankMomentsError):

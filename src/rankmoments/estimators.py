@@ -7,11 +7,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .binormal import (cov_rs_rk_exact, lemma2_moments, omegas,
                        var_rs_exact)
-from .correlation import PairedSample, kendall, pearson, spearman
 from .errors import DomainError, SizeError
 
 
@@ -20,30 +18,6 @@ class EstimatorKind(enum.Enum):
     SPEARMAN = "spearman"
     KENDALL = "kendall"
     MIXED = "mixed"
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Approximate sampling moments of one estimator at (rho, n)."""
-
-    kind: EstimatorKind
-    rho: float
-    n: int
-    bias: float
-    variance: float
-    mse: float
-
-
-def estimate(kind: EstimatorKind, sample: PairedSample) -> float:
-    """Estimate the population correlation from a tie-free sample."""
-    if kind is EstimatorKind.PEARSON:
-        return estimate_from_coefficients(kind, r_p=pearson(sample))
-    if kind is EstimatorKind.SPEARMAN:
-        return estimate_from_coefficients(kind, r_s=spearman(sample))
-    if kind is EstimatorKind.KENDALL:
-        return estimate_from_coefficients(kind, r_k=kendall(sample))
-    return estimate_from_coefficients(kind, r_s=spearman(sample),
-                                      r_k=kendall(sample), n=sample.n)
 
 
 def estimate_from_coefficients(kind: EstimatorKind, r_p: float | None = None,
@@ -128,13 +102,6 @@ def variance_theoretical(kind: EstimatorKind, rho: float, n: int) -> float:
         return pi2 * (1 - rho * rho) / 4 * var_rk
     return (pi2 * (4 - rho * rho) / (36 * n * (n - 2) ** 2)) * _mixed_form(
         rho, n)
-
-
-def moment_report(kind: EstimatorKind, rho: float, n: int) -> MomentReport:
-    b = bias_theoretical(kind, rho, n)
-    v = variance_theoretical(kind, rho, n)
-    return MomentReport(kind=kind, rho=rho, n=n, bias=b, variance=v,
-                        mse=v + b * b)
 
 
 def crlb(rho: float, n: int) -> float:

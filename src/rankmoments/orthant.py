@@ -43,23 +43,17 @@ class CorrelationMatrix4:
         if np.linalg.eigvalsh(r).min() < _PSD_TOL:
             raise DomainError("correlation matrix is not positive semidefinite")
 
-    @classmethod
-    def from_upper(cls, r12, r13, r14, r23, r24, r34) -> "CorrelationMatrix4":
-        m = np.array([
-            [1.0, r12, r13, r14],
-            [r12, 1.0, r23, r24],
-            [r13, r23, 1.0, r34],
-            [r14, r24, r34, 1.0],
-        ])
-        return cls(rho=m)
+
+def asin_clamped(r: float) -> float:
+    """asin(r), with |r| up to CLAMP_EPS beyond 1 taken as roundoff."""
+    if not abs(r) <= 1 + CLAMP_EPS:
+        raise DomainError(f"arcsine argument {r} exceeds 1 in magnitude")
+    return math.asin(min(1.0, max(-1.0, r)))
 
 
 def orthant_p2(rho12: float) -> float:
     """P(Z1 > 0, Z2 > 0) for a standard bivariate normal pair."""
-    if abs(rho12) > 1 + CLAMP_EPS:
-        raise DomainError(f"|rho12| = {abs(rho12)} exceeds 1")
-    r = min(1.0, max(-1.0, rho12))
-    return 0.25 * (1 + 2 / math.pi * math.asin(r))
+    return 0.25 + asin_clamped(rho12) / (2 * math.pi)
 
 
 def orthant_p3(rho12: float, rho13: float, rho23: float) -> float:
@@ -67,7 +61,7 @@ def orthant_p3(rho12: float, rho13: float, rho23: float) -> float:
     m = np.array([[1, rho12, rho13], [rho12, 1, rho23], [rho13, rho23, 1.0]])
     if np.linalg.eigvalsh(m).min() < _PSD_TOL:
         raise DomainError("3x3 correlation matrix is not positive semidefinite")
-    s = sum(math.asin(min(1.0, max(-1.0, v))) for v in (rho12, rho13, rho23))
+    s = sum(asin_clamped(v) for v in (rho12, rho13, rho23))
     return 0.125 * (1 + 2 / math.pi * s)
 
 
@@ -211,8 +205,7 @@ def w_integral(ms: np.ndarray) -> np.ndarray:
 
 
 def _arcsin_sum(m: np.ndarray) -> float:
-    return sum(math.asin(min(1.0, max(-1.0, m[i, j])))
-               for i in range(3) for j in range(i + 1, 4))
+    return sum(asin_clamped(m[i, j]) for i in range(3) for j in range(i + 1, 4))
 
 
 def _p4_from_w(m: np.ndarray, w: float) -> float:
@@ -224,8 +217,3 @@ def _p4_from_w(m: np.ndarray, w: float) -> float:
 def orthant_p4(r: CorrelationMatrix4) -> float:
     """Quadrivariate positive orthant probability."""
     return _p4_from_w(r.rho, w_integral(r.rho[None])[0])
-
-
-def w_from_p4(p4: float, r: CorrelationMatrix4) -> float:
-    """Recover the coupling term from an orthant probability."""
-    return 16 * p4 - 1 - 2 / math.pi * _arcsin_sum(r.rho)

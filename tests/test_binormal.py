@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rankmoments import binormal
-from rankmoments.binormal import (BinormalParams, cov_rs_rk_asymptotic,
+from rankmoments.binormal import (cov_rs_rk_asymptotic,
                                   cov_rs_rk_exact, cov_series_asymptotic,
                                   lemma2_moments, omega4, omegas, pattern_w,
                                   var_rs_asymptotic, var_rs_exact)
@@ -134,9 +134,9 @@ class TestLemma2:
         assert lm["var_rp"] == 0.0
 
     def test_mean_rs_between_endpoints(self):
-        p = BinormalParams(0.5)
         lm = lemma2_moments(0.5, 10)
-        lo, hi = sorted((6 / math.pi * p.s2, 2 / math.pi * p.s1))
+        lo, hi = sorted((6 / math.pi * math.asin(0.25),
+                         2 / math.pi * math.asin(0.5)))
         assert lo <= lm["mean_rs"] <= hi
 
 

@@ -203,6 +203,15 @@ class TestEstimate:
         assert code == 3
         assert err == "invalid input: sample values must be finite\n"
 
+    @pytest.mark.parametrize("rows", ["1,1\n1,2\n1,3\n1,4\n",
+                                      "1,5\n2,5\n3,5\n4,5\n"])
+    def test_constant_column_exit_3(self, tmp_path, capsys, rows):
+        f = tmp_path / "d.csv"
+        f.write_text(rows)
+        code, out, err = run(["estimate", str(f)], capsys)
+        assert code == 3 and out == ""
+        assert err == "invalid input: constant coordinate has zero variance\n"
+
     def test_too_few_rows_exit_3(self, tmp_path, capsys):
         f = tmp_path / "d.csv"
         f.write_text("1,1\n2,2\n3,3\n")
@@ -210,6 +219,15 @@ class TestEstimate:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("sign", ["1", "-1"])
+    def test_contaminated_perfect_correlation(self, capsys, sign):
+        # the mixed-pattern pair correlation is 1 + 1 ulp in magnitude here
+        code, out, _ = run(["simulate", "--model", "contaminated",
+                            "--rho", sign, "--rho-prime", sign,
+                            "--lambda", "0.1", "--epsilon", "0.1",
+                            "--n", "10", "--trials", "100"], capsys)
+        assert code == 0 and out.startswith("model,")
+
     def test_basic_run(self, tmp_path, capsys):
         out_file = tmp_path / "report.csv"
         code, _, err = run(["simulate", "--rho", "0", "--n", "10",

@@ -14,9 +14,9 @@ from rankmoments.correlation import PairedSample, kendall, spearman
 from rankmoments.errors import DomainError, SeedError
 
 
-def params(rho=0.5, eps=0.1, lx=3.0, ly=2.0, rp=-0.4, **kw):
+def params(rho=0.5, eps=0.1, lx=3.0, ly=2.0, rp=-0.4):
     return ContaminationParams(rho=rho, epsilon=eps, lambda_x=lx,
-                               lambda_y=ly, rho_prime=rp, **kw)
+                               lambda_y=ly, rho_prime=rp)
 
 
 class TestMixtureCorrelations:
@@ -76,6 +76,15 @@ class TestExpectations:
         assert abs(rival_formula_star(p)
                    - expected_rs_contaminated(p, 50, limit=True)) > 0.01
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("lam", [0.1, 1.0, 3.0])
+    def test_perfect_correlation(self, sign, lam):
+        # at lambda = 0.1 the mixed-pattern pair correlation rounds to
+        # 1 + 1 ulp in magnitude, which the arcsine must take as 1
+        p = params(rho=sign, rp=sign, eps=0.1, lx=lam, ly=lam)
+        assert abs(expected_rk_contaminated(p) - sign) <= 1e-8
+        assert abs(expected_rs_contaminated(p, 10) - sign) <= 1e-8
+
     def test_degrades_with_epsilon(self):
         # contamination with rho_prime = 0 pulls the mean toward zero
         base = params(eps=0.0, rho=0.8, rp=0.0, lx=100.0, ly=100.0)
@@ -97,11 +106,18 @@ class TestSampler:
         assert np.allclose(x[0], y[0])
 
     def test_location_scale(self):
-        p = params(eps=0.0, mu_x=10.0, mu_y=-5.0, sigma_x=0.1, sigma_y=2.0)
-        x, y = sample_contaminated_block(p, 4000, 1, seed=2)
+        # the draws are standardised; a location/scale map on top of them
+        # moves the moments and leaves the ranks alone
+        x_std, y_std = sample_contaminated_block(params(eps=0.0), 4000, 1,
+                                                 seed=2)
+        x, y = 10.0 + 0.1 * x_std, -5.0 + 2.0 * y_std
         assert abs(x[0].mean() - 10.0) < 0.02
         assert abs(y[0].mean() + 5.0) < 0.2
         assert abs(x[0].std() - 0.1) < 0.01
+        s_std = PairedSample(x=x_std[0], y=y_std[0])
+        s = PairedSample(x=x[0], y=y[0])
+        assert spearman(s) == spearman(s_std)
+        assert kendall(s) == kendall(s_std)
 
     def test_bad_seed(self):
         with pytest.raises(SeedError):

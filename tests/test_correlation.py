@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 
 from rankmoments.correlation import (_CHUNK_ELEMENTS, PairedSample,
                                      _kendall_rows, _spearman_rows,
-                                     compute_ranks,
-                                     daniels_gamma, inequality_check,
+                                     compute_ranks, inequality_check,
                                      inversions_rows, kendall, pearson,
-                                     scores_kendall, scores_pearson,
-                                     scores_spearman, spearman,
-                                     spearman_via_s)
+                                     spearman, spearman_via_s)
 from rankmoments.errors import SizeError, TieError
 
 
@@ -31,6 +28,18 @@ def kendall_oracle(s):
     sy = np.sign(s.y[:, None] - s.y[None, :])
     t = int((sx * sy).sum())
     return float(Fraction(t, s.n * (s.n - 1)))
+
+
+def pair_scores(x, y):
+    """Antisymmetric pairwise score matrices a_ij = x_j - x_i, b_ij = y_j - y_i."""
+    return x[None, :] - x[:, None], y[None, :] - y[:, None]
+
+
+def daniels_gamma(a, b):
+    """Generalized score-product coefficient sum(ab)/sqrt(sum(a^2)sum(b^2)),
+    O(n^2) reference for the three coefficients."""
+    return float((a * b).sum()) / np.sqrt(float((a * a).sum())
+                                          * float((b * b).sum()))
 
 
 def inversions_oracle(a):
@@ -126,12 +135,13 @@ class TestProperties:
     @given(perm_strategy, st.integers(3, 30))
     def test_score_forms_match_direct(self, seed, n):
         s = random_sample(np.random.default_rng(seed), n)
-        assert daniels_gamma(scores_pearson(s)) == pytest.approx(
+        p, q = (r.astype(float) for r in compute_ranks(s))
+        assert daniels_gamma(*pair_scores(s.x, s.y)) == pytest.approx(
             pearson(s), abs=1e-12)
-        assert daniels_gamma(scores_spearman(s)) == pytest.approx(
+        assert daniels_gamma(*pair_scores(p, q)) == pytest.approx(
             spearman(s), abs=1e-12)
-        assert daniels_gamma(scores_kendall(s)) == pytest.approx(
-            kendall(s), abs=1e-12)
+        assert daniels_gamma(*map(np.sign, pair_scores(s.x, s.y))) \
+            == pytest.approx(kendall(s), abs=1e-12)
 
 
 class TestInequalityEdges:

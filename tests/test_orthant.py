@@ -8,12 +8,17 @@ from scipy.stats import qmc
 from rankmoments import binormal
 from rankmoments.errors import DomainError
 from rankmoments.orthant import (CorrelationMatrix4, _abg_coeffs, orthant_p2,
-                                 orthant_p3, orthant_p4, w_from_p4, w_integral)
+                                 orthant_p3, orthant_p4, w_integral)
 from rankmoments.quadrature import CLAMP_EPS
 
 
 def mat(r12=0.0, r13=0.0, r14=0.0, r23=0.0, r24=0.0, r34=0.0):
-    return CorrelationMatrix4.from_upper(r12, r13, r14, r23, r24, r34)
+    return CorrelationMatrix4(rho=np.array([
+        [1.0, r12, r13, r14],
+        [r12, 1.0, r23, r24],
+        [r13, r23, 1.0, r34],
+        [r14, r24, r34, 1.0],
+    ]))
 
 
 def random_correlation(rng):
@@ -29,6 +34,14 @@ class TestLowOrder:
 
     def test_p2_half(self):
         assert orthant_p2(0.5) == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_p2_clamp_margin(self):
+        # roundoff within CLAMP_EPS beyond 1 is clamped, more is an error
+        assert orthant_p2(1 + 2e-16) == 0.5
+        assert orthant_p2(-1 - CLAMP_EPS) == 0.0
+        for bad in (1 + 2 * CLAMP_EPS, -1.5, math.nan):
+            with pytest.raises(DomainError):
+                orthant_p2(bad)
 
     def test_p3_equicorrelated_half(self):
         assert orthant_p3(0.5, 0.5, 0.5) == pytest.approx(0.25, abs=1e-12)
@@ -64,7 +77,11 @@ class TestP4:
         rng = np.random.default_rng(4)
         m = random_correlation(rng)
         w = w_integral(m.rho[None])[0]
-        assert w_from_p4(orthant_p4(m), m) == pytest.approx(w, abs=1e-10)
+        # invert P4 = (1 + (2/pi) sum_{i<j} asin(r_ij) + W) / 16
+        arcsines = sum(math.asin(m.rho[i, j])
+                       for i in range(3) for j in range(i + 1, 4))
+        inverted = 16 * orthant_p4(m) - 1 - 2 / math.pi * arcsines
+        assert inverted == pytest.approx(w, abs=1e-10)
 
     def test_stacked_w_matches_single(self):
         # the patterns at rho = 1 have |r_1l| = 1 legs: the sine branch
