@@ -14,7 +14,7 @@ from .contaminated import (ContaminationParams, MixtureCorrelations,
                            mixture_correlations, rival_formula_star,
                            sample_contaminated_block)
 from .estimators import (EstimatorKind, are, bias_theoretical, crlb,
-                         estimate_from_coefficients, variance_theoretical)
+                         estimates, variance_theoretical)
 from .simulate import (ExperimentConfig, TrialReport, compare_report,
                        run_experiment, sample_binormal_block)
 from . import errors
@@ -32,7 +32,7 @@ __all__ = [
     "expected_rs_contaminated", "mixture_correlations", "rival_formula_star",
     "sample_contaminated_block",
     "EstimatorKind", "are", "bias_theoretical", "crlb",
-    "estimate_from_coefficients", "variance_theoretical",
+    "estimates", "variance_theoretical",
     "ExperimentConfig", "TrialReport", "compare_report", "run_experiment",
     "sample_binormal_block",
     "errors",

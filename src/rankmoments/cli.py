@@ -30,7 +30,7 @@ from .correlation import (PairedSample, inequality_check, kendall, pearson,
 from .errors import (ConvergenceError, CrossCheckError, DegenerateError,
                      DerivationError, DomainError, NegativeVarianceError,
                      RankMomentsError, SizeError, TieError)
-from .estimators import EstimatorKind, are, estimate_from_coefficients
+from .estimators import EstimatorKind, are, estimates
 from .formatting import format_fixed
 from .simulate import (ExperimentConfig, compare_report, format_report_csv,
                        run_experiment)
@@ -166,15 +166,16 @@ def cmd_estimate(args) -> int:
     r_s = spearman(sample)
     r_k = kendall(sample)
     daniel_ok, durbin_stuart_ok = inequality_check(r_s, r_k, n)
+    rho_hat = estimates(r_p, r_s, r_k, n)
     lines = [
         f"n={n}",
         f"r_p={format_fixed(r_p, p)}",
         f"r_s={format_fixed(r_s, p)}",
         f"r_k={format_fixed(r_k, p)}",
-        f"rho_hat_p={format_fixed(estimate_from_coefficients(EstimatorKind.PEARSON, r_p=r_p), p)}",
-        f"rho_hat_s={format_fixed(estimate_from_coefficients(EstimatorKind.SPEARMAN, r_s=r_s), p)}",
-        f"rho_hat_k={format_fixed(estimate_from_coefficients(EstimatorKind.KENDALL, r_k=r_k), p)}",
-        f"rho_hat_m={format_fixed(estimate_from_coefficients(EstimatorKind.MIXED, r_s=r_s, r_k=r_k, n=n), p)}",
+        f"rho_hat_p={format_fixed(rho_hat['pearson'], p)}",
+        f"rho_hat_s={format_fixed(rho_hat['spearman'], p)}",
+        f"rho_hat_k={format_fixed(rho_hat['kendall'], p)}",
+        f"rho_hat_m={format_fixed(rho_hat['mixed'], p)}",
         f"daniel_inequality={'ok' if daniel_ok else 'violated'}",
         f"durbin_stuart_inequality={'ok' if durbin_stuart_ok else 'violated'}",
     ]

@@ -75,15 +75,28 @@ def compute_ranks(sample: PairedSample) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
+def _pearson_rows(x: np.ndarray, y: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Product-moment correlation of each row of two (b, n) arrays (0 where
+    the centred sums of squares multiply to 0), and that product's root.
+    No BLAS: a row reads the same in any block and on any BLAS kernel."""
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    denom = np.sqrt((xc * xc).sum(axis=1) * (yc * yc).sum(axis=1))
+    r_p = np.where(denom > 0, (xc * yc).sum(axis=1) / np.maximum(denom, 1e-300),
+                   0.0)
+    return r_p, denom
+
+
 def pearson(sample: PairedSample) -> float:
     """Product-moment correlation of the raw values."""
-    x = sample.x - sample.x.mean()
-    y = sample.y - sample.y.mean()
-    sxx = float(x @ x)
-    syy = float(y @ y)
-    if sxx == 0.0 or syy == 0.0:
+    x, y = sample.x, sample.y
+    r_p, denom = _pearson_rows(x[None], y[None])
+    # a constant column whose mean rounds (six copies of 0.1) leaves
+    # centred values of roundoff size, so test max == min as well
+    if x.max() == x.min() or y.max() == y.min() or denom[0] == 0:
         raise DegenerateError("constant coordinate has zero variance")
-    return float(x @ y) / np.sqrt(sxx * syy)
+    return float(r_p[0])
 
 
 def _spearman_rows(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
@@ -177,6 +190,15 @@ def kendall(sample: PairedSample) -> float:
     """Pair-sign correlation, via the discordant count of the ranks."""
     p, q = compute_ranks(sample)
     return float(_kendall_rows(p[None], q[None])[0])
+
+
+def coefficients_rows(x: np.ndarray, y: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row (r_P, r_S, r_K) of two (b, n) arrays of tie-free samples,
+    bitwise equal to pearson, spearman and kendall of each row."""
+    rx = _ranks_rows(x)
+    ry = _ranks_rows(y)
+    return _pearson_rows(x, y)[0], _spearman_rows(rx, ry), _kendall_rows(rx, ry)
 
 
 def spearman_via_s(sample: PairedSample) -> tuple[float, SStatistic]:

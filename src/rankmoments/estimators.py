@@ -8,6 +8,8 @@ from __future__ import annotations
 import enum
 import math
 
+import numpy as np
+
 from .binormal import (cov_rs_rk_exact, lemma2_moments, omegas,
                        var_rs_exact)
 from .errors import DomainError, SizeError
@@ -20,31 +22,18 @@ class EstimatorKind(enum.Enum):
     MIXED = "mixed"
 
 
-def estimate_from_coefficients(kind: EstimatorKind, r_p: float | None = None,
-                               r_s: float | None = None,
-                               r_k: float | None = None,
-                               n: int | None = None) -> float:
-    """Map observed coefficients to a correlation estimate, clamped to [-1, 1]."""
-    if kind is EstimatorKind.PEARSON:
-        if r_p is None:
-            raise DomainError("pearson estimator needs r_p")
-        val = r_p
-    elif kind is EstimatorKind.SPEARMAN:
-        if r_s is None:
-            raise DomainError("spearman estimator needs r_s")
-        val = 2 * math.sin(math.pi * r_s / 6)
-    elif kind is EstimatorKind.KENDALL:
-        if r_k is None:
-            raise DomainError("kendall estimator needs r_k")
-        val = math.sin(math.pi * r_k / 2)
-    else:
-        if r_s is None or r_k is None:
-            raise DomainError("mixed estimator needs r_s and r_k")
-        if n is None or n <= 2:
-            raise SizeError("mixed estimator requires n > 2")
-        val = 2 * math.sin(math.pi * r_s / 6
-                           - math.pi / 2 * (r_k - r_s) / (n - 2))
-    return min(1.0, max(-1.0, val))
+def estimates(r_p, r_s, r_k, n: int) -> dict:
+    """The four estimates, clamped to [-1, 1] and keyed by EstimatorKind
+    value, from coefficients given as floats or as arrays of one shape."""
+    if n <= 2:
+        raise SizeError("mixed estimator requires n > 2")
+    arg = np.pi * r_s / 6 - np.pi / 2 * (r_k - r_s) / (n - 2)
+    return {
+        "pearson": np.clip(r_p, -1.0, 1.0),
+        "spearman": np.clip(2 * np.sin(np.pi * r_s / 6), -1.0, 1.0),
+        "kendall": np.clip(np.sin(np.pi * r_k / 2), -1.0, 1.0),
+        "mixed": np.clip(2 * np.sin(arg), -1.0, 1.0),
+    }
 
 
 def _sigma2_s(rho: float, n: int) -> float:

@@ -6,6 +6,10 @@ block results are reduced in block order. The output is therefore
 bit-identical for a given (config, seed) regardless of how many worker
 threads computed the blocks.
 
+Blocks take their coefficients from correlation.coefficients_rows and
+their estimates from estimators.estimates, the bodies that single
+samples and the estimate command use too.
+
 Per-block statistics are raw power sums shifted by the first block's
 means, so the final reduction reproduces two-pass central moments to
 near machine precision while remaining a fixed-order sum of
@@ -25,12 +29,16 @@ from .binormal import cov_rs_rk_exact, lemma2_moments, omegas, var_rs_exact
 from .contaminated import (ContaminationParams, expected_rk_contaminated,
                            expected_rs_contaminated, rival_formula_star,
                            sample_contaminated_block)
-from .correlation import _kendall_rows, _ranks_rows, _spearman_rows
+from .correlation import coefficients_rows
 from .errors import DomainError, ResourceError
-from .estimators import EstimatorKind, bias_theoretical, variance_theoretical
+from .estimators import (EstimatorKind, bias_theoretical, estimates,
+                         variance_theoretical)
 
 _BLOCK = 4096            # trials per block; each block has its own stream
 _BUDGET = 10 ** 9        # cap on trials * n per cell
+# absolute slack of every verdict: the sqrt(eps) error of asin near +-1,
+# which a cell of identical trials (se = 0) has no other way to absorb
+_VERDICT_ALLOWANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -152,20 +160,6 @@ def sample_binormal_block(rho: float, n: int, stream: np.random.Generator,
     return u, rho * u + math.sqrt(1 - rho * rho) * v
 
 
-def _coefficients_block(x: np.ndarray, y: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-trial (r_P, r_S, r_K) for a block of samples."""
-    xc = x - x.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    denom = np.sqrt((xc * xc).sum(axis=1) * (yc * yc).sum(axis=1))
-    r_p = np.where(denom > 0, (xc * yc).sum(axis=1) / np.maximum(denom, 1e-300),
-                   0.0)
-
-    rx = _ranks_rows(x)
-    ry = _ranks_rows(y)
-    return r_p, _spearman_rows(rx, ry), _kendall_rows(rx, ry)
-
-
 def _block_sums(values: dict, shifts: dict) -> dict:
     """Shifted raw power sums for every series, plus the rank cross terms."""
     out = {}
@@ -216,16 +210,8 @@ def _cell_block(config: ExperimentConfig, rho: float, n: int,
     else:
         params = replace(config.contamination, rho=rho)
         x, y = sample_contaminated_block(params, n, size, seed=stream)
-    r_p, r_s, r_k = _coefficients_block(x, y)
-    arg = np.pi * r_s / 6 - np.pi / 2 * (r_k - r_s) / (n - 2)
-    return {
-        "r_s": r_s,
-        "r_k": r_k,
-        "pearson": np.clip(r_p, -1.0, 1.0),
-        "spearman": np.clip(2 * np.sin(np.pi * r_s / 6), -1.0, 1.0),
-        "kendall": np.clip(np.sin(np.pi * r_k / 2), -1.0, 1.0),
-        "mixed": np.clip(2 * np.sin(arg), -1.0, 1.0),
-    }
+    r_p, r_s, r_k = coefficients_rows(x, y)
+    return {"r_s": r_s, "r_k": r_k, **estimates(r_p, r_s, r_k, n)}
 
 
 def _run_cell(config: ExperimentConfig, rho: float, n: int,
@@ -333,7 +319,7 @@ class ComparisonSummary:
 
 
 def compare_report(report: TrialReport, tol_sigmas: float) -> ComparisonSummary:
-    """Attach PASS/FAIL verdicts at the given sigma tolerance."""
+    """Attach PASS/FAIL verdicts at tol_sigmas standard errors plus 1e-8."""
     if not report.rows:
         raise DomainError("empty report")
     if not tol_sigmas > 0:
@@ -343,7 +329,8 @@ def compare_report(report: TrialReport, tol_sigmas: float) -> ComparisonSummary:
     for row in report.rows:
         if row.theory is None:
             verdict = "SKIP"
-        elif abs(row.empirical - row.theory) <= tol_sigmas * row.se:
+        elif (abs(row.empirical - row.theory)
+              <= tol_sigmas * row.se + _VERDICT_ALLOWANCE):
             verdict = "PASS"
         else:
             verdict = "FAIL"

@@ -1,6 +1,10 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from rankmoments.binormal import cov_rs_rk_exact, omegas, var_rs_exact
 from rankmoments.cli import main, parse_grid
 from rankmoments.errors import ConvergenceError, DomainError
 from rankmoments.formatting import format_fixed
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args, capsys):
@@ -195,6 +201,32 @@ class TestEstimate:
         assert abs(float(fields["r_k"]) - kendalltau(x, y)[0]) <= 1e-12
         assert peak < 50 * 2 ** 20
 
+    def test_independent_of_blas_kernel(self, tmp_path):
+        # no printed digit may depend on which OpenBLAS kernel
+        # DYNAMIC_ARCH picks; a BLAS dot for r_p moved its last digit
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(5000)
+        y = 0.5 * x + rng.standard_normal(5000)
+        f = tmp_path / "d.csv"
+        f.write_text("".join(f"{a!r},{b!r}\n"
+                             for a, b in zip(x.tolist(), y.tolist())))
+        outputs = []
+        for coretype in (None, "Prescott"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            proc = subprocess.run(
+                [sys.executable, "-m", "rankmoments.cli", "estimate",
+                 "--precision", "15", str(f)],
+                env=env, capture_output=True, text=True, check=False)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0].startswith("n=5000\n")
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_exit_3(self, tmp_path, capsys, cell):
         f = tmp_path / "d.csv"
@@ -203,8 +235,17 @@ class TestEstimate:
         assert code == 3
         assert err == "invalid input: sample values must be finite\n"
 
-    @pytest.mark.parametrize("rows", ["1,1\n1,2\n1,3\n1,4\n",
-                                      "1,5\n2,5\n3,5\n4,5\n"])
+    @pytest.mark.parametrize("rows", [
+        "1,1\n1,2\n1,3\n1,4\n",
+        "1,5\n2,5\n3,5\n4,5\n",
+        # the mean of these columns rounds, so their centred sum of
+        # squares is not exactly 0
+        "".join(f"0.7,{i}\n" for i in range(6)),
+        "".join(f"{i},0.7\n" for i in range(7)),
+        "".join(f"0.7,{i}\n" for i in range(11)),
+        "".join(f"0.1,{i}\n" for i in range(6)),
+        "".join(f"{i},{1 / 3!r}\n" for i in range(10)),
+    ])
     def test_constant_column_exit_3(self, tmp_path, capsys, rows):
         f = tmp_path / "d.csv"
         f.write_text(rows)
@@ -221,12 +262,25 @@ class TestEstimate:
 class TestSimulate:
     @pytest.mark.parametrize("sign", ["1", "-1"])
     def test_contaminated_perfect_correlation(self, capsys, sign):
-        # the mixed-pattern pair correlation is 1 + 1 ulp in magnitude here
-        code, out, _ = run(["simulate", "--model", "contaminated",
-                            "--rho", sign, "--rho-prime", sign,
-                            "--lambda", "0.1", "--epsilon", "0.1",
-                            "--n", "10", "--trials", "100"], capsys)
-        assert code == 0 and out.startswith("model,")
+        # the mixed-pattern pair correlation is 1 + 1 ulp in magnitude at
+        # lambda = 0.1; every trial is identical, so se = 0, and the exact
+        # means miss +-1 by asin roundoff (up to 2.4e-9 at lambda = 3)
+        for lam in ("0.1", "3"):
+            code, out, err = run(["simulate", "--model", "contaminated",
+                                  "--rho", sign, "--rho-prime", sign,
+                                  "--lambda", lam, "--epsilon", "0.1",
+                                  "--n", "10", "--trials", "100", "--strict"],
+                                 capsys)
+            assert code == 0 and out.startswith("model,")
+            assert err == "PASS=3 FAIL=0 SKIP=15\n"
+
+    @pytest.mark.parametrize("sign", ["1", "-1"])
+    def test_binormal_perfect_correlation_strict(self, capsys, sign):
+        # se = 0 in every row; the theory is off by at most 1e-12
+        code, _, err = run(["simulate", "--rho", sign, "--n", "10",
+                            "--trials", "200", "--strict"], capsys)
+        assert code == 0
+        assert err == "PASS=17 FAIL=0 SKIP=0\n"
 
     def test_basic_run(self, tmp_path, capsys):
         out_file = tmp_path / "report.csv"

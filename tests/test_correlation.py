@@ -10,7 +10,7 @@ from rankmoments.correlation import (_CHUNK_ELEMENTS, PairedSample,
                                      compute_ranks, inequality_check,
                                      inversions_rows, kendall, pearson,
                                      spearman, spearman_via_s)
-from rankmoments.errors import SizeError, TieError
+from rankmoments.errors import DegenerateError, SizeError, TieError
 
 
 def sample(x, y):
@@ -90,6 +90,18 @@ class TestFixtures:
     def test_too_small(self):
         with pytest.raises(SizeError):
             kendall(sample([1], [1]))
+
+    @pytest.mark.parametrize("values", [[1.0] * 4, [0.1] * 6, [0.7] * 6,
+                                        [0.7] * 7, [0.7] * 11, [1 / 3] * 10,
+                                        [1e-200, 2e-200, 3e-200, 4e-200]])
+    def test_constant_column_degenerate(self, values):
+        # a mean that rounds leaves centred values of roundoff size, and
+        # tiny values square to 0: both read as zero variance
+        ramp = list(range(len(values)))
+        with pytest.raises(DegenerateError):
+            pearson(sample(values, ramp))
+        with pytest.raises(DegenerateError):
+            pearson(sample(ramp, values))
 
 
 class TestProperties:

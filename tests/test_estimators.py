@@ -6,56 +6,53 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmoments.correlation import PairedSample, kendall, pearson, spearman
+from rankmoments.correlation import (PairedSample, coefficients_rows,
+                                     kendall, pearson, spearman)
 from rankmoments.errors import DomainError, SizeError, TieError
 from rankmoments.estimators import (EstimatorKind, are, bias_theoretical,
-                                    crlb, estimate_from_coefficients,
-                                    variance_theoretical)
+                                    crlb, estimates, variance_theoretical)
+
+
+def rho_hat(kind, r_p=0.0, r_s=0.0, r_k=0.0, n=10):
+    """One estimate from the coefficients it reads; the others are 0."""
+    return estimates(r_p, r_s, r_k, n)[kind.value]
 
 
 def estimate(kind, sample):
-    """Estimate of the population correlation from a tie-free sample,
-    computing only the coefficients the estimator reads."""
-    if kind is EstimatorKind.PEARSON:
-        return estimate_from_coefficients(kind, r_p=pearson(sample))
-    if kind is EstimatorKind.SPEARMAN:
-        return estimate_from_coefficients(kind, r_s=spearman(sample))
-    if kind is EstimatorKind.KENDALL:
-        return estimate_from_coefficients(kind, r_k=kendall(sample))
-    return estimate_from_coefficients(kind, r_s=spearman(sample),
-                                      r_k=kendall(sample), n=sample.n)
+    """Estimate of the population correlation from a tie-free sample."""
+    return estimates(pearson(sample), spearman(sample), kendall(sample),
+                     sample.n)[kind.value]
 
 
 class TestEstimate:
     def test_pearson_passthrough(self):
-        assert estimate_from_coefficients(EstimatorKind.PEARSON, r_p=0.42) == 0.42
+        assert rho_hat(EstimatorKind.PEARSON, r_p=0.42) == 0.42
 
     def test_spearman_map(self):
-        assert estimate_from_coefficients(EstimatorKind.SPEARMAN, r_s=1.0) == pytest.approx(
+        assert rho_hat(EstimatorKind.SPEARMAN, r_s=1.0) == pytest.approx(
             1.0, abs=1e-15)
-        assert estimate_from_coefficients(EstimatorKind.SPEARMAN, r_s=0.0) == 0.0
+        assert rho_hat(EstimatorKind.SPEARMAN, r_s=0.0) == 0.0
 
     def test_kendall_map(self):
-        assert estimate_from_coefficients(EstimatorKind.KENDALL, r_k=2 / 3) == pytest.approx(
+        assert rho_hat(EstimatorKind.KENDALL, r_k=2 / 3) == pytest.approx(
             math.sin(math.pi / 3), abs=1e-15)
 
     def test_mixed_equals_spearman_when_consistent(self):
         # if r_k happens to equal r_s the correction vanishes
-        rs = 0.5
-        assert estimate_from_coefficients(EstimatorKind.MIXED, r_s=rs, r_k=rs, n=10) == \
-            estimate_from_coefficients(EstimatorKind.SPEARMAN, r_s=rs)
+        got = estimates(0.0, 0.5, 0.5, 10)
+        assert got["mixed"] == got["spearman"]
 
     def test_clamped(self):
-        assert estimate_from_coefficients(EstimatorKind.MIXED, r_s=1.0, r_k=-1.0, n=3) >= -1.0
-        assert estimate_from_coefficients(EstimatorKind.MIXED, r_s=-1.0, r_k=1.0, n=3) <= 1.0
+        assert rho_hat(EstimatorKind.MIXED, r_s=1.0, r_k=-1.0, n=3) >= -1.0
+        assert rho_hat(EstimatorKind.MIXED, r_s=-1.0, r_k=1.0, n=3) <= 1.0
 
     def test_mixed_needs_n(self):
         with pytest.raises(SizeError):
-            estimate_from_coefficients(EstimatorKind.MIXED, r_s=0.5, r_k=0.4, n=2)
+            estimates(0.3, 0.5, 0.4, 2)
 
-    def test_missing_inputs(self):
-        with pytest.raises(DomainError):
-            estimate_from_coefficients(EstimatorKind.SPEARMAN, r_k=0.5)
+    def test_keys_are_kind_values(self):
+        assert list(estimates(0.1, 0.2, 0.3, 10)) == [
+            k.value for k in EstimatorKind]
 
 
 class TestAre:
@@ -145,16 +142,12 @@ class TestEstimateFromSample:
         return PairedSample(x=x, y=y)
 
     def test_matches_coefficient_path(self):
+        # a sample alone (float coefficients) and as one row of a Monte
+        # Carlo block (array coefficients) give the same bits
         s = self.sample()
-        assert estimate(EstimatorKind.PEARSON, s) == \
-            estimate_from_coefficients(EstimatorKind.PEARSON, r_p=pearson(s))
-        assert estimate(EstimatorKind.SPEARMAN, s) == \
-            estimate_from_coefficients(EstimatorKind.SPEARMAN, r_s=spearman(s))
-        assert estimate(EstimatorKind.KENDALL, s) == \
-            estimate_from_coefficients(EstimatorKind.KENDALL, r_k=kendall(s))
-        assert estimate(EstimatorKind.MIXED, s) == \
-            estimate_from_coefficients(EstimatorKind.MIXED, r_s=spearman(s),
-                                       r_k=kendall(s), n=s.n)
+        block = estimates(*coefficients_rows(s.x[None], s.y[None]), s.n)
+        for kind in EstimatorKind:
+            assert estimate(kind, s) == block[kind.value][0]
 
     def test_all_kinds_in_range(self):
         s = self.sample()
@@ -178,15 +171,15 @@ class TestMapMonotonicity:
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     def test_spearman_map_monotone(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        assert estimate_from_coefficients(EstimatorKind.SPEARMAN, r_s=lo) <= \
-            estimate_from_coefficients(EstimatorKind.SPEARMAN, r_s=hi)
+        assert rho_hat(EstimatorKind.SPEARMAN, r_s=lo) <= \
+            rho_hat(EstimatorKind.SPEARMAN, r_s=hi)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     def test_kendall_map_monotone(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        assert estimate_from_coefficients(EstimatorKind.KENDALL, r_k=lo) <= \
-            estimate_from_coefficients(EstimatorKind.KENDALL, r_k=hi)
+        assert rho_hat(EstimatorKind.KENDALL, r_k=lo) <= \
+            rho_hat(EstimatorKind.KENDALL, r_k=hi)
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
@@ -194,12 +187,10 @@ class TestMapMonotonicity:
     def test_mixed_map_monotone_in_each_argument(self, a, b, rk, n):
         lo, hi = min(a, b), max(a, b)
         # increasing in r_s for fixed r_k, decreasing in r_k for fixed r_s
-        assert estimate_from_coefficients(
-            EstimatorKind.MIXED, r_s=lo, r_k=rk, n=n) <= \
-            estimate_from_coefficients(EstimatorKind.MIXED, r_s=hi, r_k=rk, n=n)
-        assert estimate_from_coefficients(
-            EstimatorKind.MIXED, r_s=rk, r_k=hi, n=n) <= \
-            estimate_from_coefficients(EstimatorKind.MIXED, r_s=rk, r_k=lo, n=n)
+        assert rho_hat(EstimatorKind.MIXED, r_s=lo, r_k=rk, n=n) <= \
+            rho_hat(EstimatorKind.MIXED, r_s=hi, r_k=rk, n=n)
+        assert rho_hat(EstimatorKind.MIXED, r_s=rk, r_k=hi, n=n) <= \
+            rho_hat(EstimatorKind.MIXED, r_s=rk, r_k=lo, n=n)
 
 
 class TestBiasAnchors:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from rankmoments.contaminated import ContaminationParams
-from rankmoments.correlation import PairedSample, kendall, spearman
+from rankmoments.correlation import (PairedSample, coefficients_rows,
+                                     kendall, pearson, spearman)
 from rankmoments.errors import DomainError, ResourceError
 from rankmoments.simulate import (ExperimentConfig, ReportRow, TrialReport,
-                                  _coefficients_block, compare_report,
-                                  format_report_csv, run_experiment,
-                                  sample_binormal_block, threads_limit)
+                                  compare_report, format_report_csv,
+                                  run_experiment, sample_binormal_block,
+                                  threads_limit)
 
 
 def small_config(**kw):
@@ -43,7 +44,7 @@ class TestBlockKernel:
     def test_block_kendall_matches_single_sample(self, n):
         rng = np.random.default_rng(n)
         x, y = sample_binormal_block(0.5, n, rng, size=5)
-        r_k = _coefficients_block(x, y)[2]
+        r_k = coefficients_rows(x, y)[2]
         assert r_k.tolist() == [kendall(PairedSample(x=x[i], y=y[i]))
                                 for i in range(5)]
 
@@ -51,8 +52,16 @@ class TestBlockKernel:
     def test_block_spearman_matches_single_sample(self, n):
         rng = np.random.default_rng(n)
         x, y = sample_binormal_block(0.5, n, rng, size=300)
-        r_s = _coefficients_block(x, y)[1]
+        r_s = coefficients_rows(x, y)[1]
         assert r_s.tolist() == [spearman(PairedSample(x=x[i], y=y[i]))
+                                for i in range(300)]
+
+    @pytest.mark.parametrize("n", [10, 64, 65, 1000])
+    def test_block_pearson_matches_single_sample(self, n):
+        rng = np.random.default_rng(n)
+        x, y = sample_binormal_block(0.5, n, rng, size=300)
+        r_p = coefficients_rows(x, y)[0]
+        assert r_p.tolist() == [pearson(PairedSample(x=x[i], y=y[i]))
                                 for i in range(300)]
 
 
@@ -139,6 +148,16 @@ class TestVerdicts:
         rep = TrialReport(config=small_config())
         rep.rows = [row]
         assert compare_report(rep, 3.0).rows[0].verdict == "FAIL"
+
+    def test_zero_se_allowance(self):
+        # every trial identical: se = 0, and an asin-roundoff gap of
+        # 2.4e-9 passes while 2e-8 still fails
+        rep = TrialReport(config=small_config())
+        rep.rows = [ReportRow(model="binormal", rho=1.0, n=10, kind="r_k",
+                              metric="mean", empirical=1.0, theory=1.0 - gap,
+                              se=0.0) for gap in (0.0, 2.4e-9, 2e-8)]
+        verdicts = [r.verdict for r in compare_report(rep, 4.0).rows]
+        assert verdicts == ["PASS", "PASS", "FAIL"]
 
     def test_missing_theory_skipped(self):
         row = ReportRow(model="contaminated", rho=0.0, n=10, kind="r_s",
