@@ -90,7 +90,10 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray
 
 def pearson(sample: PairedSample) -> float:
     """Product-moment correlation of the raw values."""
-    x, y = sample.x, sample.y
+    # scaling a column by a power of two is exact and keeps its squares
+    # in range at any magnitude (the frexp exponent of 0 is 0)
+    x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+            for v in (sample.x, sample.y))
     r_p, denom = _pearson_rows(x[None], y[None])
     # a constant column whose mean rounds (six copies of 0.1) leaves
     # centred values of roundoff size, so test max == min as well

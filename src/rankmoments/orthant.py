@@ -1,11 +1,15 @@
 """Positive orthant probabilities of zero-mean multivariate normal vectors
 in dimensions 2-4.
 
-The quadrivariate case is reduced to three 1-D arcsine integrals, evaluated
-by adaptive Gauss-Kronrod quadrature in lock-step over a stack of
-matrices. Near-singular correlation matrices (needed at the correlation-one
-anchor points) are handled by a sine substitution that removes the
-endpoint singularity and by guarded evaluation of the arcsine argument.
+The quadrivariate case is reduced (Childs 1967) to three 1-D arcsine
+integrals, one leg per partner variable of Z1, all from one coefficient
+formula and evaluated by adaptive Gauss-Kronrod quadrature in lock-step
+over a stack of matrices. Near-singular correlation matrices (needed at the
+correlation-one anchor points) are handled by a sine substitution that
+removes the endpoint singularity; where a leg's partner coincides with
+another variable its arcsine argument is 0/0 and is taken as 0. Every
+arcsine argument, scalar or array, passes one clamp that forgives
+CLAMP_EPS of roundoff beyond 1.
 """
 
 from __future__ import annotations
@@ -44,11 +48,18 @@ class CorrelationMatrix4:
             raise DomainError("correlation matrix is not positive semidefinite")
 
 
+def _clamp_unit(r):
+    """r, a float or an array, clipped to [-1, 1]; |r| up to CLAMP_EPS
+    beyond 1 is taken as roundoff, more is an error."""
+    if not np.all(np.abs(r) <= 1 + CLAMP_EPS):
+        raise DomainError(f"arcsine argument of magnitude {np.max(np.abs(r))} "
+                          "exceeds 1")
+    return np.clip(r, -1.0, 1.0)
+
+
 def asin_clamped(r: float) -> float:
     """asin(r), with |r| up to CLAMP_EPS beyond 1 taken as roundoff."""
-    if not abs(r) <= 1 + CLAMP_EPS:
-        raise DomainError(f"arcsine argument {r} exceeds 1 in magnitude")
-    return math.asin(min(1.0, max(-1.0, r)))
+    return math.asin(_clamp_unit(r))
 
 
 def orthant_p2(rho12: float) -> float:
@@ -67,81 +78,40 @@ def orthant_p3(rho12: float, rho13: float, rho23: float) -> float:
 
 def _abg_coeffs(r: np.ndarray, ell: int):
     """Polynomial coefficients of alpha/beta/gamma in u^2 for leg ell in {1,2,3}
-    (0-based index of the partner variable). r is one 4x4 matrix, or a
-    (4, 4, M) stack that gives arrays of M coefficients."""
-    r12, r13, r14 = r[0, 1], r[0, 2], r[0, 3]
-    r23, r24, r34 = r[1, 2], r[1, 3], r[2, 3]
-    if ell == 1:
-        a0 = r34 - r23 * r24
-        a2 = r13 * r14 + r12 * (r12 * r34 - r14 * r23 - r13 * r24)
-        b0, b2 = 1 - r23 ** 2, r12 ** 2 + r13 ** 2 - 2 * r12 * r13 * r23
-        g0, g2 = 1 - r24 ** 2, r12 ** 2 + r14 ** 2 - 2 * r12 * r14 * r24
-    elif ell == 2:
-        a0 = r24 - r23 * r34
-        a2 = r12 * r14 + r13 * (r13 * r24 - r14 * r23 - r12 * r34)
-        b0, b2 = 1 - r23 ** 2, r12 ** 2 + r13 ** 2 - 2 * r12 * r13 * r23
-        g0, g2 = 1 - r34 ** 2, r13 ** 2 + r14 ** 2 - 2 * r13 * r14 * r34
-    else:
-        a0 = r23 - r24 * r34
-        a2 = r12 * r13 + r14 * (r14 * r23 - r13 * r24 - r12 * r34)
-        b0, b2 = 1 - r24 ** 2, r12 ** 2 + r14 ** 2 - 2 * r12 * r14 * r24
-        g0, g2 = 1 - r34 ** 2, r13 ** 2 + r14 ** 2 - 2 * r13 * r14 * r34
+    (0-based index j of the partner variable, k < l the other two). r is one
+    4x4 matrix, or a (4, 4, M) stack that gives arrays of M coefficients;
+    only its upper triangle is read."""
+    j = ell
+    k, l = (i for i in (1, 2, 3) if i != j)
+    r1j, r1k, r1l = r[0, j], r[0, k], r[0, l]
+    rjk, rjl, rkl = r[min(j, k), max(j, k)], r[min(j, l), max(j, l)], r[k, l]
+    a0 = rkl - rjk * rjl
+    a2 = r1k * r1l + r1j * (r1j * rkl - r1l * rjk - r1k * rjl)
+    b0, b2 = 1 - rjk ** 2, r1j ** 2 + r1k ** 2 - 2 * r1j * r1k * rjk
+    g0, g2 = 1 - rjl ** 2, r1j ** 2 + r1l ** 2 - 2 * r1j * r1l * rjl
     return a0, a2, b0, b2, g0, g2
 
 
 def _arcsine_ratio(u2: np.ndarray, coeffs) -> np.ndarray:
-    """arcsin(alpha / (beta*gamma)) with degenerate-limit guards.
+    """arcsin(alpha / (beta*gamma)), each coefficient broadcasting against
+    u2, e.g. as a (K, 1) column for the K rows of a lock-step integrand.
 
-    Each coefficient broadcasts against u2, e.g. as a (K, 1) column for
-    the K rows of a lock-step integrand.
+    Where beta*gamma vanishes (a degenerate matrix whose partner variable
+    coincides with another one) alpha must vanish too, and the 0/0 ratio
+    is taken as 0.
     """
     a0, a2, b0, b2, g0, g2 = coeffs
     alpha = a0 - a2 * u2
     beta2 = np.maximum(b0 - b2 * u2, 0.0)
     gamma2 = np.maximum(g0 - g2 * u2, 0.0)
     bg = np.sqrt(beta2 * gamma2)
-    out = np.empty_like(alpha)
-    tiny = bg < _BG_FLOOR
-    if tiny.any():
-        # 0/0 limit at a degenerate matrix; approach along decreasing u
-        for i in zip(*np.nonzero(tiny)):
-            if abs(alpha[i]) < _BG_FLOOR:
-                out[i] = _ratio_limit(u2[i], [np.broadcast_to(c, u2.shape)[i]
-                                              for c in coeffs])
-            else:
-                raise DomainError("arcsine argument diverges: beta*gamma -> 0 "
-                                  "with nonvanishing alpha")
-    ok = ~tiny
+    ok = bg >= _BG_FLOOR
+    if (~ok & (np.abs(alpha) >= _BG_FLOOR)).any():
+        raise DomainError("arcsine argument diverges: beta*gamma -> 0 "
+                          "with nonvanishing alpha")
     ratio = np.zeros_like(alpha)
     np.divide(alpha, bg, out=ratio, where=ok)
-    over = ok & (np.abs(ratio) > 1)
-    if over.any():
-        if np.abs(ratio[over]).max() > 1 + CLAMP_EPS:
-            raise DomainError("arcsine argument exceeds 1 beyond the clamp margin")
-        ratio[over] = np.sign(ratio[over])
-    out[ok] = np.arcsin(ratio[ok])
-    return out
-
-
-def _ratio_limit(u2: float, coeffs) -> float:
-    """One-sided limit of arcsin(alpha/(beta*gamma)) by step halving in u."""
-    a0, a2, b0, b2, g0, g2 = coeffs
-    u = math.sqrt(max(u2, 0.0))
-    h = max(1e-4, 1e-4 * u)
-    prev = None
-    for _ in range(40):
-        uu = max(u - h, 0.0)
-        v2 = uu * uu
-        alpha = a0 - a2 * v2
-        bg = math.sqrt(max(b0 - b2 * v2, 0.0) * max(g0 - g2 * v2, 0.0))
-        if bg >= _BG_FLOOR:
-            ratio = min(1.0, max(-1.0, alpha / bg))
-            val = math.asin(ratio)
-            if prev is not None and abs(val - prev) < 1e-12:
-                return val
-            prev = val
-        h *= 0.5
-    return prev if prev is not None else 0.0
+    return np.arcsin(_clamp_unit(ratio))
 
 
 def _plain_leg(u, r1l, *coeffs):

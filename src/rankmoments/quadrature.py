@@ -92,7 +92,6 @@ def integrate_adaptive(
     a: float | np.ndarray,
     b: float | np.ndarray,
     abs_tol: float | np.ndarray,
-    max_subdivisions: int = MAX_SUBDIVISIONS,
     *,
     indexed: bool = False,
 ) -> float | np.ndarray:
@@ -113,7 +112,8 @@ def integrate_adaptive(
     storage grows by one column per round actually run.
 
     Raises ConvergenceError, naming the interval, if an integral exhausts
-    its subdivision budget before its summed error estimate reaches abs_tol.
+    its budget of MAX_SUBDIVISIONS bisections (read at call time) before
+    its summed error estimate reaches abs_tol.
     """
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     a, b, tol = np.broadcast_arrays(
@@ -135,7 +135,7 @@ def integrate_adaptive(
     val, err = evaluate(rows, lo, hi)
     panels = np.stack([lo, hi, val, err], axis=-1)
     total_val, total_err = val[:, 0].copy(), err[:, 0].copy()
-    for subdivisions in range(max_subdivisions + 1):
+    for subdivisions in range(MAX_SUBDIVISIONS + 1):
         done = total_err <= tol[rows]
         if done.any():
             values[rows[done]] = total_val[done]
@@ -144,7 +144,7 @@ def integrate_adaptive(
                 v[keep] for v in (rows, panels, total_val, total_err))
         if rows.size == 0:
             return float(values[0]) if scalar else values
-        if subdivisions == max_subdivisions:
+        if subdivisions == MAX_SUBDIVISIONS:
             break
         # the heap order of a lone run: largest error, then lowest first end
         err = panels[..., 3]
@@ -164,7 +164,7 @@ def integrate_adaptive(
     k = rows[0]
     raise ConvergenceError(
         f"quadrature on [{a[k]}, {b[k]}] stalled at error {total_err[0]:.3e} "
-        f"(target {tol[k]:.3e}) after {max_subdivisions} subdivisions")
+        f"(target {tol[k]:.3e}) after {MAX_SUBDIVISIONS} subdivisions")
 
 
 class Family(NamedTuple):

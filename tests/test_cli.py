@@ -1,4 +1,3 @@
-import functools
 import math
 import os
 import subprocess
@@ -10,7 +9,6 @@ import numpy as np
 import pytest
 from scipy.stats import kendalltau
 
-from rankmoments import quadrature
 from rankmoments.binormal import cov_rs_rk_exact, omegas, var_rs_exact
 from rankmoments.cli import main, parse_grid
 from rankmoments.errors import ConvergenceError, DomainError
@@ -99,10 +97,7 @@ class TestTables:
         # a real stall inside a whole-grid pass: two bisections per integral
         omegas(0.5)  # the one-time pattern validation runs here
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
-        monkeypatch.setattr(
-            "rankmoments.quadrature.integrate_adaptive",
-            functools.partial(quadrature.integrate_adaptive,
-                              max_subdivisions=2))
+        monkeypatch.setattr("rankmoments.quadrature.MAX_SUBDIVISIONS", 2)
         target = tmp_path / "t.csv"
         code, out, err = run(["tables", "--grid", "0(0.05)1",
                               "--out", str(target)], capsys)
@@ -234,6 +229,21 @@ class TestEstimate:
         code, _, err = run(["estimate", str(f)], capsys)
         assert code == 3
         assert err == "invalid input: sample values must be finite\n"
+
+    @pytest.mark.parametrize("scale", ["e200", "e-170"])
+    def test_extreme_scale_pearson(self, tmp_path, scale):
+        # squaring these x overflows (e200) or underflows (e-170) unless
+        # the columns are rescaled first; run fresh to see stderr whole
+        f = tmp_path / "d.csv"
+        f.write_text(f"1{scale},1\n2{scale},3\n3{scale},2\n4{scale},4\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankmoments.cli", "estimate", str(f)],
+            env=env, capture_output=True, text=True, check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "r_p=0.8000000000\n" in proc.stdout
 
     @pytest.mark.parametrize("rows", [
         "1,1\n1,2\n1,3\n1,4\n",

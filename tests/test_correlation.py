@@ -92,16 +92,23 @@ class TestFixtures:
             kendall(sample([1], [1]))
 
     @pytest.mark.parametrize("values", [[1.0] * 4, [0.1] * 6, [0.7] * 6,
-                                        [0.7] * 7, [0.7] * 11, [1 / 3] * 10,
-                                        [1e-200, 2e-200, 3e-200, 4e-200]])
+                                        [0.7] * 7, [0.7] * 11, [1 / 3] * 10])
     def test_constant_column_degenerate(self, values):
-        # a mean that rounds leaves centred values of roundoff size, and
-        # tiny values square to 0: both read as zero variance
+        # a mean that rounds leaves centred values of roundoff size, which
+        # must still read as zero variance
         ramp = list(range(len(values)))
         with pytest.raises(DegenerateError):
             pearson(sample(values, ramp))
         with pytest.raises(DegenerateError):
             pearson(sample(ramp, values))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_scale_column(self, scale):
+        # unscaled, the squares of this column underflow to 0 (read as
+        # zero variance) or overflow to inf (r = 0)
+        values = [scale, 2 * scale, 3 * scale, 4 * scale]
+        for x, y in ((values, [1, 3, 2, 4]), ([1, 3, 2, 4], values)):
+            assert pearson(sample(x, y)) == pytest.approx(0.8, abs=1e-15)
 
 
 class TestProperties:

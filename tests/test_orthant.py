@@ -7,8 +7,9 @@ from scipy.stats import qmc
 
 from rankmoments import binormal
 from rankmoments.errors import DomainError
-from rankmoments.orthant import (CorrelationMatrix4, _abg_coeffs, orthant_p2,
-                                 orthant_p3, orthant_p4, w_integral)
+from rankmoments.orthant import (CorrelationMatrix4, _abg_coeffs,
+                                 _arcsine_ratio, orthant_p2, orthant_p3,
+                                 orthant_p4, w_integral)
 from rankmoments.quadrature import CLAMP_EPS
 
 
@@ -63,6 +64,20 @@ class TestP4:
         # Z2 == Z1, Z3 and Z4 free: (1/2)(1/4) = 1/8
         m = mat(r12=1.0)
         assert orthant_p4(m) == pytest.approx(0.125, abs=1e-9)
+
+    @pytest.mark.parametrize("m, expected", [
+        # Z2 == Z3: the orthant of (Z1, Z2, Z4)
+        (mat(r12=0.4, r13=0.4, r14=0.2, r23=1.0, r24=0.3, r34=0.3),
+         orthant_p3(0.4, 0.2, 0.3)),
+        # Z1 == Z2 == Z3: the orthant of (Z1, Z4)
+        (mat(r12=1.0, r13=1.0, r23=1.0, r14=0.5, r24=0.5, r34=0.5), 1 / 3),
+        # Z2 == -Z3: disjoint half-spaces
+        (mat(r12=0.4, r13=-0.4, r14=0.2, r23=-1.0, r24=0.3, r34=-0.3), 0.0),
+    ], ids=["Z2=Z3", "Z1=Z2=Z3", "Z2=-Z3"])
+    def test_partner_coincides(self, m, expected):
+        # a leg whose partner coincides with another variable has
+        # alpha = beta*gamma = 0 at its nodes: the 0/0 ratio is taken as 0
+        assert orthant_p4(m) == pytest.approx(expected, abs=1e-12)
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(3)
@@ -153,3 +168,16 @@ class TestIntegrandTerms:
                 assert (beta > 0).all() and (gamma > 0).all()
                 assert (np.abs((a0 - a2 * u2) / (beta * gamma))
                         <= 1 + CLAMP_EPS).all()
+
+    def test_arcsine_ratio_guards(self):
+        u2 = np.array([0.0, 0.25, 0.81])
+
+        def ratio(a0, b0):
+            return _arcsine_ratio(u2, (a0, 0.0, b0, 0.0, 1.0, 0.0))
+
+        assert ratio(0.0, 0.0).tolist() == [0.0] * 3
+        with pytest.raises(DomainError):
+            ratio(0.5, 0.0)
+        assert ratio(1 + CLAMP_EPS / 2, 1.0).tolist() == [math.pi / 2] * 3
+        with pytest.raises(DomainError):
+            ratio(1 + 2 * CLAMP_EPS, 1.0)

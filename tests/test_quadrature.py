@@ -39,15 +39,16 @@ def test_near_singular_endpoint():
     assert abs(val - math.pi / 2) < 1e-7
 
 
-def test_budget_exhaustion():
+def test_budget_exhaustion(monkeypatch):
     rng = np.random.default_rng(0)
     spikes = rng.random(64)
 
     def jagged(x):
         return np.cos(1e7 * x) / np.sqrt(np.abs(x - spikes[0]) + 1e-15)
 
+    monkeypatch.setattr("rankmoments.quadrature.MAX_SUBDIVISIONS", 4)
     with pytest.raises(ConvergenceError):
-        integrate_adaptive(jagged, 0.0, 1.0, 1e-15, max_subdivisions=4)
+        integrate_adaptive(jagged, 0.0, 1.0, 1e-15)
 
 
 @settings(max_examples=50, deadline=None)
@@ -113,7 +114,7 @@ def test_lock_step_matches_one_at_a_time():
                     for j in range(max(bisections) + 1)]
 
 
-def test_lock_step_stall_names_its_interval():
+def test_lock_step_stall_names_its_interval(monkeypatch):
     def f(nodes):
         x, rows = nodes
         out = np.sin(x)
@@ -122,8 +123,10 @@ def test_lock_step_stall_names_its_interval():
         return out
 
     a, b = np.array([0.0, 0.25, 0.0]), np.array([1.0, 0.75, 2.0])
+    monkeypatch.setattr("rankmoments.quadrature.MAX_SUBDIVISIONS", 4)
     with pytest.raises(ConvergenceError, match=r"on \[0\.25, 0\.75\] stalled"):
-        integrate_adaptive(f, a, b, 1e-13, max_subdivisions=4, indexed=True)
+        integrate_adaptive(f, a, b, 1e-13, indexed=True)
+    monkeypatch.undo()
     # the other two converge on their own
     assert integrate_adaptive(np.sin, a[[0, 2]], b[[0, 2]], 1e-13).tolist() \
         == [integrate_adaptive(np.sin, 0.0, 1.0, 1e-13),
