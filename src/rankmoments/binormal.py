@@ -14,7 +14,9 @@ Each template is split once into (same, cross), the pattern matrix being
 same + rho * cross. On first use the pairs are checked as correlation
 matrices at rho = -1 and rho = 1, which covers every |rho| <= 1, then
 against exact anchor values at rho = 0 and rho = 1 and against four
-internal W-identities; failure raises DerivationError.
+internal W-identities; failure raises DerivationError. Each omegas pass
+checks omega3, a sum of W by Childs's (1967) reduction, against 1/18 + I,
+I the integral of its Plackett (1954) derivative; omega4 = pi^2 / 2 * I.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import numpy as np
 
 from .errors import (CrossCheckError, DerivationError, DomainError,
                      NegativeVarianceError)
-from .orthant import CorrelationMatrix4, _p4_from_w, w_integral, w_legs
+from .orthant import (CorrelationMatrix4, _clamp_unit, _p4_from_w, w_integral,
+                      w_legs)
 from .quadrature import ABS_TOL, Family, integrate_families
 
 _NEG_CLAMP = -1e-10
@@ -167,43 +170,56 @@ _omega_lock = threading.Lock()
 _OMEGA_AT_1 = (1.0, 16 / 3, 0.5)
 
 # the eight patterns the omegas read, as (8, 4, 4) same and cross stacks
-_OMEGA_LETTERS = "cdfghlno"
 _OMEGA_SAME, _OMEGA_CROSS = (
-    np.stack(part) for part in zip(*(_PATTERNS[c] for c in _OMEGA_LETTERS)))
+    np.stack(part) for part in zip(*(_PATTERNS[c] for c in "cdfghlno")))
 
-# rho per lock-step pass: about 12 * 19 W legs plus 12 * 5 omega4 pieces,
-# which keeps a pass's arrays near 1 MB for a grid of any length
+# rho per lock-step pass: about 12 * 19 W legs plus 12 Plackett integrals
+# keep a pass's arrays near 1 MB for a grid of any length
 _RHOS_PER_PASS = 12
 
-
-# omega4 is a sum of five 1-D integrals over [0, rho]. The first integrand
-# carries a 1/sqrt(1-x^2) factor; x = sin(t) removes it, so that piece runs
-# over [0, asin(rho)] instead.
-def _omega4_f1(t):
-    x = np.sin(t)
-    return np.arcsin(x / 3) + 2 * np.arcsin(x / np.sqrt(3))
+_ROUTE_TOL = 1e-9  # largest |omega3 - (1/18 + I)| a pass accepts
 
 
-def _omega4_f2(x):
-    return -2 * np.arcsin(x / 2 * np.sqrt((1 - x * x) / (9 - 3 * x * x))) \
-        / np.sqrt(4 - x * x)
+def _plackett_terms(weights: dict):
+    """Terms of Plackett's (1954) d/drho of sum weight * W[label], 4/pi^2
+    times the sum of coef * asin(r_kl.ij) / sqrt(1 - r_ij^2) over pairs i < j
+    with cross_ij != 0, r_kl.ij the partial correlation of k < l given i, j:
+    (same, cross) entries ij, ik, il, jk, jl, kl as (T, 6), coef (T,)."""
+    rows = []
+    for label, weight in weights.items():
+        for i, j in zip(*np.triu_indices(4, 1)):
+            order = [i, j] + [a for a in range(4) if a not in (i, j)]
+            s, c = (m[np.ix_(order, order)][np.triu_indices(4, 1)]
+                    for m in _PATTERNS[label])
+            if c[0] != 0.0:
+                rows.append((s, c, weight * c[0]))
+    return tuple(np.array(part) for part in zip(*rows))
 
 
-def _omega4_f3(x):
-    return np.arcsin(x / 2 * (5 - x * x) / (3 - x * x)) / np.sqrt(4 - x * x)
+# omega3 = W_g / 2 + W_h
+_OMEGA3_TERMS = _plackett_terms({"g": 0.5, "h": 1.0})
 
 
-def _omega4_f4(x):
-    return -2 * np.arcsin(x * np.sqrt((1 - x * x) / (12 - 6 * x * x))) \
-        / np.sqrt(4 - x * x)
-
-
-def _omega4_f5(x):
-    return 2 * np.arcsin(x * np.sqrt((3 - x * x) / (4 - 2 * x * x))) \
-        / np.sqrt(4 - x * x)
-
-
-_OMEGA4_PIECES = (_omega4_f1, _omega4_f2, _omega4_f3, _omega4_f4, _omega4_f5)
+def _omega3_rate(theta):
+    """d omega3 / d theta at rho = sin(theta), for an (R, m) array of nodes,
+    from the terms of _OMEGA3_TERMS summed left to right, without BLAS."""
+    same, cross, coef = _OMEGA3_TERMS
+    sin, cos = np.sin(theta)[..., None], np.cos(theta)[..., None]
+    r_ij, r_ik, r_il, r_jk, r_jl, r_kl = np.moveaxis(
+        same + sin[..., None] * cross, -1, 0)
+    # q = 1 - r_ij^2 (r_ij = cross_ij sin): cos/sqrt(q) = 1 at |cross_ij| = 1
+    q = cos * cos + (1 - cross[:, 0] ** 2) * (sin * sin)
+    # (1 - r_ij^2) times the covariances of k and l given i and j
+    c_kk = q - (r_ik * r_ik + r_jk * r_jk - 2 * r_ij * r_ik * r_jk)
+    c_ll = q - (r_il * r_il + r_jl * r_jl - 2 * r_ij * r_il * r_jl)
+    c_kl = q * r_kl - (r_ik * r_il + r_jk * r_jl
+                       - r_ij * (r_ik * r_jl + r_jk * r_il))
+    # a 0/0 ratio is taken as 0, as in the Childs legs
+    denom = np.sqrt(np.maximum(c_kk * c_ll, 0.0))
+    ratio = c_kl / np.where(denom > 0.0, denom, np.inf)
+    terms = coef * np.arcsin(_clamp_unit(ratio)) / np.sqrt(q)
+    total = np.add.accumulate(terms, axis=-1)[..., -1]
+    return 4 / math.pi ** 2 * cos[..., 0] * total
 
 
 def omegas(rho):
@@ -213,9 +229,11 @@ def omegas(rho):
 
     Values are cached per rho. The rho not in the cache are computed
     _RHOS_PER_PASS at a time, each group in one lock-step pass over the
-    arcsine legs of its eight pattern matrices and its five omega4
-    pieces; every integral keeps its own bisections, so a value does not
-    depend on the rho it was computed with.
+    Childs legs of its eight pattern matrices and one Plackett integral I
+    of omega3 per rho, omega4 being pi^2 / 2 * I. Each integral keeps its
+    own bisections, so a value does not depend on the rho it was computed
+    with. Raises CrossCheckError if omega3 and 1/18 + I differ by more
+    than _ROUTE_TOL.
     """
     single = isinstance(rho, numbers.Real)
     rhos = [rho] if single else list(rho)
@@ -239,18 +257,14 @@ def _omega_pass(rhos: list) -> dict:
     inner = [r for r in rhos if abs(r) < 1]
     stack = _OMEGA_SAME + np.array(inner)[:, None, None, None] * _OMEGA_CROSS
     legs, fold = w_legs(stack.reshape(-1, 4, 4))
-    # pattern matrices are exactly singular at |rho| = 1 (exact values
-    # below), and omega4 vanishes at rho = 0
-    tilted = [r for r in rhos if r != 0.0]
-    uppers = [np.array([math.asin(r) if r >= 0 else -math.asin(-r)
-                        for r in tilted])] + [np.array(tilted)] * 4
-    pieces = [Family(g, np.zeros(len(tilted)), upper, ABS_TOL / 5)
-              for g, upper in zip(_OMEGA4_PIECES, uppers)]
-    values = integrate_families(legs + pieces)
-    w = dict(zip(inner, fold(*values[:2]).reshape(-1, 8).tolist()))
-    o4 = dict(zip(tilted, sum(values[3:], values[2]).tolist()))
+    # rho = sin(theta) on [0, asin(rho)], an empty interval at rho = 0
+    uppers = np.array([math.copysign(math.asin(abs(r)), r) for r in rhos])
+    *values, rate = integrate_families(legs + [Family(
+        _omega3_rate, np.zeros(len(rhos)), uppers, 2 * ABS_TOL / math.pi ** 2)])
+    w = dict(zip(inner, fold(*values).reshape(-1, 8).tolist()))
     out = {}
-    for r in rhos:
+    for r, integral in zip(rhos, rate.tolist()):
+        # pattern matrices are exactly singular at |rho| = 1
         if abs(r) == 1.0:
             o1, o2, o3 = _OMEGA_AT_1
         else:
@@ -258,13 +272,17 @@ def _omega_pass(rhos: list) -> dict:
             o1 = c + 8 * d + 2 * f
             o2 = 6 * g + 8 * h + 6 * l + 2 * n + o + 1 / 3
             o3 = 0.5 * g + h
-        out[r] = OmegaValues(o1, o2, o3, o4.get(r, 0.0))
+        if not abs(o3 - (1 / 18 + integral)) <= _ROUTE_TOL:
+            raise CrossCheckError(
+                f"omega3 cross-check failed at rho={r}: Childs {o3!r} vs "
+                f"Plackett {1 / 18 + integral!r}")
+        out[r] = OmegaValues(o1, o2, o3, math.pi ** 2 / 2 * integral)
     return out
 
 
 def omega4(rho: float) -> float:
-    """Integral form of the covariance ingredient, as five 1-D integrals:
-    the omega4 field of omegas(rho)."""
+    """Integral form of the covariance ingredient, pi^2 (omega3 - 1/18) / 2
+    from the Plackett route: the omega4 field of omegas(rho)."""
     return omegas(rho).omega4
 
 
@@ -327,43 +345,26 @@ def var_rs_asymptotic(rho: float, n: int) -> float:
     return _clamp_variance(v, "asymptotic var(r_S)")
 
 
-_COROLLARY_TOL = 1e-9
-
-
 def cov_rs_rk_exact(rho: float, n: int) -> float:
-    """Exact finite-n covariance between the two rank coefficients.
-
-    Evaluated from the orthant-quadrature ingredient and cross-checked
-    against the independent integral form; disagreement beyond 1e-9
-    signals a quadrature failure.
-    """
+    """Exact finite-n covariance between the two rank coefficients, from
+    omega3; omegas checks omega3 against a second route."""
     if n < 4:
         raise DomainError("exact covariance requires n >= 4")
     om = omegas(rho)
-    thm = _cov_form(rho, n, (7 * n - 5) / 18, (n - 2) * (n - 3) * om.omega3)
-    cor = _cov_form(rho, n, (n + 1) ** 2 / 18,
-                    2 * (n - 2) * (n - 3) * om.omega4 / math.pi ** 2)
-    if abs(thm - cor) > _COROLLARY_TOL:
-        raise CrossCheckError(
-            f"covariance cross-check failed at rho={rho}, n={n}: "
-            f"{thm} vs {cor}")
-    return thm
-
-
-def _cov_form(rho: float, n: int, lead: float, tail: float) -> float:
-    # the two covariance forms share every term but the first and last
     s1, s2 = math.asin(rho), math.asin(rho / 2)
     pi2 = math.pi ** 2
     return 12 / (n * (n * n - 1)) * (
-        lead
+        (7 * n - 5) / 18
         + (n - 4) * s1 * s1 / pi2
         - 5 * (n - 2) * s2 * s2 / pi2
         - 6 * (n - 2) ** 2 * s1 * s2 / pi2
-        + tail)
+        + (n - 2) * (n - 3) * om.omega3)
 
 
 def cov_rs_rk_asymptotic(rho: float, n: int) -> float:
     """Leading-order covariance between the two rank coefficients."""
+    if n < 1:
+        raise DomainError("need n >= 1")
     om = omegas(rho)
     s1, s2 = math.asin(rho), math.asin(rho / 2)
     return 12 / n * (om.omega3 - 6 * s1 * s2 / math.pi ** 2)
@@ -381,7 +382,5 @@ def cov_series_asymptotic(rho: float, n: int) -> float:
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    acc = 0.0
-    for k, c in enumerate(_SERIES_COEFFS):
-        acc += c * rho ** (2 * k)
+    acc = sum(c * rho ** (2 * k) for k, c in enumerate(_SERIES_COEFFS))
     return 2 / (3 * n) * acc

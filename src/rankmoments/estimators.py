@@ -116,8 +116,12 @@ def are(kind: EstimatorKind, rho: float) -> float:
     if kind is EstimatorKind.KENDALL:
         if abs(rho) == 1.0:
             return _ARE_K_AT_1
-        s2 = math.asin(rho / 2)
-        return 9 * (1 - rho * rho) / (math.pi ** 2 - 36 * s2 * s2)
+        # 9 q / (pi^2 - 36 s^2) with pi/6 - s = asin(q / (sqrt(4 - r^2) +
+        # sqrt(3) r)), which does not cancel as |rho| -> 1
+        r = abs(rho)
+        q, s = (1 - r) * (1 + r), math.asin(r / 2)
+        return q / (4 * (math.pi / 6 + s)
+                    * math.asin(q / (math.sqrt(4 - r * r) + math.sqrt(3) * r)))
     # the rank-based and mixed estimators share the same limit
     if abs(rho) == 1.0:
         return _ARE_S_AT_1

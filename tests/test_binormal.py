@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from rankmoments import binormal
 from rankmoments.binormal import (cov_rs_rk_asymptotic,
@@ -39,8 +40,61 @@ class TestAnchors:
         assert omega4(1.0) == pytest.approx(2 * math.pi ** 2 / 9, abs=1e-9)
 
     def test_omega4_even(self):
-        # all five integrands are odd, so the integral is even in rho
+        # omega3 is even in rho, so the Plackett integrand is odd in theta
+        # and its integral from 0 is even
         assert omega4(-0.4) == pytest.approx(omega4(0.4), abs=1e-11)
+
+
+# The paper's form of omega4: five 1-D integrals, the first over
+# [0, asin(rho)] in the sine variable, the others over [0, rho].
+def _omega4_f1(t):
+    x = math.sin(t)
+    return math.asin(x / 3) + 2 * math.asin(x / math.sqrt(3))
+
+
+def _omega4_f2(x):
+    return -2 * math.asin(x / 2 * math.sqrt((1 - x * x) / (9 - 3 * x * x))) \
+        / math.sqrt(4 - x * x)
+
+
+def _omega4_f3(x):
+    return math.asin(x / 2 * (5 - x * x) / (3 - x * x)) / math.sqrt(4 - x * x)
+
+
+def _omega4_f4(x):
+    return -2 * math.asin(x * math.sqrt((1 - x * x) / (12 - 6 * x * x))) \
+        / math.sqrt(4 - x * x)
+
+
+def _omega4_f5(x):
+    return 2 * math.asin(x * math.sqrt((3 - x * x) / (4 - 2 * x * x))) \
+        / math.sqrt(4 - x * x)
+
+
+class TestOmega4Oracle:
+    """omega4 from the Plackett route against the paper's five integrals,
+    integrated by QUADPACK (scipy), an engine independent of the
+    package's."""
+
+    @staticmethod
+    def _oracle(rho):
+        pieces = [(_omega4_f1, math.asin(rho))] + [
+            (f, rho) for f in (_omega4_f2, _omega4_f3, _omega4_f4, _omega4_f5)]
+        total = 0.0
+        with warnings.catch_warnings():
+            # QUADPACK flags roundoff when 1e-14 is near its limit; the
+            # error estimate it returns is checked instead
+            warnings.simplefilter("ignore", IntegrationWarning)
+            for f, upper in pieces:
+                value, err = quad(f, 0.0, upper, epsabs=1e-14, epsrel=0.0,
+                                  limit=200)
+                assert err < 1e-13
+                total += value
+        return total
+
+    @pytest.mark.parametrize("rho", [-1.0, -0.7, 0.2, 0.6, 0.9, 0.99, 1.0])
+    def test_matches_paper_form(self, rho):
+        assert abs(omega4(rho) - self._oracle(rho)) <= 1e-12
 
 
 class TestWIdentities:
@@ -94,15 +148,32 @@ class TestVarianceSpecialCases:
 
 class TestCovariance:
     def test_two_routes_agree(self):
-        # the call itself cross-checks the quadrature route against the
-        # independent integral route and raises on disagreement
+        # every omegas pass checks Childs's omega3 against the Plackett
+        # route and raises on disagreement
         for rho in (0.1, 0.5, 0.8):
             cov_rs_rk_exact(rho, 12)
 
     def test_disagreement_raises_cross_check_error(self, monkeypatch):
-        monkeypatch.setattr("rankmoments.binormal._COROLLARY_TOL", -1.0)
+        monkeypatch.setattr("rankmoments.binormal._ROUTE_TOL", -1.0)
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         with pytest.raises(CrossCheckError):
             cov_rs_rk_exact(0.5, 20)
+
+    def test_wrong_plackett_weight_trips_the_guard(self, monkeypatch):
+        # a mutated second route: 1.1 W_h in place of W_h
+        monkeypatch.setattr("rankmoments.binormal._OMEGA3_TERMS",
+                            binormal._plackett_terms({"g": 0.5, "h": 1.1}))
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+        with pytest.raises(CrossCheckError, match=r"rho=0\.5: Childs"):
+            omegas(0.5)
+        assert binormal._omega_cache == {}
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_asymptotic_moments_reject_small_n(self, n):
+        with pytest.raises(DomainError):
+            cov_rs_rk_asymptotic(0.5, n)
+        with pytest.raises(DomainError):
+            var_rs_asymptotic(0.5, n)
 
     def test_series_matches_integral_near_zero(self):
         n = 100

@@ -139,10 +139,21 @@ class TestMoments:
         assert run(["moments", "--rho", "0.5", "--n", "3"], capsys)[0] == 3
 
     def test_cross_check_failure_exit_2(self, monkeypatch, capsys):
-        monkeypatch.setattr("rankmoments.binormal._COROLLARY_TOL", -1.0)
+        monkeypatch.setattr("rankmoments.binormal._ROUTE_TOL", -1.0)
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         code, _, err = run(["moments", "--rho", "0.5", "--n", "20"], capsys)
         assert code == 2
-        assert err.startswith("numerical failure: covariance cross-check")
+        assert err.startswith("numerical failure: omega3 cross-check")
+
+    @pytest.mark.parametrize("args", [
+        ["tables", "--grid", "0.99999999999999"],
+        ["moments", "--rho", "0.99999999999999", "--n", "1000"]])
+    def test_wrong_omega3_near_one_exit_2(self, args, capsys):
+        # Childs's legs give omega3 = 0.49999999999857 here, the Plackett
+        # route 0.49999995500; a table row of 0.5000000000 would be wrong
+        code, out, err = run(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("numerical failure: omega3 cross-check")
 
 
 class TestEstimate:

@@ -76,6 +76,15 @@ class TestAre:
         assert are(EstimatorKind.KENDALL, 1 - 1e-9) == pytest.approx(
             are(EstimatorKind.KENDALL, 1.0), abs=1e-6)
 
+    @pytest.mark.parametrize("delta", [1e-10, 1e-11, 1e-12])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_kendall_tends_to_its_limit(self, delta, sign):
+        # 9 (1 - rho^2) / (pi^2 - 36 asin(rho / 2)^2) cancels as |rho| -> 1
+        # and errs by up to 2e-5 here; the true value lies about
+        # 0.18 * delta from the limit
+        assert abs(are(EstimatorKind.KENDALL, sign * (1 - delta))
+                   - 3 * math.sqrt(3) / (2 * math.pi)) <= 1e-9
+
     def test_kendall_dominates_spearman(self):
         for k in range(0, 101, 5):
             rho = k / 100
