@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (CrossCheckError, DerivationError, DomainError,
                      NegativeVarianceError)
-from .orthant import (CorrelationMatrix4, _clamp_unit, _p4_from_w, w_integral,
+from .orthant import (CorrelationMatrix4, _asin_ratio, _p4_from_w, w_integral,
                       w_legs)
 from .quadrature import ABS_TOL, Family, integrate_families
 
@@ -214,10 +214,7 @@ def _omega3_rate(theta):
     c_ll = q - (r_il * r_il + r_jl * r_jl - 2 * r_ij * r_il * r_jl)
     c_kl = q * r_kl - (r_ik * r_il + r_jk * r_jl
                        - r_ij * (r_ik * r_jl + r_jk * r_il))
-    # a 0/0 ratio is taken as 0, as in the Childs legs
-    denom = np.sqrt(np.maximum(c_kk * c_ll, 0.0))
-    ratio = c_kl / np.where(denom > 0.0, denom, np.inf)
-    terms = coef * np.arcsin(_clamp_unit(ratio)) / np.sqrt(q)
+    terms = coef * _asin_ratio(c_kl, c_kk * c_ll) / np.sqrt(q)
     total = np.add.accumulate(terms, axis=-1)[..., -1]
     return 4 / math.pi ** 2 * cos[..., 0] * total
 
@@ -259,9 +256,9 @@ def _omega_pass(rhos: list) -> dict:
     legs, fold = w_legs(stack.reshape(-1, 4, 4))
     # rho = sin(theta) on [0, asin(rho)], an empty interval at rho = 0
     uppers = np.array([math.copysign(math.asin(abs(r)), r) for r in rhos])
-    *values, rate = integrate_families(legs + [Family(
+    values, rate = integrate_families([legs, Family(
         _omega3_rate, np.zeros(len(rhos)), uppers, 2 * ABS_TOL / math.pi ** 2)])
-    w = dict(zip(inner, fold(*values).reshape(-1, 8).tolist()))
+    w = dict(zip(inner, fold(values).reshape(-1, 8).tolist()))
     out = {}
     for r, integral in zip(rhos, rate.tolist()):
         # pattern matrices are exactly singular at |rho| = 1

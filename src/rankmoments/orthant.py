@@ -2,14 +2,14 @@
 in dimensions 2-4.
 
 The quadrivariate case is reduced (Childs 1967) to three 1-D arcsine
-integrals, one leg per partner variable of Z1, all from one coefficient
-formula and evaluated by adaptive Gauss-Kronrod quadrature in lock-step
-over a stack of matrices. Near-singular correlation matrices (needed at the
-correlation-one anchor points) are handled by a sine substitution that
-removes the endpoint singularity; where a leg's partner coincides with
-another variable its arcsine argument is 0/0 and is taken as 0. Every
-arcsine argument, scalar or array, passes one clamp that forgives
-CLAMP_EPS of roundoff beyond 1.
+integrals on [0, 1], one leg per partner variable of Z1, all from one
+coefficient formula and evaluated by adaptive Gauss-Kronrod quadrature in
+lock-step over a stack of matrices. A matrix with an exactly coincident
+pair, |r_ab| >= 1 so that Z_b = +-Z_a, gets no legs: its orthant is the
+trivariate one of the other three variables, or empty for an opposed
+pair. Where a leg's partner nearly coincides with another variable its
+arcsine argument is 0/0 and is taken as 0. Every arcsine argument, scalar
+or array, passes one clamp that forgives CLAMP_EPS of roundoff beyond 1.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import DomainError
 from .quadrature import ABS_TOL, CLAMP_EPS, Family, integrate_families
 
 _PSD_TOL = -1e-10
-_SINGULAR_SWITCH = 1e-8  # use the sine substitution when |rho_1l| > 1 - this
 _BG_FLOOR = 1e-14
 
 
@@ -92,26 +91,28 @@ def _abg_coeffs(r: np.ndarray, ell: int):
     return a0, a2, b0, b2, g0, g2
 
 
+def _asin_ratio(num, den2):
+    """arcsin(num / sqrt(den2)) for arrays of one shape, den2 clipped at 0.
+    Where the root falls below _BG_FLOOR (a degenerate matrix) num must
+    too, and the 0/0 ratio is taken as 0; a nonvanishing num over a
+    vanishing root is a DomainError."""
+    den = np.sqrt(np.maximum(den2, 0.0))
+    ok = den >= _BG_FLOOR
+    if (~ok & (np.abs(num) >= _BG_FLOOR)).any():
+        raise DomainError("arcsine argument diverges: vanishing denominator "
+                          "with nonvanishing numerator")
+    ratio = np.zeros_like(num)
+    np.divide(num, den, out=ratio, where=ok)
+    return np.arcsin(_clamp_unit(ratio))
+
+
 def _arcsine_ratio(u2: np.ndarray, coeffs) -> np.ndarray:
     """arcsin(alpha / (beta*gamma)), each coefficient broadcasting against
-    u2, e.g. as a (K, 1) column for the K rows of a lock-step integrand.
-
-    Where beta*gamma vanishes (a degenerate matrix whose partner variable
-    coincides with another one) alpha must vanish too, and the 0/0 ratio
-    is taken as 0.
-    """
+    u2, e.g. as a (K, 1) column for the K rows of a lock-step integrand."""
     a0, a2, b0, b2, g0, g2 = coeffs
-    alpha = a0 - a2 * u2
     beta2 = np.maximum(b0 - b2 * u2, 0.0)
     gamma2 = np.maximum(g0 - g2 * u2, 0.0)
-    bg = np.sqrt(beta2 * gamma2)
-    ok = bg >= _BG_FLOOR
-    if (~ok & (np.abs(alpha) >= _BG_FLOOR)).any():
-        raise DomainError("arcsine argument diverges: beta*gamma -> 0 "
-                          "with nonvanishing alpha")
-    ratio = np.zeros_like(alpha)
-    np.divide(alpha, bg, out=ratio, where=ok)
-    return np.arcsin(_clamp_unit(ratio))
+    return _asin_ratio(a0 - a2 * u2, beta2 * gamma2)
 
 
 def _plain_leg(u, r1l, *coeffs):
@@ -120,13 +121,15 @@ def _plain_leg(u, r1l, *coeffs):
     return r1l / denom * _arcsine_ratio(u2, coeffs)
 
 
-def _sine_leg(theta, r1l, *coeffs):
-    # u = sin(theta) removes the inverse-square-root endpoint singularity
-    # when |r1l| ~ 1
-    u = np.sin(theta)
-    u2 = u * u
-    denom = np.sqrt(np.maximum(1 - r1l * r1l * u2, 1e-300))
-    return r1l * np.cos(theta) / denom * _arcsine_ratio(u2, coeffs)
+def _coincident_w(m: np.ndarray) -> float:
+    """Coupling term of a 4x4 matrix whose first pair a < b with
+    |r_ab| >= 1 has Z_b = +-Z_a: P4 is 0 for an opposed pair, otherwise
+    the P3 of the three variables left after dropping b."""
+    a, b = next((a, b) for a in range(3) for b in range(a + 1, 4)
+                if abs(m[a, b]) >= 1)
+    i, j, k = (c for c in range(4) if c != b)
+    p4 = orthant_p3(m[i, j], m[i, k], m[j, k]) if m[a, b] > 0 else 0.0
+    return 16 * p4 - 1 - 2 / math.pi * _arcsin_sum(m)
 
 
 def w_legs(ms: np.ndarray):
@@ -134,44 +137,43 @@ def w_legs(ms: np.ndarray):
     (M, 4, 4) stack of correlation matrices that the caller has already
     checked.
 
-    Each W is a sum of up to three legs, one per nonzero r_1l. Returns two
-    families, the legs with |r_1l| <= 1 - 1e-8 and the sine-substituted
-    rest, and the map from their values to the M coupling terms; each W
-    sums its legs in leg order.
+    A matrix with an exactly coincident pair (some off-diagonal
+    |r_ab| >= 1) takes its W in closed form and has no legs. Every other
+    W is a sum of up to three legs on [0, 1], one per nonzero r_1l.
+    Returns the one family of legs and the map from its values to the M
+    coupling terms; each W sums its legs in leg order.
     """
-    # one row per leg, matrix-major then by ell: owner, r_1l, coefficients
-    r = np.moveaxis(ms, 0, -1)
-    table = np.stack([np.stack([np.arange(len(ms)), r[0, ell],
+    i, j = np.triu_indices(4, 1)
+    coincident = (np.abs(ms[:, i, j]) >= 1).any(axis=1)
+    closed = np.flatnonzero(coincident)
+    closed_w = [_coincident_w(ms[k]) for k in closed]
+    # one row per leg of the other matrices, matrix-major then by ell:
+    # owner, r_1l, coefficients
+    r = np.moveaxis(ms[~coincident], 0, -1)
+    table = np.stack([np.stack([np.flatnonzero(~coincident), r[0, ell],
                                 *_abg_coeffs(r, ell)], axis=-1)
                       for ell in (1, 2, 3)], axis=1).reshape(-1, 8)
     table = table[table[:, 1] != 0.0]
-    singular = np.abs(table[:, 1]) > 1 - _SINGULAR_SWITCH
-    families = []
-    for mask, integrand, upper in ((~singular, _plain_leg, 1.0),
-                                   (singular, _sine_leg, math.pi / 2)):
-        params = tuple(table[mask, 1:].T)
-        count = int(mask.sum())
-        families.append(Family(integrand, np.zeros(count),
-                               np.full(count, upper), ABS_TOL / 3, params))
     owner = table[:, 0].astype(int)
+    family = Family(_plain_leg, np.zeros(len(table)), np.ones(len(table)),
+                    ABS_TOL / 3, tuple(table[:, 1:].T))
 
-    def fold(plain: np.ndarray, sine: np.ndarray) -> np.ndarray:
-        leg_values = np.empty(len(table))
-        leg_values[~singular], leg_values[singular] = plain, sine
+    def fold(values: np.ndarray) -> np.ndarray:
         totals = np.zeros(len(ms))
         # unbuffered, in leg order: each W adds its legs left to right
-        np.add.at(totals, owner, 4 / math.pi ** 2 * leg_values)
+        np.add.at(totals, owner, 4 / math.pi ** 2 * values)
+        totals[closed] = closed_w
         return totals
 
-    return families, fold
+    return family, fold
 
 
 def w_integral(ms: np.ndarray) -> np.ndarray:
     """Quadrivariate coupling terms of a (M, 4, 4) stack of correlation
     matrices that the caller has already checked, from one lock-step run
     over all their legs."""
-    families, fold = w_legs(ms)
-    return fold(*integrate_families(families))
+    family, fold = w_legs(ms)
+    return fold(*integrate_families([family]))
 
 
 def _arcsin_sum(m: np.ndarray) -> float:

@@ -334,7 +334,9 @@ class TestTables:
 
     def test_no_warnings(self, capsys, monkeypatch):
         # no integrand evaluation may warn, here or in the one-time
-        # validation
+        # validation; its rho = 1 matrices have exactly coincident pairs,
+        # and a leg built for one would divide by zero, so this is the
+        # test that catches a missed closed-form reduction
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         monkeypatch.setattr("rankmoments.binormal._validation_done", False)
         with warnings.catch_warnings():

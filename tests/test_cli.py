@@ -148,12 +148,14 @@ class TestMoments:
     @pytest.mark.parametrize("args", [
         ["tables", "--grid", "0.99999999999999"],
         ["moments", "--rho", "0.99999999999999", "--n", "1000"]])
-    def test_wrong_omega3_near_one_exit_2(self, args, capsys):
-        # Childs's legs give omega3 = 0.49999999999857 here, the Plackett
-        # route 0.49999995500; a table row of 0.5000000000 would be wrong
+    def test_omega3_near_one_exit_0(self, args, capsys):
+        # Childs's legs agree here with the Plackett route's omega3 of
+        # 0.49999995500; a table row of 0.5000000000 would be wrong
         code, out, err = run(args, capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("numerical failure: omega3 cross-check")
+        assert code == 0 and err == ""
+        if args[0] == "tables":
+            omega3 = float(out.splitlines()[1].split(",")[3])
+            assert abs(omega3 - 0.49999995500) <= 1e-9
 
 
 class TestEstimate:

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import qmc
 
 from rankmoments import binormal
 from rankmoments.errors import DomainError
 from rankmoments.orthant import (CorrelationMatrix4, _abg_coeffs,
-                                 _arcsine_ratio, orthant_p2, orthant_p3,
+                                 _asin_ratio, orthant_p2, orthant_p3,
                                  orthant_p4, w_integral)
 from rankmoments.quadrature import CLAMP_EPS
 
@@ -73,11 +75,35 @@ class TestP4:
         (mat(r12=1.0, r13=1.0, r23=1.0, r14=0.5, r24=0.5, r34=0.5), 1 / 3),
         # Z2 == -Z3: disjoint half-spaces
         (mat(r12=0.4, r13=-0.4, r14=0.2, r23=-1.0, r24=0.3, r34=-0.3), 0.0),
-    ], ids=["Z2=Z3", "Z1=Z2=Z3", "Z2=-Z3"])
+        # Z3 == Z4, neither of them Z1: the orthant of (Z1, Z2, Z3)
+        (mat(r12=0.5, r13=0.3, r14=0.3, r23=-0.2, r24=-0.2, r34=1.0),
+         orthant_p3(0.5, 0.3, -0.2)),
+        # Z3 == -Z4: disjoint half-spaces
+        (mat(r12=0.5, r13=0.3, r14=-0.3, r23=-0.2, r24=0.2, r34=-1.0), 0.0),
+    ], ids=["Z2=Z3", "Z1=Z2=Z3", "Z2=-Z3", "Z3=Z4", "Z3=-Z4"])
     def test_partner_coincides(self, m, expected):
-        # a leg whose partner coincides with another variable has
-        # alpha = beta*gamma = 0 at its nodes: the 0/0 ratio is taken as 0
+        # an exactly coincident pair is reduced in closed form: the P3 of
+        # the other three variables, or 0 for an opposed pair
         assert orthant_p4(m) == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-0.99, 0.99), st.floats(-0.99, 0.99),
+           st.floats(-0.99, 0.99),
+           st.sampled_from([(a, b) for a in range(3) for b in range(a + 1, 4)]),
+           st.sampled_from([1.0, -1.0]))
+    def test_coincident_pair_is_p3(self, p12, p13, p23, pair, sign):
+        # a random 3x3 correlation matrix (from partial correlations) with
+        # Z_b an exact signed copy of Z_a, so that r_ab == sign
+        r23 = p23 * math.sqrt((1 - p12 * p12) * (1 - p13 * p13)) + p12 * p13
+        small = np.array([[1.0, p12, p13], [p12, 1.0, r23], [p13, r23, 1.0]])
+        a, b = pair
+        keep = [c for c in range(4) if c != b]
+        big = np.eye(4)
+        big[np.ix_(keep, keep)] = small
+        big[b, keep] = big[keep, b] = sign * big[a, keep]
+        expected = orthant_p3(p12, p13, r23) if sign > 0 else 0.0
+        got = orthant_p4(CorrelationMatrix4(rho=big))
+        assert got == pytest.approx(expected, abs=1e-12)
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(3)
@@ -99,7 +125,8 @@ class TestP4:
         assert inverted == pytest.approx(w, abs=1e-10)
 
     def test_stacked_w_matches_single(self):
-        # the patterns at rho = 1 have |r_1l| = 1 legs: the sine branch
+        # the patterns at rho = 1 include exactly coincident pairs, so the
+        # stack mixes closed-form rows and rows summed from legs
         rng = np.random.default_rng(11)
         mats = [random_correlation(rng).rho for _ in range(20)]
         mats += [same + cross for same, cross in binormal._PATTERNS.values()]
@@ -170,10 +197,11 @@ class TestIntegrandTerms:
                         <= 1 + CLAMP_EPS).all()
 
     def test_arcsine_ratio_guards(self):
-        u2 = np.array([0.0, 0.25, 0.81])
+        # the one ratio body of the Childs legs and the Plackett route
+        zeros = np.zeros(3)
 
-        def ratio(a0, b0):
-            return _arcsine_ratio(u2, (a0, 0.0, b0, 0.0, 1.0, 0.0))
+        def ratio(num, den2):
+            return _asin_ratio(num + zeros, den2 + zeros)
 
         assert ratio(0.0, 0.0).tolist() == [0.0] * 3
         with pytest.raises(DomainError):
