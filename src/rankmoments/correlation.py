@@ -58,12 +58,36 @@ def _check_ties(values: np.ndarray, name: str):
         raise TieError(name, tuple(float(v) for v in uniq[counts > 1]))
 
 
+# Ranks are tie-checked, and inversions counted, in chunks of rows of
+# about this many elements. That bounds the scratch memory of both (a few
+# 8-byte arrays of this length, under 1 MB) whatever the block shape, as
+# long as one padded row fits. The counter's bitset base case takes one
+# Python step per position per chunk, so a larger chunk spreads that cost
+# over more rows.
+_CHUNK_ELEMENTS = 2 ** 14
+
+# Width of the bitset base case: one uint64 holds a run's seen values.
+_RUN = 64
+
+
 def _ranks_rows(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n of each row of x, via argsort-of-argsort."""
-    order = np.argsort(x, axis=1, kind="stable")
+    """Ranks 1..n of each row of x: the inverse of each row's argsort.
+
+    The argsort is numpy's default (unstable, SIMD where the CPU has it).
+    On a tie-free row every sort gives the same ranks. A tied row's ranks
+    would depend on the sort, so the sorted neighbours are compared, a
+    chunk of rows at a time, and a block with any tie is sorted again
+    stably: tied values then rank in input order.
+    """
+    order = np.argsort(x, axis=1)
+    rows = max(1, _CHUNK_ELEMENTS // x.shape[1])
+    for lo in range(0, len(x), rows):
+        s = np.take_along_axis(x[lo:lo + rows], order[lo:lo + rows], axis=1)
+        if (s[:, 1:] == s[:, :-1]).any():
+            order = np.argsort(x, axis=1, kind="stable")
+            break
     ranks = np.empty_like(order)
-    rows = np.arange(x.shape[0])[:, None]
-    ranks[rows, order] = np.arange(1, x.shape[1] + 1)
+    np.put_along_axis(ranks, order, np.arange(1, x.shape[1] + 1)[None], axis=1)
     return ranks
 
 
@@ -124,26 +148,29 @@ def spearman(sample: PairedSample) -> float:
     return float(_spearman_rows(p[None], q[None])[0])
 
 
-# Rows are counted in chunks of about this many elements. It bounds the
-# counter's scratch memory (a few int64 arrays of this length, well under
-# 1 MB) whatever the block shape, as long as one padded row fits.
-_CHUNK_ELEMENTS = 2 ** 13
-
-
 def inversions_rows(perms: np.ndarray) -> np.ndarray:
     """Inversion count of each row of a (b, n) array of permutations of
     0..n-1, in O(b n log^2 n) time and O(n) memory per chunk.
 
-    Bottom-up merge counting (Knight 1966) vectorised across rows. Each
-    row is padded to a power of two with increasing values above n, which
-    adds no inversions. At width w every pair of sorted runs is merged by
-    one np.sort of the runs of 2w, with the low bit of each value marking
-    the right run. A right-run element's place in the merged run is its
-    place in the right run plus the left-run elements below it; the rest
-    of the left run is inverted with it.
+    Each row is padded to a power of two with increasing values above n,
+    which adds no inversions, and cut into runs of base = min(width, 64).
+    Within a run the count starts from a bitset base case. A run's
+    argsort is the inverse of its local ranks 0..base-1 and has the same
+    inversions, so one argsort of the runs serves as their local ranks (a
+    lone run's values already are). Then one vectorised step per position
+    over every run of the chunk adds the popcount of the values seen so
+    far above the next one, a uint64 bitset per run.
+
+    Above 64 the runs are sorted and merged bottom-up (Knight 1966),
+    vectorised across rows. At width w every pair of sorted runs is
+    merged by one np.sort of the runs of 2w, with the low bit of each
+    value marking the right run. A right-run element's place in the
+    merged run is its place in the right run plus the left-run elements
+    below it; the rest of the left run is inverted with it.
     """
     b, n = perms.shape
     width = 1 << max(n - 1, 0).bit_length()
+    base = min(width, _RUN)
     rows = max(1, _CHUNK_ELEMENTS // width)
     out = np.empty(b, dtype=np.int64)
     for lo in range(0, b, rows):
@@ -152,9 +179,24 @@ def inversions_rows(perms: np.ndarray) -> np.ndarray:
         a = np.empty((c, width), dtype=np.int64)
         a[:, :n] = chunk
         a[:, n:] = np.arange(n, width)
-        a <<= 1
-        inv = np.zeros(c, dtype=np.int64)
-        w = 1
+        runs = a.reshape(-1, base)
+        # when one run is the whole row, its values are its local ranks
+        local = runs if base == width else runs.argsort(axis=1)
+        # one contiguous row of every run's values per position; padding
+        # above n in a lone run adds nothing, so stop at n
+        values = local.T[:min(base, n)].astype(np.uint64, order="C")
+        bits = np.uint64(1) << values
+        seen = np.zeros(len(runs), dtype=np.uint64)
+        # a run holds up to 64 * 63 / 2 = 2016 inversions
+        run_inv = np.zeros(len(runs), dtype=np.uint16)
+        for v, bit in zip(values, bits):
+            run_inv += np.bitwise_count(seen >> v)
+            seen |= bit
+        inv = run_inv.reshape(c, -1).sum(axis=1, dtype=np.int64)
+        if base < width:
+            runs.sort(axis=1)
+            a <<= 1
+        w = base
         while w < width:
             runs = a.reshape(-1, 2, w)
             runs &= ~1

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -24,6 +25,50 @@ from .quadrature import ABS_TOL, CLAMP_EPS, Family, integrate_families
 
 _PSD_TOL = -1e-10
 _BG_FLOOR = 1e-14
+
+
+def _psd_within_tol(m: np.ndarray) -> bool:
+    """Whether the smallest eigenvalue of the symmetric 3x3 or 4x4 m (read
+    from its lower triangle) is at least _PSD_TOL.
+
+    By Sylvester's criterion that holds exactly when every principal minor
+    of m - _PSD_TOL*I is >= 0: the diagonal, three or six 2x2, one or four
+    3x3, and for a 4x4 the determinant, by Laplace expansion along its
+    first two rows. The minors are taken on exact integers, the shifted
+    entries times their common power-of-two denominator. A singular
+    matrix's shifted minors can be as small as 1e-30, below the roundoff
+    of a floating-point determinant, so no float formula would do.
+    """
+    k = len(m)
+    if not np.isfinite(m).all():
+        return False
+    rows = m.tolist()
+    lower = [(i, j, *rows[i][j].as_integer_ratio())
+             for i in range(k) for j in range(i + 1)]
+    tol_num, tol_den = _PSD_TOL.as_integer_ratio()
+    # every denominator is a power of two, so the largest is common to all
+    scale = max(tol_den, *(den for *_, den in lower))
+    a = [[0] * k for _ in range(k)]
+    for i, j, num, den in lower:
+        a[i][j] = a[j][i] = (num * (scale // den)
+                             - (i == j) * tol_num * (scale // tol_den))
+
+    def c2(r0, r1, c0, c1):
+        return a[r0][c0] * a[r1][c1] - a[r0][c1] * a[r1][c0]
+
+    minors = [a[i][i] for i in range(k)]
+    minors += [c2(i, j, i, j) for i, j in combinations(range(k), 2)]
+    minors += [a[i][i] * c2(j, l, j, l) - a[i][j] * c2(j, l, i, l)
+               + a[i][l] * c2(j, l, i, j)
+               for i, j, l in combinations(range(k), 3)]
+    if k == 4:
+        minors.append(c2(0, 1, 0, 1) * c2(2, 3, 2, 3)
+                      - c2(0, 1, 0, 2) * c2(2, 3, 1, 3)
+                      + c2(0, 1, 0, 3) * c2(2, 3, 1, 2)
+                      + c2(0, 1, 1, 2) * c2(2, 3, 0, 3)
+                      - c2(0, 1, 1, 3) * c2(2, 3, 0, 2)
+                      + c2(0, 1, 2, 3) * c2(2, 3, 0, 1))
+    return min(minors) >= 0
 
 
 @dataclass(frozen=True)
@@ -43,7 +88,7 @@ class CorrelationMatrix4:
             raise DomainError("correlation matrix must have unit diagonal")
         if np.abs(r).max() > 1 + 1e-12:
             raise DomainError("correlations must lie in [-1, 1]")
-        if np.linalg.eigvalsh(r).min() < _PSD_TOL:
+        if not _psd_within_tol(r):
             raise DomainError("correlation matrix is not positive semidefinite")
 
 
@@ -69,7 +114,7 @@ def orthant_p2(rho12: float) -> float:
 def orthant_p3(rho12: float, rho13: float, rho23: float) -> float:
     """Trivariate positive orthant probability (closed form)."""
     m = np.array([[1, rho12, rho13], [rho12, 1, rho23], [rho13, rho23, 1.0]])
-    if np.linalg.eigvalsh(m).min() < _PSD_TOL:
+    if not _psd_within_tol(m):
         raise DomainError("3x3 correlation matrix is not positive semidefinite")
     s = sum(asin_clamped(v) for v in (rho12, rho13, rho23))
     return 0.125 * (1 + 2 / math.pi * s)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmoments.correlation import (_CHUNK_ELEMENTS, PairedSample,
-                                     _kendall_rows, _spearman_rows,
-                                     compute_ranks, inequality_check,
+                                     _kendall_rows, _ranks_rows,
+                                     _spearman_rows, compute_ranks,
+                                     inequality_check,
                                      inversions_rows, kendall, pearson,
                                      spearman, spearman_via_s)
 from rankmoments.errors import DegenerateError, SizeError, TieError
@@ -208,7 +210,9 @@ def test_large_n_fast_path():
 
 
 class TestInversionCounter:
-    NS = (2, 3, 4, 5, 31, 32, 33, 64, 65, 1000)
+    # 63..65 straddle the 64-bit base case, 127..129 hold several runs,
+    # and 4097 pads to a row of 128 runs
+    NS = (2, 3, 4, 5, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000, 4097)
 
     @pytest.mark.parametrize("n", NS)
     def test_matches_oracle(self, n):
@@ -230,3 +234,47 @@ class TestInversionCounter:
                           for _ in range(2 * rows_per_chunk + 3)])
         assert inversions_rows(perms).tolist() == [
             inversions_oracle(p) for p in perms]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 300), perm_strategy, st.data())
+    def test_reversed_segment_matches_oracle(self, n, seed, data):
+        # a segment reversed into descending order fully inverts the
+        # 64-runs it covers
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo + 1, n))
+        rng = np.random.default_rng(seed)
+        perms = np.array([rng.permutation(n) for _ in range(3)])
+        perms[:, lo:hi] = np.sort(perms[:, lo:hi], axis=1)[:, ::-1]
+        assert inversions_rows(perms).tolist() == [
+            inversions_oracle(p) for p in perms]
+
+    def test_row_wider_than_a_chunk(self):
+        # row i*k + j holds p[i]*k + q[j]: every pair of blocks i, i' is
+        # inverted k*k times if p is, and each block holds q's inversions
+        k = math.isqrt(_CHUNK_ELEMENTS) + 2
+        rng = np.random.default_rng(12)
+        p, q = rng.permutation(k), rng.permutation(k)
+        row = (p[:, None] * k + q[None, :]).ravel()
+        assert len(row) > _CHUNK_ELEMENTS
+        want = inversions_oracle(p) * k * k + k * inversions_oracle(q)
+        assert inversions_rows(np.stack([row, row[::-1]])).tolist() == [
+            want, k * k * (k * k - 1) // 2 - want]
+
+
+class TestRanksTieGuard:
+    def test_tie_free_block_matches_stable_ranks(self):
+        x = np.random.default_rng(8).standard_normal((50, 300))
+        stable = np.argsort(np.argsort(x, axis=1, kind="stable"), axis=1) + 1
+        assert (_ranks_rows(x) == stable).all()
+
+    @pytest.mark.parametrize("b, row", [(5, 2),
+                                        (3 * (_CHUNK_ELEMENTS // 40), -1)],
+                             ids=["third-row", "last-chunk"])
+    def test_tied_row_ranks_in_input_order(self, b, row):
+        x = np.random.default_rng(9).standard_normal((b, 40))
+        x[row, [3, 17, 30]] = x[row, 25]
+        stable = np.argsort(np.argsort(x, axis=1, kind="stable"), axis=1) + 1
+        ranks = _ranks_rows(x)
+        assert (ranks == stable).all()
+        tied = ranks[row, [3, 17, 25, 30]]
+        assert tied.tolist() == list(range(tied[0], tied[0] + 4))

@@ -9,9 +9,10 @@ from scipy.stats import qmc
 
 from rankmoments import binormal
 from rankmoments.errors import DomainError
-from rankmoments.orthant import (CorrelationMatrix4, _abg_coeffs,
-                                 _asin_ratio, orthant_p2, orthant_p3,
-                                 orthant_p4, w_integral)
+from rankmoments.orthant import (_PSD_TOL, CorrelationMatrix4,
+                                 _abg_coeffs, _asin_ratio, _psd_within_tol,
+                                 orthant_p2, orthant_p3, orthant_p4,
+                                 w_integral)
 from rankmoments.quadrature import CLAMP_EPS
 
 
@@ -158,6 +159,60 @@ class TestP4:
                     nonpsd[i, j] = -0.9
         with pytest.raises(DomainError):
             CorrelationMatrix4(rho=nonpsd)
+
+
+class TestPsdCheck:
+    """The exact principal-minor test against eigvalsh and at the tolerance."""
+
+    def test_agrees_with_eigvalsh_away_from_boundary(self):
+        rng = np.random.default_rng(21)
+        verdicts = []
+        for _ in range(2000):
+            k = int(rng.choice([3, 4]))
+            a = rng.standard_normal((k, int(rng.integers(1, k + 2))))
+            s = a @ a.T + rng.uniform(-1.0, 1.0) * np.eye(k)
+            d = np.sqrt(np.abs(np.diag(s))) + 1e-3
+            r = s / np.outer(d, d)
+            np.fill_diagonal(r, 1.0)
+            lam = np.linalg.eigvalsh(r).min()
+            if abs(lam - _PSD_TOL) > 1e-8:
+                verdicts.append(lam >= _PSD_TOL)
+                assert _psd_within_tol(r) == verdicts[-1]
+        assert 500 < sum(verdicts) < len(verdicts) - 500
+
+    def test_pattern_matrices_accepted(self):
+        # the grid -1(0.01)1 includes the singular matrices at rho = +-1
+        for same, cross in binormal._PATTERNS.values():
+            for rho in np.arange(-100, 101) / 100:
+                CorrelationMatrix4(same + rho * cross)
+
+    def test_rank_two_accepted(self):
+        # two directions only: the shifted 4x4 minor is of order 1e-20,
+        # far below the roundoff of a floating-point determinant
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            v = rng.standard_normal((4, 2))
+            v /= np.linalg.norm(v, axis=1)[:, None]
+            r = v @ v.T
+            r = (r + r.T) / 2
+            np.fill_diagonal(r, 1.0)
+            CorrelationMatrix4(r)
+            orthant_p3(r[0, 1], r[0, 2], r[1, 2])
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_tolerance_edge(self, k):
+        # equicorrelation r has smallest eigenvalue 1 + (k - 1) r
+        def equi(lam):
+            r = (lam - 1) / (k - 1)
+            return np.full((k, k), r) + (1 - r) * np.eye(k)
+        assert _psd_within_tol(equi(0.0))
+        assert _psd_within_tol(equi(0.1 * _PSD_TOL))
+        assert not _psd_within_tol(equi(10 * _PSD_TOL))
+
+    def test_non_psd_3x3_rejected(self):
+        # the 4x4 case is in TestP4.test_matrix_validation
+        with pytest.raises(DomainError):
+            orthant_p3(0.9, 0.9, -0.9)
 
 
 class TestQmcOracle:
