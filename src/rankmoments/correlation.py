@@ -58,44 +58,66 @@ def _check_ties(values: np.ndarray, name: str):
         raise TieError(name, tuple(float(v) for v in uniq[counts > 1]))
 
 
-# Ranks are tie-checked, and inversions counted, in chunks of rows of
-# about this many elements. That bounds the scratch memory of both (a few
-# 8-byte arrays of this length, under 1 MB) whatever the block shape, as
-# long as one padded row fits. The counter's bitset base case takes one
-# Python step per position per chunk, so a larger chunk spreads that cost
-# over more rows.
+# Rows are sorted, tie-checked and counted in chunks of about this many
+# padded elements. That keeps a chunk's arrays in cache and bounds the
+# scratch memory (a few 8-byte arrays of this length, under 1 MB) whatever
+# the block shape, as long as one padded row fits. The counter's bitset
+# base case takes one Python step per position per chunk, so a larger
+# chunk spreads that cost over more rows.
 _CHUNK_ELEMENTS = 2 ** 14
 
 # Width of the bitset base case: one uint64 holds a run's seen values.
 _RUN = 64
 
 
-def _ranks_rows(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n of each row of x: the inverse of each row's argsort.
+def _chunk_shape(n: int) -> tuple[int, int]:
+    """A row of n padded to a power of two, and the rows of one chunk."""
+    width = 1 << max(n - 1, 0).bit_length()
+    return width, max(1, _CHUNK_ELEMENTS // width)
 
-    The argsort is numpy's default (unstable, SIMD where the CPU has it).
-    On a tie-free row every sort gives the same ranks. A tied row's ranks
-    would depend on the sort, so the sorted neighbours are compared, a
-    chunk of rows at a time, and a block with any tie is sorted again
-    stably: tied values then rank in input order.
+
+def _tied(s: np.ndarray) -> bool:
+    """Whether any row of sorted values holds two equal neighbours."""
+    return bool((s[:, 1:] == s[:, :-1]).any())
+
+
+def _permutation_rows(x: np.ndarray, y: np.ndarray,
+                      kind: str | None = None) -> np.ndarray:
+    """For each row of two (b, n) arrays, the permutation pi of 0..n-1
+    with pi[k] the x rank of the observation of y rank k (ranks from 0).
+
+    One argsort puts y in x order, through one flat gather, and a second
+    sorts it. The argsorts are numpy's default (unstable, SIMD where the
+    CPU has it). On tie-free rows every sort gives the same pi. A tie
+    would make pi depend on the sort, so the sorted neighbours are
+    compared, and if any row holds a tie, every row is sorted again
+    stably: tied x then rank in input order, tied y in x order.
     """
-    order = np.argsort(x, axis=1)
-    rows = max(1, _CHUNK_ELEMENTS // x.shape[1])
-    for lo in range(0, len(x), rows):
-        s = np.take_along_axis(x[lo:lo + rows], order[lo:lo + rows], axis=1)
-        if (s[:, 1:] == s[:, :-1]).any():
-            order = np.argsort(x, axis=1, kind="stable")
-            break
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(1, x.shape[1] + 1)[None], axis=1)
-    return ranks
+    b, n = x.shape
+    offsets = np.arange(0, b * n, n)[:, None]
+    at = np.argsort(x, axis=1, kind=kind)
+    at += offsets
+    xs = x.ravel()[at]
+    yx = y.ravel()[at]
+    pi = np.argsort(yx, axis=1, kind=kind)
+    if kind is None and (_tied(xs) or _tied(yx.ravel()[pi + offsets])):
+        return _permutation_rows(x, y, "stable")
+    return pi
+
+
+def _sample_permutation(sample: PairedSample) -> np.ndarray:
+    """The (1, n) permutation of a sample, after its tie check."""
+    _check_ties(sample.x, "x")
+    _check_ties(sample.y, "y")
+    return _permutation_rows(sample.x[None], sample.y[None])
 
 
 def compute_ranks(sample: PairedSample) -> tuple[np.ndarray, np.ndarray]:
     """Ranks (p, q) of x and y, each a permutation of 1..n."""
     _check_ties(sample.x, "x")
     _check_ties(sample.y, "y")
-    p, q = _ranks_rows(np.stack((sample.x, sample.y)))
+    order = np.argsort(np.stack((sample.x, sample.y)), axis=1)
+    p, q = order.argsort(axis=1) + 1
     return p, q
 
 
@@ -126,31 +148,47 @@ def pearson(sample: PairedSample) -> float:
     return float(r_p[0])
 
 
-def _spearman_rows(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
-    """Rank correlation of each row of two (b, n) rank arrays.
+def _rank_dot_rows(pi: np.ndarray):
+    """sum_k k * pi[k] of each row of a (b, n) array of permutations,
+    exactly: in int64 while its bound sum_k k^2 fits (n below about
+    3.03e6), else as Python ints from int64 partial sums."""
+    n = pi.shape[1]
+    k = np.arange(n)
+    if (n - 1) * n * (2 * n - 1) // 6 < 2 ** 63:
+        return pi @ k
+    # a piece of this many products, each below (n - 1)^2, sums in int64
+    starts = np.arange(0, n, 2 ** 63 // (n - 1) ** 2)
+    return [sum(int(s) for s in np.add.reduceat(row * k, starts))
+            for row in pi]
 
-    Each value is the correctly-rounded double of (m - 6 d2)/m with
-    m = n(n^2 - 1) and d2 the sum of squared rank differences. Both
+
+def _spearman_rows(pi: np.ndarray) -> np.ndarray:
+    """Rank correlation of each row of a (b, n) array of permutations.
+
+    The squared rank differences sum to d2 = sum_k (pi[k] - k)^2
+    = n(n - 1)(2n - 1)/3 - 2 sum_k k pi[k]. Each value is the
+    correctly-rounded double of (m - 6 d2)/m with m = n(n^2 - 1). Both
     integers are exact doubles while m < 2**53; beyond that Python's
     integer division, correctly rounded at any size, takes over.
     """
-    n = rx.shape[1]
+    n = pi.shape[1]
     m = n * (n * n - 1)
-    d2 = ((rx - ry) ** 2).sum(axis=1)
+    squares = (n - 1) * n * (2 * n - 1) // 3
+    dot = _rank_dot_rows(pi)
     if m < 2 ** 53:
-        return (m - 6 * d2) / m
-    return np.array([(m - 6 * int(d)) / m for d in d2])
+        return (m - 6 * (squares - 2 * dot)) / m
+    return np.array([(m - 6 * (squares - 2 * int(d))) / m for d in dot])
 
 
 def spearman(sample: PairedSample) -> float:
     """Rank correlation from squared rank differences."""
-    p, q = compute_ranks(sample)
-    return float(_spearman_rows(p[None], q[None])[0])
+    return float(_spearman_rows(_sample_permutation(sample))[0])
 
 
 def inversions_rows(perms: np.ndarray) -> np.ndarray:
     """Inversion count of each row of a (b, n) array of permutations of
-    0..n-1, in O(b n log^2 n) time and O(n) memory per chunk.
+    0..n-1, in O(b n log^2 n) time and O(n) memory per chunk;
+    coefficients_rows hands it one chunk at a time.
 
     Each row is padded to a power of two with increasing values above n,
     which adds no inversions, and cut into runs of base = min(width, 64).
@@ -169,9 +207,8 @@ def inversions_rows(perms: np.ndarray) -> np.ndarray:
     below it; the rest of the left run is inverted with it.
     """
     b, n = perms.shape
-    width = 1 << max(n - 1, 0).bit_length()
+    width, rows = _chunk_shape(n)
     base = min(width, _RUN)
-    rows = max(1, _CHUNK_ELEMENTS // width)
     out = np.empty(b, dtype=np.int64)
     for lo in range(0, b, rows):
         chunk = perms[lo:lo + rows]
@@ -212,38 +249,42 @@ def inversions_rows(perms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _discordant_rows(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
-    """Discordant pair count of each row of two (b, n) arrays of ranks
-    1..n: the inversions of the y ranks placed in x-rank order."""
-    q = np.empty_like(ry)
-    q[np.arange(rx.shape[0])[:, None], rx - 1] = ry
-    q -= 1
-    return inversions_rows(q)
+def _kendall_rows(pi: np.ndarray) -> np.ndarray:
+    """Pair-sign correlation of each row of a (b, n) array of permutations.
 
-
-def _kendall_rows(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
-    """Pair-sign correlation of each row of two (b, n) rank arrays.
-
-    (P - 2D) and the pair count P are exact doubles, so each value is the
-    correctly-rounded double of the rational (P - 2D)/P.
+    A pair is discordant when its x and y ranks disagree, an inversion of
+    pi. (P - 2D) and the pair count P are exact doubles, so each value is
+    the correctly-rounded double of the rational (P - 2D)/P.
     """
-    pairs = rx.shape[1] * (rx.shape[1] - 1) // 2
-    return (pairs - 2 * _discordant_rows(rx, ry)) / pairs
+    pairs = pi.shape[1] * (pi.shape[1] - 1) // 2
+    return (pairs - 2 * inversions_rows(pi)) / pairs
 
 
 def kendall(sample: PairedSample) -> float:
     """Pair-sign correlation, via the discordant count of the ranks."""
-    p, q = compute_ranks(sample)
-    return float(_kendall_rows(p[None], q[None])[0])
+    return float(_kendall_rows(_sample_permutation(sample))[0])
 
 
 def coefficients_rows(x: np.ndarray, y: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row (r_P, r_S, r_K) of two (b, n) arrays of tie-free samples,
-    bitwise equal to pearson, spearman and kendall of each row."""
-    rx = _ranks_rows(x)
-    ry = _ranks_rows(y)
-    return _pearson_rows(x, y)[0], _spearman_rows(rx, ry), _kendall_rows(rx, ry)
+    bitwise equal to pearson, spearman and kendall of each row.
+
+    The rows go in chunks of the inversion counter's size, so each
+    chunk's arrays are still in cache from Pearson through both counts,
+    and one permutation per row (_permutation_rows) gives r_S and r_K.
+    No value depends on the chunking: r_S and r_K are exact rationals
+    and a row's Pearson sums do not see the other rows.
+    """
+    b, n = x.shape
+    rows = _chunk_shape(n)[1]
+    out = np.empty((3, b))
+    for lo in range(0, b, rows):
+        xs, ys = x[lo:lo + rows], y[lo:lo + rows]
+        pi = _permutation_rows(xs, ys)
+        out[:, lo:lo + rows] = (_pearson_rows(xs, ys)[0], _spearman_rows(pi),
+                                _kendall_rows(pi))
+    return out[0], out[1], out[2]
 
 
 def spearman_via_s(sample: PairedSample) -> tuple[float, SStatistic]:
@@ -252,14 +293,15 @@ def spearman_via_s(sample: PairedSample) -> tuple[float, SStatistic]:
     All counting is done in exact integer arithmetic, so the returned
     value is bit-identical to spearman(sample).
     """
-    p, q = compute_ranks(sample)
+    pi = _sample_permutation(sample)
     n = sample.n
-    # sum over j of H(x_i - x_j) is rank minus one
-    s = int(((p - 1) * (q - 1)).sum())
+    # sum over j of H(x_i - x_j) is the rank from 0, and the (x, y) ranks
+    # of the observations are the pairs (pi[k], k)
+    s = int(_rank_dot_rows(pi)[0])
     # i_term counts ordered pairs with both differences positive, i.e.
     # concordant unordered pairs
     k_term = n * (n - 1) // 2
-    i_term = k_term - int(_discordant_rows(p[None], q[None])[0])
+    i_term = k_term - int(inversions_rows(pi)[0])
     l_term = k_term
     j_term = s - i_term
     t = 4 * i_term - 2 * k_term - 2 * l_term + n * (n - 1)

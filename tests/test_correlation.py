@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmoments.correlation import (_CHUNK_ELEMENTS, PairedSample,
-                                     _kendall_rows, _ranks_rows,
-                                     _spearman_rows, compute_ranks,
-                                     inequality_check,
+                                     _kendall_rows, _permutation_rows,
+                                     _spearman_rows, coefficients_rows,
+                                     compute_ranks, inequality_check,
                                      inversions_rows, kendall, pearson,
                                      spearman, spearman_via_s)
 from rankmoments.errors import DegenerateError, SizeError, TieError
@@ -183,11 +183,21 @@ class TestInequalityEdges:
             inequality_check(0.0, 0.0, 2)
 
 
+def permutation_from_ranks(p, q):
+    """pi with pi[k] the x rank of the observation of y rank k (from 0),
+    from rank arrays (p, q) of x and y (from 1), rows last."""
+    pi = np.empty_like(p)
+    np.put_along_axis(pi, q - 1, p - 1, axis=-1)
+    return pi
+
+
 def test_kendall_from_ranks_matches():
     rng = np.random.default_rng(5)
     s = random_sample(rng, 40)
     p, q = compute_ranks(s)
-    assert _kendall_rows(p[None], q[None])[0] == kendall_oracle(s)
+    pi = permutation_from_ranks(p, q)
+    assert (pi == _permutation_rows(s.x[None], s.y[None])[0]).all()
+    assert _kendall_rows(pi[None])[0] == kendall_oracle(s)
 
 
 @pytest.mark.parametrize("n", [4, 65, 1000, 300_002])
@@ -200,7 +210,18 @@ def test_spearman_rows_correctly_rounded(n):
     m = n * (n * n - 1)
     want = [float(1 - Fraction(6 * int(((a - b) ** 2).sum()), m))
             for a, b in zip(p, q)]
-    assert _spearman_rows(p, q).tolist() == want
+    assert _spearman_rows(permutation_from_ranks(p, q)).tolist() == want
+
+
+def test_spearman_beyond_int64():
+    # from n of about 3.03e6 the sums of squared rank differences, and
+    # of rank products, pass 2**63
+    n = 3_100_000
+    rows = np.stack([np.arange(n), np.arange(n)[::-1]])
+    assert _spearman_rows(rows).tolist() == [1.0, -1.0]
+    x = np.arange(float(n))
+    assert spearman(sample(x, -x)) == -1.0
+    assert spearman_via_s(sample(x, -x))[0] == -1.0
 
 
 def test_large_n_fast_path():
@@ -261,20 +282,76 @@ class TestInversionCounter:
             want, k * k * (k * k - 1) // 2 - want]
 
 
+def stable_permutation(x, y):
+    """The permutation of each row from stable sorts: tied x in input
+    order, tied y in x order."""
+    yx = np.take_along_axis(y, np.argsort(x, axis=1, kind="stable"), axis=1)
+    return np.argsort(yx, axis=1, kind="stable")
+
+
 class TestRanksTieGuard:
     def test_tie_free_block_matches_stable_ranks(self):
-        x = np.random.default_rng(8).standard_normal((50, 300))
-        stable = np.argsort(np.argsort(x, axis=1, kind="stable"), axis=1) + 1
-        assert (_ranks_rows(x) == stable).all()
+        x, y = np.random.default_rng(8).standard_normal((2, 50, 300))
+        assert (_permutation_rows(x, y) == stable_permutation(x, y)).all()
 
     @pytest.mark.parametrize("b, row", [(5, 2),
                                         (3 * (_CHUNK_ELEMENTS // 40), -1)],
                              ids=["third-row", "last-chunk"])
     def test_tied_row_ranks_in_input_order(self, b, row):
-        x = np.random.default_rng(9).standard_normal((b, 40))
+        x, y = np.random.default_rng(9).standard_normal((2, b, 40))
         x[row, [3, 17, 30]] = x[row, 25]
-        stable = np.argsort(np.argsort(x, axis=1, kind="stable"), axis=1) + 1
-        ranks = _ranks_rows(x)
-        assert (ranks == stable).all()
+        stable = stable_permutation(x, y)
+        pi = _permutation_rows(x, y)
+        assert (pi == stable).all()
+        # the x ranks of the observations, in input order
+        ranks = np.take_along_axis(pi, np.argsort(np.argsort(y, axis=1),
+                                                  axis=1), axis=1)
         tied = ranks[row, [3, 17, 25, 30]]
         assert tied.tolist() == list(range(tied[0], tied[0] + 4))
+
+
+def tied_block(n, b, rng):
+    """b rows of n with tied x in row 1, tied y in row b // 2 and both
+    in the last row."""
+    x, y = rng.standard_normal((2, b, n))
+    x[1, [0, n // 2, n - 1]] = x[1, 1]
+    y[b // 2, [2, n - 2]] = y[b // 2, n // 3]
+    x[-1, [1, n - 3]] = x[-1, n // 2]
+    y[-1, [0, n - 1]] = y[-1, 3]
+    return x, y
+
+
+def rows_per_chunk(n):
+    """A block is cut into chunks of _CHUNK_ELEMENTS // width rows, with
+    width the row length n padded to a power of two."""
+    return _CHUNK_ELEMENTS // (1 << (n - 1).bit_length())
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("n", [4, 20, 64, 65, 1000])
+    def test_chunk_boundaries(self, n):
+        rows = rows_per_chunk(n)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((2 * rows + 3, n))
+        y = 0.6 * x + 0.8 * rng.standard_normal(x.shape)
+        block = [v.tolist() for v in coefficients_rows(x, y)]
+        single = [[f(sample(a, b)) for a, b in zip(x, y)]
+                  for f in (pearson, spearman, kendall)]
+        assert block == single
+        cut = int(rng.integers(1, 2 * rows + 3))
+        head, tail = (coefficients_rows(x[sl], y[sl])
+                      for sl in (slice(None, cut), slice(cut, None)))
+        assert [h.tolist() + t.tolist()
+                for h, t in zip(head, tail)] == block
+
+    @pytest.mark.parametrize("n", [20, 1000])
+    def test_ties_match_stable_sorts(self, n, monkeypatch):
+        x, y = tied_block(n, 2 * rows_per_chunk(n) + 3,
+                          np.random.default_rng(n))
+        assert (_permutation_rows(x, y) == stable_permutation(x, y)).all()
+        got = [v.tolist() for v in coefficients_rows(x, y)]
+        argsort = np.argsort
+        monkeypatch.setattr(
+            np, "argsort",
+            lambda a, axis=-1, kind=None: argsort(a, axis, kind="stable"))
+        assert [v.tolist() for v in coefficients_rows(x, y)] == got
