@@ -15,8 +15,13 @@ same + rho * cross. On first use the pairs are checked as correlation
 matrices at rho = -1 and rho = 1, which covers every |rho| <= 1, then
 against exact anchor values at rho = 0 and rho = 1 and against four
 internal W-identities; failure raises DerivationError. Each omegas pass
-checks omega3, a sum of W by Childs's (1967) reduction, against 1/18 + I,
-I the integral of its Plackett (1954) derivative; omega4 = pi^2 / 2 * I.
+checks omega3 = W_g / 2 + W_h against 1/18 + I, I the integral along rho
+of its Plackett (1954) derivative; omega4 = pi^2 / 2 * I. Childs's (1967)
+legs of W are the same identity along Z1's row from W = 0, from the same
+orthant._plackett_coeffs. The check stays independent: the routes use
+disjoint halves of its cubic numerator (d0, d2 on Z1's row, d1, d3 on
+rho), and the variances b, g they share are pinned by the anchors above
+and by the tests' QUADPACK omega4 oracle.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ import numpy as np
 
 from .errors import (CrossCheckError, DerivationError, DomainError,
                      NegativeVarianceError)
-from .orthant import (CorrelationMatrix4, _asin_ratio, _p4_from_w, w_integral,
-                      w_legs)
+from .orthant import (CorrelationMatrix4, _p4_from_w, _plackett_asin,
+                      _plackett_coeffs, w_integral, w_legs)
 from .quadrature import ABS_TOL, Family, integrate_families
 
 _NEG_CLAMP = -1e-10
@@ -183,17 +188,16 @@ _ROUTE_TOL = 1e-9  # largest |omega3 - (1/18 + I)| a pass accepts
 def _plackett_terms(weights: dict):
     """Terms of Plackett's (1954) d/drho of sum weight * W[label], 4/pi^2
     times the sum of coef * asin(r_kl.ij) / sqrt(1 - r_ij^2) over pairs i < j
-    with cross_ij != 0, r_kl.ij the partial correlation of k < l given i, j:
-    (same, cross) entries ij, ik, il, jk, jl, kl as (T, 6), coef (T,)."""
-    rows = []
+    with cross_ij != 0, on each pattern's path same + rho * cross: coef,
+    then the arrays of _plackett_coeffs, each of shape (T,)."""
+    i, j = np.triu_indices(4, 1)
+    parts = []
     for label, weight in weights.items():
-        for i, j in zip(*np.triu_indices(4, 1)):
-            order = [i, j] + [a for a in range(4) if a not in (i, j)]
-            s, c = (m[np.ix_(order, order)][np.triu_indices(4, 1)]
-                    for m in _PATTERNS[label])
-            if c[0] != 0.0:
-                rows.append((s, c, weight * c[0]))
-    return tuple(np.array(part) for part in zip(*rows))
+        same, cross = _PATTERNS[label]
+        on = cross[i, j] != 0.0
+        c_ij, *coeffs = _plackett_coeffs(same, cross, i[on], j[on])
+        parts.append((weight * c_ij, c_ij, *coeffs))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 # omega3 = W_g / 2 + W_h
@@ -203,18 +207,11 @@ _OMEGA3_TERMS = _plackett_terms({"g": 0.5, "h": 1.0})
 def _omega3_rate(theta):
     """d omega3 / d theta at rho = sin(theta), for an (R, m) array of nodes,
     from the terms of _OMEGA3_TERMS summed left to right, without BLAS."""
-    same, cross, coef = _OMEGA3_TERMS
+    coef, c_ij, *coeffs = _OMEGA3_TERMS
     sin, cos = np.sin(theta)[..., None], np.cos(theta)[..., None]
-    r_ij, r_ik, r_il, r_jk, r_jl, r_kl = np.moveaxis(
-        same + sin[..., None] * cross, -1, 0)
-    # q = 1 - r_ij^2 (r_ij = cross_ij sin): cos/sqrt(q) = 1 at |cross_ij| = 1
-    q = cos * cos + (1 - cross[:, 0] ** 2) * (sin * sin)
-    # (1 - r_ij^2) times the covariances of k and l given i and j
-    c_kk = q - (r_ik * r_ik + r_jk * r_jk - 2 * r_ij * r_ik * r_jk)
-    c_ll = q - (r_il * r_il + r_jl * r_jl - 2 * r_ij * r_il * r_jl)
-    c_kl = q * r_kl - (r_ik * r_il + r_jk * r_jl
-                       - r_ij * (r_ik * r_jl + r_jk * r_il))
-    terms = coef * _asin_ratio(c_kl, c_kk * c_ll) / np.sqrt(q)
+    # q = 1 - r_ij^2 (r_ij = c_ij sin): cos/sqrt(q) = 1 at |c_ij| = 1
+    q = cos * cos + (1 - c_ij ** 2) * (sin * sin)
+    terms = coef * _plackett_asin(sin, sin * sin, coeffs) / np.sqrt(q)
     total = np.add.accumulate(terms, axis=-1)[..., -1]
     return 4 / math.pi ** 2 * cos[..., 0] * total
 

@@ -8,8 +8,8 @@ Subcommands:
   are       print asymptotic relative efficiencies on a grid
 
 Exit codes: 0 success, 2 numerical failure, 3 data precondition violated
-(ties, constant column, too few rows, bad parameters), 4 I/O or parse
-error.
+(ties, constant column, too few rows, bad parameters, usage errors), 4
+I/O or parse error.
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ class _IoFailure(Exception):
 
 
 def cmd_tables(args) -> int:
+    if args.grid is None:
+        raise DomainError("tables requires --grid")
     grid = parse_grid(args.grid)
     if any(not 0 <= r <= 1 for r in grid):
         raise DomainError("tables grid must lie within [0, 1]")
@@ -229,8 +231,15 @@ def cmd_are(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error is bad parameters; argparse's own 2 is a numerical failure
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_DATA, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankmoments",
         description="Exact moment theory of rank correlation coefficients.")
     sub = parser.add_subparsers(dest="command", required=True)

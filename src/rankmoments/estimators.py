@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .binormal import (cov_rs_rk_exact, lemma2_moments, omegas,
+from .binormal import (_check_rho, cov_rs_rk_exact, lemma2_moments, omegas,
                        var_rs_exact)
 from .errors import DomainError, SizeError
 
@@ -36,27 +36,12 @@ def estimates(r_p, r_s, r_k, n: int) -> dict:
     }
 
 
-def _sigma2_s(rho: float, n: int) -> float:
-    # n * var(r_S), from the exact finite-n variance
-    return n * var_rs_exact(rho, n)
-
-
-def _sigma2_k(rho: float, n: int) -> float:
-    # n * var(r_K), from the exact finite-n variance
-    return n * lemma2_moments(rho, n)["var_rk"]
-
-
-def _sigma_sk(rho: float, n: int) -> float:
-    # n * cov(r_S, r_K), from the exact finite-n covariance
-    return n * cov_rs_rk_exact(rho, n)
-
-
 def _mixed_form(rho: float, n: int) -> float:
     # (n+1)^2 sigma_S^2 - 6(n+1) sigma_SK + 9 sigma_K^2, the quadratic form
     # in the mixed estimator's bias and variance
-    sig2_s = _sigma2_s(rho, n)
-    sig2_k = _sigma2_k(rho, n)
-    sig_sk = _sigma_sk(rho, n)
+    sig2_s = n * var_rs_exact(rho, n)
+    sig2_k = n * lemma2_moments(rho, n)["var_rk"]
+    sig_sk = n * cov_rs_rk_exact(rho, n)
     return (n + 1) ** 2 * sig2_s - 6 * (n + 1) * sig_sk + 9 * sig2_k
 
 
@@ -69,11 +54,11 @@ def bias_theoretical(kind: EstimatorKind, rho: float, n: int) -> float:
     if kind is EstimatorKind.PEARSON:
         return -rho * (1 - rho * rho) / (2 * n)
     if kind is EstimatorKind.SPEARMAN:
-        sig2_s = _sigma2_s(rho, n)
+        sig2_s = n * var_rs_exact(rho, n)
         return (math.sqrt(4 - rho * rho) * (s1 - 3 * s2) / (n + 1)
                 - pi2 * rho * sig2_s / (72 * n))
     if kind is EstimatorKind.KENDALL:
-        sig2_k = _sigma2_k(rho, n)
+        sig2_k = n * lemma2_moments(rho, n)["var_rk"]
         return -pi2 * rho * sig2_k / (8 * n)
     return -(pi2 * rho / (72 * n * (n - 2) ** 2)) * _mixed_form(rho, n)
 
@@ -97,8 +82,7 @@ def crlb(rho: float, n: int) -> float:
     """Information bound for estimating rho from n bivariate normal pairs."""
     if n < 1:
         raise DomainError("need n >= 1")
-    if not abs(rho) <= 1:
-        raise DomainError(f"|rho| must be <= 1, got {rho}")
+    _check_rho(rho)
     return (1 - rho * rho) ** 2 / n
 
 
@@ -109,8 +93,7 @@ _ARE_K_AT_1 = 3 * math.sqrt(3) / (2 * math.pi)
 
 def are(kind: EstimatorKind, rho: float) -> float:
     """Asymptotic efficiency relative to the information bound."""
-    if not abs(rho) <= 1:
-        raise DomainError(f"|rho| must be <= 1, got {rho}")
+    _check_rho(rho)
     if kind is EstimatorKind.PEARSON:
         return 1.0
     if kind is EstimatorKind.KENDALL:
@@ -132,8 +115,7 @@ def are(kind: EstimatorKind, rho: float) -> float:
 
 
 def _check_args(rho: float, n: int, kind: EstimatorKind):
-    if not abs(rho) <= 1:
-        raise DomainError(f"|rho| must be <= 1, got {rho}")
+    _check_rho(rho)
     if kind is EstimatorKind.MIXED and n <= 2:
         raise SizeError("mixed estimator requires n > 2")
     if n < 4:

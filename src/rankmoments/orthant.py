@@ -2,10 +2,12 @@
 in dimensions 2-4.
 
 The quadrivariate case is reduced (Childs 1967) to three 1-D arcsine
-integrals on [0, 1], one leg per partner variable of Z1, all from one
-coefficient formula and evaluated by adaptive Gauss-Kronrod quadrature in
-lock-step over a stack of matrices. A matrix with an exactly coincident
-pair, |r_ab| >= 1 so that Z_b = +-Z_a, gets no legs: its orthant is the
+integrals on [0, 1], one leg per partner Z_j of Z1: Plackett's (1954)
+term of the pair (Z1, Z_j) on the path that scales Z1's row up from 0,
+where W = 0, from the _plackett_coeffs and _plackett_asin that also serve
+binormal's rho path. The legs of a stack run in lock-step adaptive
+Gauss-Kronrod quadrature. A matrix with an exactly coincident pair,
+|r_ab| >= 1 so that Z_b = +-Z_a, gets no legs: its orthant is the
 trivariate one of the other three variables, or empty for an opposed
 pair. Where a leg's partner nearly coincides with another variable its
 arcsine argument is 0/0 and is taken as 0. Every arcsine argument, scalar
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -29,46 +30,36 @@ _BG_FLOOR = 1e-14
 
 def _psd_within_tol(m: np.ndarray) -> bool:
     """Whether the smallest eigenvalue of the symmetric 3x3 or 4x4 m (read
-    from its lower triangle) is at least _PSD_TOL.
+    from its lower triangle) exceeds _PSD_TOL.
 
-    By Sylvester's criterion that holds exactly when every principal minor
-    of m - _PSD_TOL*I is >= 0: the diagonal, three or six 2x2, one or four
-    3x3, and for a 4x4 the determinant, by Laplace expansion along its
-    first two rows. The minors are taken on exact integers, the shifted
-    entries times their common power-of-two denominator. A singular
-    matrix's shifted minors can be as small as 1e-30, below the roundoff
-    of a floating-point determinant, so no float formula would do.
+    That holds exactly when m - _PSD_TOL*I is positive definite, that is
+    (Sylvester) when the pivots of its fraction-free (Bareiss) elimination,
+    its leading principal minors, are > 0. They are taken on exact
+    integers, the shifted entries times their common power-of-two
+    denominator: a singular matrix's shifted minors can be as small as
+    1e-30, below the roundoff of any floating-point determinant.
     """
     k = len(m)
     if not np.isfinite(m).all():
         return False
     rows = m.tolist()
-    lower = [(i, j, *rows[i][j].as_integer_ratio())
-             for i in range(k) for j in range(i + 1)]
+    lower = [[rows[max(i, j)][min(i, j)].as_integer_ratio() for j in range(k)]
+             for i in range(k)]
     tol_num, tol_den = _PSD_TOL.as_integer_ratio()
     # every denominator is a power of two, so the largest is common to all
-    scale = max(tol_den, *(den for *_, den in lower))
-    a = [[0] * k for _ in range(k)]
-    for i, j, num, den in lower:
-        a[i][j] = a[j][i] = (num * (scale // den)
-                             - (i == j) * tol_num * (scale // tol_den))
-
-    def c2(r0, r1, c0, c1):
-        return a[r0][c0] * a[r1][c1] - a[r0][c1] * a[r1][c0]
-
-    minors = [a[i][i] for i in range(k)]
-    minors += [c2(i, j, i, j) for i, j in combinations(range(k), 2)]
-    minors += [a[i][i] * c2(j, l, j, l) - a[i][j] * c2(j, l, i, l)
-               + a[i][l] * c2(j, l, i, j)
-               for i, j, l in combinations(range(k), 3)]
-    if k == 4:
-        minors.append(c2(0, 1, 0, 1) * c2(2, 3, 2, 3)
-                      - c2(0, 1, 0, 2) * c2(2, 3, 1, 3)
-                      + c2(0, 1, 0, 3) * c2(2, 3, 1, 2)
-                      + c2(0, 1, 1, 2) * c2(2, 3, 0, 3)
-                      - c2(0, 1, 1, 3) * c2(2, 3, 0, 2)
-                      + c2(0, 1, 2, 3) * c2(2, 3, 0, 1))
-    return min(minors) >= 0
+    scale = max(tol_den, *(den for row in lower for _, den in row))
+    a = [[num * (scale // den) - (i == j) * tol_num * (scale // tol_den)
+          for j, (num, den) in enumerate(row)] for i, row in enumerate(lower)]
+    prev = 1
+    for p in range(k):
+        if a[p][p] <= 0:
+            return False
+        for i in range(p + 1, k):
+            for j in range(p + 1, k):
+                # exact division (Sylvester's identity)
+                a[i][j] = (a[i][j] * a[p][p] - a[i][p] * a[p][j]) // prev
+        prev = a[p][p]
+    return True
 
 
 @dataclass(frozen=True)
@@ -120,20 +111,35 @@ def orthant_p3(rho12: float, rho13: float, rho23: float) -> float:
     return 0.125 * (1 + 2 / math.pi * s)
 
 
-def _abg_coeffs(r: np.ndarray, ell: int):
-    """Polynomial coefficients of alpha/beta/gamma in u^2 for leg ell in {1,2,3}
-    (0-based index j of the partner variable, k < l the other two). r is one
-    4x4 matrix, or a (4, 4, M) stack that gives arrays of M coefficients;
-    only its upper triangle is read."""
-    j = ell
-    k, l = (i for i in (1, 2, 3) if i != j)
-    r1j, r1k, r1l = r[0, j], r[0, k], r[0, l]
-    rjk, rjl, rkl = r[min(j, k), max(j, k)], r[min(j, l), max(j, l)], r[k, l]
-    a0 = rkl - rjk * rjl
-    a2 = r1k * r1l + r1j * (r1j * rkl - r1l * rjk - r1k * rjl)
-    b0, b2 = 1 - rjk ** 2, r1j ** 2 + r1k ** 2 - 2 * r1j * r1k * rjk
-    g0, g2 = 1 - rjl ** 2, r1j ** 2 + r1l ** 2 - 2 * r1j * r1l * rjl
-    return a0, a2, b0, b2, g0, g2
+def _plackett_coeffs(same, cross, i, j):
+    """Plackett's (1954) term of the pair (i, j), indices or index arrays,
+    on the path same + t * cross of 4x4 matrices or stacks (upper triangles
+    read), k < l the other two: c_ij, the cubic d0 + d1 t + d2 t^2 + d3 t^3
+    of (1 - r_ij^2) cov(Z_k, Z_l | Z_i, Z_j), and the quadratics
+    b0 - b2 t^2, g0 - g2 t^2 of (1 - r_ij^2) var(Z_k | .), var(Z_l | .).
+    The path must have r_ij = t c_ij and, of ik and jk as of il and jl, one
+    entry in same and the other in cross, so that the variances are even in
+    t; both paths the package uses do."""
+    i, j = np.broadcast_arrays(i, j)
+    k, l = np.array([[a for a in range(4) if a not in pair]
+                     for pair in zip(i.flat, j.flat)]).T.reshape(2, *i.shape)
+    pairs = ((i, j), (i, k), (i, l), (j, k), (j, l), (k, l))
+    (_, s_ik, s_il, s_jk, s_jl, s_kl), (c_ij, c_ik, c_il, c_jk, c_jl, c_kl) = (
+        [m[..., np.minimum(a, b), np.maximum(a, b)] for a, b in pairs]
+        for m in (same, cross))
+    # the operand order of d0, d2, b and g fixes the bits of every W
+    d0 = s_kl - s_jk * s_jl - s_ik * s_il
+    d1 = (c_kl - s_ik * c_il - c_ik * s_il - s_jk * c_jl - c_jk * s_jl
+          + c_ij * (s_ik * s_jl + s_jk * s_il))
+    d2 = -(c_ik * c_il + c_jk * c_jl + c_ij * (
+        c_ij * s_kl - c_il * s_jk - c_ik * s_jl - c_jk * s_il - c_jl * s_ik))
+    d3 = c_ij * (c_ik * c_jl + c_jk * c_il - c_ij * c_kl)
+    b0, g0 = 1 - s_jk ** 2 - s_ik ** 2, 1 - s_jl ** 2 - s_il ** 2
+    b2 = (c_ij ** 2 + c_ik ** 2 - 2 * c_ij * c_ik * s_jk
+          + c_jk * (c_jk - 2 * c_ij * s_ik))
+    g2 = (c_ij ** 2 + c_il ** 2 - 2 * c_ij * c_il * s_jl
+          + c_jl * (c_jl - 2 * c_ij * s_il))
+    return c_ij, d0, d1, d2, d3, b0, b2, g0, g2
 
 
 def _asin_ratio(num, den2):
@@ -151,19 +157,20 @@ def _asin_ratio(num, den2):
     return np.arcsin(_clamp_unit(ratio))
 
 
-def _arcsine_ratio(u2: np.ndarray, coeffs) -> np.ndarray:
-    """arcsin(alpha / (beta*gamma)), each coefficient broadcasting against
-    u2, e.g. as a (K, 1) column for the K rows of a lock-step integrand."""
-    a0, a2, b0, b2, g0, g2 = coeffs
-    beta2 = np.maximum(b0 - b2 * u2, 0.0)
-    gamma2 = np.maximum(g0 - g2 * u2, 0.0)
-    return _asin_ratio(a0 - a2 * u2, beta2 * gamma2)
+def _plackett_asin(t, t2, coeffs):
+    """arcsin(r_kl.ij) at t, t2 = t * t, from the coefficients that follow
+    c_ij in _plackett_coeffs, each broadcasting against t, e.g. as a (K, 1)
+    column for the K rows of a lock-step integrand."""
+    d0, d1, d2, d3, b0, b2, g0, g2 = coeffs
+    # one half of the cubic is zero on each path, so adding it is exact
+    return _asin_ratio(d0 + d2 * t2 + t * (d1 + d3 * t2),
+                       np.maximum(b0 - b2 * t2, 0.0)
+                       * np.maximum(g0 - g2 * t2, 0.0))
 
 
 def _plain_leg(u, r1l, *coeffs):
     u2 = u * u
-    denom = np.sqrt(1 - r1l * r1l * u2)
-    return r1l / denom * _arcsine_ratio(u2, coeffs)
+    return r1l / np.sqrt(1 - r1l * r1l * u2) * _plackett_asin(u, u2, coeffs)
 
 
 def _coincident_w(m: np.ndarray) -> float:
@@ -192,16 +199,16 @@ def w_legs(ms: np.ndarray):
     coincident = (np.abs(ms[:, i, j]) >= 1).any(axis=1)
     closed = np.flatnonzero(coincident)
     closed_w = [_coincident_w(ms[k]) for k in closed]
-    # one row per leg of the other matrices, matrix-major then by ell:
-    # owner, r_1l, coefficients
-    r = np.moveaxis(ms[~coincident], 0, -1)
-    table = np.stack([np.stack([np.flatnonzero(~coincident), r[0, ell],
-                                *_abg_coeffs(r, ell)], axis=-1)
-                      for ell in (1, 2, 3)], axis=1).reshape(-1, 8)
-    table = table[table[:, 1] != 0.0]
-    owner = table[:, 0].astype(int)
-    family = Family(_plain_leg, np.zeros(len(table)), np.ones(len(table)),
-                    ABS_TOL / 3, tuple(table[:, 1:].T))
+    # Z1's row scaled up from 0, where W = 0, as same + t * cross
+    row = (np.arange(4) == 0) != (np.arange(4) == 0)[:, None]
+    r = ms[~coincident]
+    coeffs = _plackett_coeffs(np.where(row, 0.0, r), np.where(row, r, 0.0),
+                              0, np.arange(1, 4))
+    # one leg per nonzero r_1l, matrix-major then by partner
+    legs = coeffs[0] != 0.0
+    owner = np.repeat(np.flatnonzero(~coincident), 3)[legs.ravel()]
+    family = Family(_plain_leg, np.zeros(len(owner)), np.ones(len(owner)),
+                    ABS_TOL / 3, tuple(c[legs] for c in coeffs))
 
     def fold(values: np.ndarray) -> np.ndarray:
         totals = np.zeros(len(ms))

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .binormal import cov_rs_rk_exact, lemma2_moments, omegas, var_rs_exact
+from .binormal import (_check_rho, cov_rs_rk_exact, lemma2_moments, omegas,
+                       var_rs_exact)
 from .contaminated import (ContaminationParams, expected_rk_contaminated,
                            expected_rs_contaminated, rival_formula_star,
                            sample_contaminated_block)
@@ -151,8 +152,7 @@ def threads_limit() -> int:
 def sample_binormal_block(rho: float, n: int, stream: np.random.Generator,
                           size: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Standard-marginal correlated pairs, shape (size, n) each."""
-    if not abs(rho) <= 1:
-        raise DomainError(f"|rho| must be <= 1, got {rho}")
+    _check_rho(rho)
     if n < 1:
         raise DomainError("n must be >= 1")
     u = stream.standard_normal((size, n))

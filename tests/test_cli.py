@@ -78,6 +78,11 @@ class TestTables:
         code, _, err = run(["tables", "--grid=-0.5(0.5)0.5"], capsys)
         assert code == 3
 
+    def test_missing_grid_exit_3(self, capsys):
+        code, out, err = run(["tables"], capsys)
+        assert code == 3 and out == ""
+        assert err == "invalid input: tables requires --grid\n"
+
     def test_convergence_failure_exit_2(self, tmp_path, monkeypatch, capsys):
         omegas(0.5)  # the one-time pattern validation runs here
 
@@ -354,3 +359,29 @@ class TestPrecision:
 
     def test_precision_range(self, capsys):
         assert run(["are", "--rho", "0", "--precision", "19"], capsys)[0] == 3
+
+
+class TestUsageErrors:
+    """argparse's own exit code 2 would read as a numerical failure."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["simulate", "--n", "abc"], "argument --n: invalid int value"),
+        (["are", "--precision", "x"], "argument --precision: invalid int"),
+        (["frobnicate"], "argument command: invalid choice"),
+        ([], "the following arguments are required: command"),
+        (["tables", "--no-such-flag"], "unrecognized arguments"),
+    ])
+    def test_usage_error_exit_3(self, args, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        captured = capsys.readouterr()
+        assert exc.value.code == 3 and captured.out == ""
+        assert captured.err.startswith("usage: rankmoments")
+        assert message in captured.err
+
+    @pytest.mark.parametrize("args", [["--help"], ["simulate", "--help"]])
+    def test_help_exit_0(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rankmoments")

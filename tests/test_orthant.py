@@ -10,7 +10,8 @@ from scipy.stats import qmc
 from rankmoments import binormal
 from rankmoments.errors import DomainError
 from rankmoments.orthant import (_PSD_TOL, CorrelationMatrix4,
-                                 _abg_coeffs, _asin_ratio, _psd_within_tol,
+                                 _asin_ratio, _plackett_asin,
+                                 _plackett_coeffs, _psd_within_tol,
                                  orthant_p2, orthant_p3, orthant_p4,
                                  w_integral)
 from rankmoments.quadrature import CLAMP_EPS
@@ -162,7 +163,7 @@ class TestP4:
 
 
 class TestPsdCheck:
-    """The exact principal-minor test against eigvalsh and at the tolerance."""
+    """The exact leading-minor test against eigvalsh and at the tolerance."""
 
     def test_agrees_with_eigvalsh_away_from_boundary(self):
         rng = np.random.default_rng(21)
@@ -209,6 +210,17 @@ class TestPsdCheck:
         assert _psd_within_tol(equi(0.1 * _PSD_TOL))
         assert not _psd_within_tol(equi(10 * _PSD_TOL))
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_exactly_singular_shift_rejected(self, k):
+        # [[t, 2t], [2t, t]] has eigenvalues 3t and -t = _PSD_TOL exactly:
+        # the smallest eigenvalue does not exceed the tolerance
+        t = -_PSD_TOL
+        m = np.eye(k)
+        m[:2, :2] = [[t, 2 * t], [2 * t, t]]
+        assert not _psd_within_tol(m)
+        m[0, 0] = m[1, 1] = 2 * t
+        assert _psd_within_tol(m)
+
     def test_non_psd_3x3_rejected(self):
         # the 4x4 case is in TestP4.test_matrix_validation
         with pytest.raises(DomainError):
@@ -234,22 +246,117 @@ class TestQmcOracle:
             assert abs(orthant_p4(m) - est) <= 4 * max(se, 1e-6)
 
 
+def z1_row_path(r):
+    """(same, cross) of the path that scales Z1's row of r up from 0."""
+    row = np.zeros((4, 4), dtype=bool)
+    row[0, 1:] = row[1:, 0] = True
+    return np.where(row, 0.0, r), np.where(row, r, 0.0)
+
+
+def entry_form_asin(same, cross, i, j, t):
+    """arcsin(r_kl.ij) of same + t * cross, from the entries of the matrix
+    at t: the partial covariance algebra written out once more."""
+    k, l = (a for a in range(4) if a not in (i, j))
+    r = same + t[:, None, None] * cross
+    r_ij, r_ik, r_il, r_jk, r_jl, r_kl = (
+        r[:, a, b] for a, b in ((i, j), (i, k), (i, l), (j, k), (j, l), (k, l)))
+    q = 1 - r_ij * r_ij
+    c_kk = q - (r_ik * r_ik + r_jk * r_jk - 2 * r_ij * r_ik * r_jk)
+    c_ll = q - (r_il * r_il + r_jl * r_jl - 2 * r_ij * r_il * r_jl)
+    c_kl = q * r_kl - (r_ik * r_il + r_jk * r_jl
+                       - r_ij * (r_ik * r_jl + r_jk * r_il))
+    return np.arcsin(c_kl / np.sqrt(c_kk * c_ll))
+
+
+def pattern_paths():
+    """(same, cross, i, j) of every Plackett term on the rho paths of the
+    twelve patterns."""
+    for same, cross in binormal._PATTERNS.values():
+        for i, j in zip(*np.triu_indices(4, 1)):
+            if cross[i, j] != 0.0:
+                yield same, cross, i, j
+
+
 class TestIntegrandTerms:
     def test_positive_factors_and_feasible_ratio(self):
-        # alpha, beta, gamma of each leg, from the coefficients that the
-        # arcsine integrand of w_integral evaluates
+        # the two conditional variances and the partial correlation of
+        # each Childs leg, from the coefficients that the arcsine
+        # integrand of w_integral evaluates
         rng = np.random.default_rng(7)
         u = np.linspace(0.0, 0.999, 40)
         u2 = u * u
         for _ in range(20):
-            r = random_correlation(rng)
-            for ell in (1, 2, 3):
-                a0, a2, b0, b2, g0, g2 = _abg_coeffs(r.rho, ell)
+            same, cross = z1_row_path(random_correlation(rng).rho)
+            for j in (1, 2, 3):
+                _, d0, d1, d2, d3, b0, b2, g0, g2 = _plackett_coeffs(
+                    same, cross, 0, j)
                 beta = np.sqrt(np.maximum(b0 - b2 * u2, 0.0))
                 gamma = np.sqrt(np.maximum(g0 - g2 * u2, 0.0))
                 assert (beta > 0).all() and (gamma > 0).all()
-                assert (np.abs((a0 - a2 * u2) / (beta * gamma))
-                        <= 1 + CLAMP_EPS).all()
+                num = d0 + d2 * u2 + u * (d1 + d3 * u2)
+                assert (np.abs(num / (beta * gamma)) <= 1 + CLAMP_EPS).all()
+
+    def test_childs_legs_match_entry_form(self):
+        # Z1's row path splits the variables 1+3: the numerator is even
+        rng = np.random.default_rng(8)
+        t = np.linspace(0.0, 0.999, 40)
+        for _ in range(20):
+            same, cross = z1_row_path(random_correlation(rng).rho)
+            for j in (1, 2, 3):
+                _, *coeffs = _plackett_coeffs(same, cross, 0, j)
+                assert coeffs[1] == 0.0 and coeffs[3] == 0.0
+                np.testing.assert_allclose(
+                    _plackett_asin(t, t * t, coeffs),
+                    entry_form_asin(same, cross, 0, j, t), rtol=0, atol=1e-13)
+
+    def test_rho_paths_match_entry_form(self):
+        # the rho path splits the x and y differences 2+2: the numerator
+        # is odd
+        t = np.linspace(0.0, 0.999, 40)
+        paths = list(pattern_paths())
+        assert len(paths) > 12
+        for same, cross, i, j in paths:
+            _, *coeffs = _plackett_coeffs(same, cross, i, j)
+            assert coeffs[0] == 0.0 and coeffs[2] == 0.0
+            np.testing.assert_allclose(
+                _plackett_asin(t, t * t, coeffs),
+                entry_form_asin(same, cross, i, j, t), rtol=0, atol=1e-13)
+
+    def test_general_paths_match_entry_form(self):
+        # random splits of the entries between same and cross, so that
+        # terms that vanish on both package paths count: k and l each join
+        # i or j at random, and kl is either; small correlations keep every
+        # matrix on the path positive definite
+        rng = np.random.default_rng(9)
+        t = np.linspace(0.0, 1.0, 41)
+        for _ in range(200):
+            r = np.triu(rng.uniform(-0.25, 0.25, (4, 4)), 1)
+            i, j = sorted(rng.choice(4, 2, replace=False))
+            k, l = (a for a in range(4) if a not in (i, j))
+            in_cross = np.zeros((4, 4), dtype=bool)
+            in_cross[i, j] = True
+            in_cross[k, l] = rng.random() < 0.5
+            for m in (k, l):
+                # the entry to the other one of i, j is in cross
+                other = (i, j)[rng.integers(2)]
+                in_cross[min(other, m), max(other, m)] = True
+            same = np.eye(4) + np.where(in_cross, 0.0, r)
+            cross = np.where(in_cross, r, 0.0)
+            same, cross = same + np.triu(same, 1).T, cross + cross.T
+            _, *coeffs = _plackett_coeffs(same, cross, i, j)
+            np.testing.assert_allclose(
+                _plackett_asin(t, t * t, coeffs),
+                entry_form_asin(same, cross, i, j, t), rtol=0, atol=1e-13)
+
+    def test_index_arrays_match_single_pairs(self):
+        # one vectorised call over all pairs gives each pair's own
+        # coefficients
+        same, cross, *_ = next(pattern_paths())
+        i, j = np.triu_indices(4, 1)
+        stacked = _plackett_coeffs(same, cross, i, j)
+        for n, pair in enumerate(zip(i, j)):
+            single = _plackett_coeffs(same, cross, *pair)
+            assert [v[n] for v in stacked] == list(single)
 
     def test_arcsine_ratio_guards(self):
         # the one ratio body of the Childs legs and the Plackett route
