@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 numerical failure, 3 data precondition violated
 (ties, constant column, too few rows, bad parameters, usage errors), 4
-I/O or parse error.
+I/O or parse error, 5 resource limit (the simulate work budget, or memory
+that could not be allocated).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .correlation import (PairedSample, inequality_check, kendall, pearson,
                           spearman)
 from .errors import (ConvergenceError, CrossCheckError, DegenerateError,
                      DerivationError, DomainError, NegativeVarianceError,
-                     RankMomentsError, SizeError, TieError)
+                     RankMomentsError, ResourceError, SizeError, TieError)
 from .estimators import EstimatorKind, are, estimates
 from .formatting import format_fixed
 from .simulate import (ExperimentConfig, compare_report, format_report_csv,
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 2
 EXIT_DATA = 3
 EXIT_IO = 4
+EXIT_RESOURCE = 5
 
 _GRID_RE = re.compile(r"^\s*([-+0-9.eE]+)\(([-+0-9.eE]+)\)([-+0-9.eE]+)\s*$")
 # most points a grid may have; checked before the list is built, since a
@@ -320,6 +322,10 @@ def main(argv=None) -> int:
     except _IoFailure as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return EXIT_IO
+    # a MemoryError from a simulate worker thread is re-raised here too
+    except (ResourceError, MemoryError) as exc:
+        sys.stderr.write(f"resource limit: {str(exc) or 'out of memory'}\n")
+        return EXIT_RESOURCE
     except RankMomentsError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL

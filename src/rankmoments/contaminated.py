@@ -155,8 +155,7 @@ def sample_contaminated_block(params: ContaminationParams, n: int, size: int,
     def cholesky_pair(r):
         return r, math.sqrt(max(1 - r * r, 0.0))
 
-    u = rng.standard_normal((size, n))
-    v = rng.standard_normal((size, n))
+    u, v = rng.standard_normal((2, size, n))
     contaminated = rng.random((size, n)) < params.epsilon
 
     a0, b0 = cholesky_pair(params.rho)

@@ -59,12 +59,17 @@ def _check_ties(values: np.ndarray, name: str):
 
 
 # Rows are sorted, tie-checked and counted in chunks of about this many
-# padded elements. That keeps a chunk's arrays in cache and bounds the
-# scratch memory (a few 8-byte arrays of this length, under 1 MB) whatever
-# the block shape, as long as one padded row fits. The counter's bitset
-# base case takes one Python step per position per chunk, so a larger
-# chunk spreads that cost over more rows.
-_CHUNK_ELEMENTS = 2 ** 14
+# padded elements. That bounds the scratch memory (a few 8-byte arrays of
+# this length, a few MB) whatever the block shape, as long as one padded
+# row fits. The size is set by the GIL: the counter's bitset base case
+# makes one numpy call per position per chunk, and a numpy call holds the
+# GIL for its Python overhead and releases it only for its loop. At 2**14
+# those calls are so small that two threads ran eight n = 20 blocks only
+# 1.08x faster than one; at 2**15 they ran 1.84x faster, at 2**16 1.80x.
+# 2**16 is not taken because it raised the peak RSS of a 100-trial
+# n = 1000 contaminated simulate from 41.7 to 43.4 MB (+3.9%); 2**15
+# raised it by 0.4%.
+_CHUNK_ELEMENTS = 2 ** 15
 
 # Width of the bitset base case: one uint64 holds a run's seen values.
 _RUN = 64

@@ -10,18 +10,26 @@ Blocks take their coefficients from correlation.coefficients_rows and
 their estimates from estimators.estimates, the bodies that single
 samples and the estimate command use too.
 
-Per-block statistics are raw power sums shifted by the first block's
-means, so the final reduction reproduces two-pass central moments to
-near machine precision while remaining a fixed-order sum of
-per-block contributions.
+The whole campaign is one stream of (rho, n, block) jobs, cell by cell
+and block by block. Worker threads compute the blocks, at most two per
+worker ahead of the block the main thread is reducing, so the pool does
+not drain at a cell boundary and at most that many results are held. A
+campaign of one block runs on the main thread. The main thread takes
+the results in job order: a cell's first block gives the shift (its
+means), and every block of the cell adds raw power sums shifted by it.
+So the final reduction reproduces two-pass central moments to near
+machine precision while remaining a fixed-order sum of per-block
+contributions, and the blocks themselves never wait for the shift.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import starmap
 
 import numpy as np
 
@@ -155,9 +163,10 @@ def sample_binormal_block(rho: float, n: int, stream: np.random.Generator,
     _check_rho(rho)
     if n < 1:
         raise DomainError("n must be >= 1")
-    u = stream.standard_normal((size, n))
-    v = stream.standard_normal((size, n))
-    return u, rho * u + math.sqrt(1 - rho * rho) * v
+    u, v = stream.standard_normal((2, size, n))
+    v *= math.sqrt(1 - rho * rho)
+    v += rho * u
+    return u, v
 
 
 def _block_sums(values: dict, shifts: dict) -> dict:
@@ -214,31 +223,19 @@ def _cell_block(config: ExperimentConfig, rho: float, n: int,
     return {"r_s": r_s, "r_k": r_k, **estimates(r_p, r_s, r_k, n)}
 
 
-def _run_cell(config: ExperimentConfig, rho: float, n: int,
-              rho_idx: int, n_idx: int, pool) -> CellResult:
-    trials = config.trials
-    n_blocks = (trials + _BLOCK - 1) // _BLOCK
-    sizes = [_BLOCK] * (n_blocks - 1) + [trials - _BLOCK * (n_blocks - 1)]
+def _in_order(pool, fn, jobs: list, window: int):
+    """fn(*job) for every job, run on the pool and yielded in job order.
 
-    first = _cell_block(config, rho, n, rho_idx, n_idx, 0, sizes[0])
-    shifts = {name: float(arr.mean()) for name, arr in first.items()}
-    total = _block_sums(first, shifts)
-
-    def job(idx):
-        vals = _cell_block(config, rho, n, rho_idx, n_idx, idx, sizes[idx])
-        return _block_sums(vals, shifts)
-
-    if n_blocks > 1:
-        results = pool.map(job, range(1, n_blocks)) if pool is not None \
-            else map(job, range(1, n_blocks))
-        # fixed reduction order: map preserves block-index order
-        for sums in results:
-            for key, vals in sums.items():
-                total[key] = tuple(a + b for a, b in zip(total[key], vals))
-
-    series, cov, se_cov = _finalize(total, trials, shifts)
-    return CellResult(rho=rho, n=n, trials=trials, series=series,
-                      cov_rs_rk=cov, se_cov_rs_rk=se_cov)
+    At most `window` jobs are in flight (submitted and not yet yielded),
+    so at most that many results are held.
+    """
+    pending = deque()
+    for job in jobs:
+        pending.append(pool.submit(fn, *job))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def run_experiment(config: ExperimentConfig) -> TrialReport:
@@ -250,18 +247,40 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
                 f"> {_BUDGET}")
     if config.model == "binormal":
         omegas(config.rho_grid)  # the theory rows' omegas, in lock-step passes
-    workers = threads_limit()
+    trials = config.trials
+    n_blocks = (trials + _BLOCK - 1) // _BLOCK
+    sizes = [_BLOCK] * (n_blocks - 1) + [trials - _BLOCK * (n_blocks - 1)]
+    jobs = [(config, float(rho), int(n), i, j, b, sizes[b])
+            for i, rho in enumerate(config.rho_grid)
+            for j, n in enumerate(config.n_list)
+            for b in range(n_blocks)]
+    workers = min(threads_limit(), len(jobs))
     report = TrialReport(config=config)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        for i, rho in enumerate(config.rho_grid):
-            for j, n in enumerate(config.n_list):
-                cell = _run_cell(config, float(rho), int(n), i, j, pool)
+        if pool is None:
+            blocks = starmap(_cell_block, jobs)
+        else:
+            blocks = _in_order(pool, _cell_block, jobs, 2 * workers)
+        for (_, rho, n, _, _, b, _), values in zip(jobs, blocks):
+            if b == 0:
+                shifts = {name: float(arr.mean())
+                          for name, arr in values.items()}
+                total = _block_sums(values, shifts)
+            else:
+                # fixed reduction order: blocks arrive in block-index order
+                for key, sums in _block_sums(values, shifts).items():
+                    total[key] = tuple(a + c for a, c in zip(total[key], sums))
+            if b == n_blocks - 1:
+                series, cov, se_cov = _finalize(total, trials, shifts)
+                cell = CellResult(rho=rho, n=n, trials=trials, series=series,
+                                  cov_rs_rk=cov, se_cov_rs_rk=se_cov)
                 report.cells.append(cell)
                 report.rows.extend(_theory_rows(config, cell))
     finally:
         if pool is not None:
-            pool.shutdown()
+            # a failed block leaves later jobs queued: drop them, then join
+            pool.shutdown(cancel_futures=True)
     return report
 
 

@@ -338,6 +338,36 @@ class TestSimulate:
     def test_missing_args(self, capsys):
         assert run(["simulate", "--n", "10"], capsys)[0] == 3
 
+    def test_budget_exit_5(self, capsys):
+        code, out, err = run(["simulate", "--rho", "0.5", "--n", "1001",
+                              "--trials", "1000000"], capsys)
+        assert (code, out) == (5, "")
+        assert err.startswith("resource limit: cell budget exceeded")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_memory_limit_exit_5(self, threads):
+        # a 6 GB block under a 2 GB address-space limit, set in the child
+        # only; two cells of two blocks, so at two threads the MemoryError
+        # is raised in a pool worker and re-raised from its future
+        pytest.importorskip("resource")
+        child = ("import os, resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
+                 "os.cpu_count = lambda: 4\n"
+                 "from rankmoments.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        env = dict(os.environ, RANKMOMENTS_THREADS=threads,
+                   OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "simulate", "--grid", "0.3(0.2)0.5",
+             "--n", "100000", "--trials", "8192", "--seed", "1"],
+            env=env, capture_output=True, text=True, check=False)
+        assert (proc.returncode, proc.stdout) == (5, "")
+        assert proc.stderr.startswith("resource limit: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestAre:
     def test_values(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -73,12 +74,78 @@ class TestDeterminism:
         assert a.rows == b.rows
 
     def test_worker_count_irrelevant(self, monkeypatch):
-        cfg = small_config(trials=5000)
-        monkeypatch.setenv("RANKMOMENTS_THREADS", "1")
-        serial = run_experiment(cfg)
-        monkeypatch.setenv("RANKMOMENTS_THREADS", "4")
-        threaded = run_experiment(cfg)
-        assert serial.rows == threaded.rows
+        # several cells of several blocks, the last one short; the CPU
+        # count is raised so that a 1-core host runs the pool too
+        from rankmoments import simulate
+
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+        cell_block, block_sums = simulate._cell_block, simulate._block_sums
+        block_threads = set()
+        ahead = []      # per block: its job index less the blocks reduced
+        reduced = []
+
+        def traced_block(config, rho, n, rho_idx, n_idx, block_idx, size):
+            block_threads.add(threading.current_thread().name)
+            job = (rho_idx * 2 + n_idx) * 3 + block_idx
+            ahead.append(job - len(reduced))
+            return cell_block(config, rho, n, rho_idx, n_idx, block_idx,
+                              size)
+
+        def counted_sums(values, shifts):
+            reduced.append(1)
+            return block_sums(values, shifts)
+
+        monkeypatch.setattr(simulate, "_cell_block", traced_block)
+        monkeypatch.setattr(simulate, "_block_sums", counted_sums)
+        cont = ContaminationParams(rho=0.0, epsilon=0.1, lambda_x=10.0,
+                                   lambda_y=10.0, rho_prime=0.0)
+        for model in ("binormal", "contaminated"):
+            cfg = small_config(model=model, rho_grid=(-0.4, 0.3, 0.8),
+                               n_list=(10, 65), trials=2 * 4096 + 7,
+                               contamination=cont)
+            rows = {}
+            for workers in (1, 2, 3):
+                monkeypatch.setenv("RANKMOMENTS_THREADS", str(workers))
+                block_threads.clear()
+                ahead.clear()
+                reduced.clear()
+                report = run_experiment(cfg)
+                # a block starts only when fewer than 2 * workers jobs are
+                # in flight, so the results held stay bounded
+                assert len(ahead) == 18 and max(ahead) < 2 * workers
+                rows[workers] = report.rows
+                assert [(c.rho, c.n) for c in report.cells] == [
+                    (r, n) for r in cfg.rho_grid for n in cfg.n_list]
+                main = threading.current_thread().name
+                assert (block_threads == {main}) == (workers == 1)
+                assert len(block_threads) <= workers
+            assert rows[1] == rows[2] == rows[3]
+
+    def test_failed_block_stops_the_stream(self, monkeypatch):
+        from rankmoments import simulate
+
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("RANKMOMENTS_THREADS", "2")
+        cell_block = simulate._cell_block
+        calls = []
+
+        def failing_block(config, rho, n, rho_idx, n_idx, block_idx, size):
+            calls.append((rho_idx, block_idx))
+            if (rho_idx, block_idx) == (1, 1):
+                raise MemoryError("block (1, 1)")
+            return cell_block(config, rho, n, rho_idx, n_idx, block_idx,
+                              size)
+
+        monkeypatch.setattr(simulate, "_cell_block", failing_block)
+        before = set(threading.enumerate())
+        cfg = small_config(rho_grid=(0.1, 0.2, 0.3, 0.4, 0.5), n_list=(10,),
+                           trials=3 * 4096)
+        with pytest.raises(MemoryError, match=r"block \(1, 1\)"):
+            run_experiment(cfg)
+        assert set(threading.enumerate()) == before
+        # job 4 (from 0) of 15 failed; the window of 2 * 2 jobs in flight
+        # then ended at job 7, and the rest of the stream never ran
+        assert (1, 1) in calls and len(calls) <= 4 + 4
 
     def test_seed_changes_results(self):
         a = run_experiment(small_config(seed=1))
