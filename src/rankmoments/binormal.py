@@ -274,12 +274,6 @@ def _omega_pass(rhos: list) -> dict:
     return out
 
 
-def omega4(rho: float) -> float:
-    """Integral form of the covariance ingredient, pi^2 (omega3 - 1/18) / 2
-    from the Plackett route: the omega4 field of omegas(rho)."""
-    return omegas(rho).omega4
-
-
 # ---------------------------------------------------------------------------
 # Closed-form moments.
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SeedError
+from .errors import DomainError
 from .orthant import asin_clamped, orthant_p2
 
 
@@ -40,8 +40,10 @@ class ContaminationParams:
             raise DomainError(f"|rho_prime| must be <= 1, got {self.rho_prime}")
         if not 0 <= self.epsilon <= 1:
             raise DomainError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.lambda_x <= 0 or self.lambda_y <= 0:
-            raise DomainError("scale multipliers must be positive")
+        # a NaN or infinite scale would run a whole cell and fail late
+        if not (0 < self.lambda_x < math.inf and 0 < self.lambda_y < math.inf):
+            raise DomainError("scale multipliers must be finite and positive, "
+                              f"got {self.lambda_x}, {self.lambda_y}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +140,9 @@ def rival_formula_star(params: ContaminationParams) -> float:
                           + eps * math.asin(params.rho_prime / 2))
 
 
-def sample_contaminated_block(params: ContaminationParams, n: int, size: int,
-                              seed=None) -> tuple[np.ndarray, np.ndarray]:
+def sample_contaminated_block(params: ContaminationParams, n: int,
+                              stream: np.random.Generator, size: int
+                              ) -> tuple[np.ndarray, np.ndarray]:
     """Draw `size` samples of n pairs from the mixture.
 
     Returns (x, y) arrays of shape (size, n). Each pair independently
@@ -147,16 +150,12 @@ def sample_contaminated_block(params: ContaminationParams, n: int, size: int,
     """
     if n < 1 or size < 1:
         raise DomainError("n and size must be positive")
-    try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise SeedError(f"bad seed {seed!r}: {exc}") from None
 
     def cholesky_pair(r):
         return r, math.sqrt(max(1 - r * r, 0.0))
 
-    u, v = rng.standard_normal((2, size, n))
-    contaminated = rng.random((size, n)) < params.epsilon
+    u, v = stream.standard_normal((2, size, n))
+    contaminated = stream.random((size, n)) < params.epsilon
 
     a0, b0 = cholesky_pair(params.rho)
     a1, b1 = cholesky_pair(params.rho_prime)

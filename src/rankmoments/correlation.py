@@ -117,15 +117,6 @@ def _sample_permutation(sample: PairedSample) -> np.ndarray:
     return _permutation_rows(sample.x[None], sample.y[None])
 
 
-def compute_ranks(sample: PairedSample) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks (p, q) of x and y, each a permutation of 1..n."""
-    _check_ties(sample.x, "x")
-    _check_ties(sample.y, "y")
-    order = np.argsort(np.stack((sample.x, sample.y)), axis=1)
-    p, q = order.argsort(axis=1) + 1
-    return p, q
-
-
 def _pearson_rows(x: np.ndarray, y: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Product-moment correlation of each row of two (b, n) arrays (0 where

@@ -42,9 +42,5 @@ class DerivationError(RankMomentsError):
     """A derived pattern correlation matrix failed its anchor checks."""
 
 
-class SeedError(RankMomentsError):
-    """Malformed random seed."""
-
-
 class ResourceError(RankMomentsError):
     """Simulation request exceeds the configured work budget."""

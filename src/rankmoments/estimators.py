@@ -78,14 +78,6 @@ def variance_theoretical(kind: EstimatorKind, rho: float, n: int) -> float:
         rho, n)
 
 
-def crlb(rho: float, n: int) -> float:
-    """Information bound for estimating rho from n bivariate normal pairs."""
-    if n < 1:
-        raise DomainError("need n >= 1")
-    _check_rho(rho)
-    return (1 - rho * rho) ** 2 / n
-
-
 # closed forms of the efficiencies at the boundary
 _ARE_S_AT_1 = (15 + 11 * math.sqrt(5)) / 57
 _ARE_K_AT_1 = 3 * math.sqrt(3) / (2 * math.pi)

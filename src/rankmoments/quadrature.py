@@ -89,22 +89,19 @@ def _gk15(fx: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 def integrate_adaptive(
     f: Callable,
-    a: float | np.ndarray,
-    b: float | np.ndarray,
-    abs_tol: float | np.ndarray,
-    *,
-    indexed: bool = False,
-) -> float | np.ndarray:
-    """Integrate a vectorized integrand f over [a, b] to absolute tolerance.
+    a: np.ndarray,
+    b: np.ndarray,
+    abs_tol: np.ndarray,
+) -> np.ndarray:
+    """Integrate a vectorized integrand f over K intervals [a, b] to
+    absolute tolerance, in lock-step, and return the K values.
 
-    `a`, `b` and `abs_tol` are floats, or arrays of K interval ends (and
-    tolerances) whose integrals run in lock-step. Float ends give a float,
-    array ends an array of K values. f is called once per round with the
-    nodes of the unfinished integrals only, an (R, m) array whose row r
-    holds nodes of one integral, and returns the values in the same shape.
-    With indexed=True, f receives the pair (x, rows) instead, rows being
-    the integral indices of x's rows in increasing order, so that f can
-    tell the integrals apart.
+    `a`, `b` and `abs_tol` are arrays of K interval ends and tolerances
+    (or broadcast to them). f is called once per round with the pair
+    (x, rows): x holds the nodes of the unfinished integrals only, an
+    (R, m) array whose row r holds nodes of one integral, and rows the
+    integral indices of x's rows in increasing order, so that f can tell
+    the integrals apart. f returns the values in the shape of x.
 
     Each integral bisects its own worst panel (largest error estimate,
     then lowest first end) once per round until its own summed error
@@ -115,22 +112,20 @@ def integrate_adaptive(
     its budget of MAX_SUBDIVISIONS bisections (read at call time) before
     its summed error estimate reaches abs_tol.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     a, b, tol = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (a, b, abs_tol)))
+        *(np.asarray(v, dtype=float) for v in (a, b, abs_tol)))
     values = np.zeros(len(a))
 
     def evaluate(rows, lo, hi):
         x = _nodes(lo, hi)
-        fx = f((x, rows)) if indexed else f(x)
-        fx = np.asarray(fx, dtype=float).reshape(*lo.shape, len(_XK))
+        fx = np.asarray(f((x, rows)), dtype=float).reshape(*lo.shape, len(_XK))
         return _gk15(fx, lo, hi)
 
     # per unfinished integral (one row each): its panels as (lo, hi, value,
     # error), and the running totals of their values and errors
     rows = np.flatnonzero(a != b)
     if rows.size == 0:
-        return float(values[0]) if scalar else values
+        return values
     lo, hi = a[rows, None], b[rows, None]
     val, err = evaluate(rows, lo, hi)
     panels = np.stack([lo, hi, val, err], axis=-1)
@@ -143,7 +138,7 @@ def integrate_adaptive(
             rows, panels, total_val, total_err = (
                 v[keep] for v in (rows, panels, total_val, total_err))
         if rows.size == 0:
-            return float(values[0]) if scalar else values
+            return values
         if subdivisions == MAX_SUBDIVISIONS:
             break
         # the heap order of a lone run: largest error, then lowest first end
@@ -202,5 +197,5 @@ def integrate_families(families) -> list:
     values = integrate_adaptive(
         f, np.concatenate([fam.a for fam in families]),
         np.concatenate([fam.b for fam in families]),
-        np.repeat([fam.abs_tol for fam in families], sizes), indexed=True)
+        np.repeat([fam.abs_tol for fam in families], sizes))
     return np.split(values, starts[1:-1])

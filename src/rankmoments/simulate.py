@@ -158,7 +158,7 @@ def threads_limit() -> int:
 
 
 def sample_binormal_block(rho: float, n: int, stream: np.random.Generator,
-                          size: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                          size: int) -> tuple[np.ndarray, np.ndarray]:
     """Standard-marginal correlated pairs, shape (size, n) each."""
     _check_rho(rho)
     if n < 1:
@@ -215,10 +215,10 @@ def _cell_block(config: ExperimentConfig, rho: float, n: int,
                                  spawn_key=(rho_idx, n_idx, block_idx))
     stream = np.random.Generator(np.random.Philox(seq))
     if config.model == "binormal":
-        x, y = sample_binormal_block(rho, n, stream, size=size)
+        x, y = sample_binormal_block(rho, n, stream, size)
     else:
         params = replace(config.contamination, rho=rho)
-        x, y = sample_contaminated_block(params, n, size, seed=stream)
+        x, y = sample_contaminated_block(params, n, stream, size)
     r_p, r_s, r_k = coefficients_rows(x, y)
     return {"r_s": r_s, "r_k": r_k, **estimates(r_p, r_s, r_k, n)}
 

@@ -13,7 +13,7 @@ from scipy.integrate import IntegrationWarning, quad
 from rankmoments import binormal
 from rankmoments.binormal import (cov_rs_rk_asymptotic,
                                   cov_rs_rk_exact, cov_series_asymptotic,
-                                  lemma2_moments, omega4, omegas, pattern_w,
+                                  lemma2_moments, omegas, pattern_w,
                                   var_rs_asymptotic, var_rs_exact)
 from rankmoments.cli import main
 from rankmoments.errors import CrossCheckError, DomainError
@@ -36,13 +36,15 @@ class TestAnchors:
         assert om.omega3 == pytest.approx(0.5, abs=1e-9)
 
     def test_omega4_endpoints(self):
-        assert omega4(0.0) == 0.0
-        assert omega4(1.0) == pytest.approx(2 * math.pi ** 2 / 9, abs=1e-9)
+        assert omegas(0.0).omega4 == 0.0
+        assert omegas(1.0).omega4 == pytest.approx(2 * math.pi ** 2 / 9,
+                                                   abs=1e-9)
 
     def test_omega4_even(self):
         # omega3 is even in rho, so the Plackett integrand is odd in theta
         # and its integral from 0 is even
-        assert omega4(-0.4) == pytest.approx(omega4(0.4), abs=1e-11)
+        assert omegas(-0.4).omega4 == pytest.approx(omegas(0.4).omega4,
+                                                    abs=1e-11)
 
 
 # The paper's form of omega4: five 1-D integrals, the first over
@@ -94,7 +96,7 @@ class TestOmega4Oracle:
 
     @pytest.mark.parametrize("rho", [-1.0, -0.7, 0.2, 0.6, 0.9, 0.99, 1.0])
     def test_matches_paper_form(self, rho):
-        assert abs(omega4(rho) - self._oracle(rho)) <= 1e-12
+        assert abs(omegas(rho).omega4 - self._oracle(rho)) <= 1e-12
 
 
 class TestWIdentities:
@@ -258,7 +260,6 @@ class TestOmegaGrid:
         for rho in self.RHOS:
             monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
             single.append(omegas(rho))
-            assert omega4(rho) == single[-1].omega4
         assert self._fields(grid) == self._fields(hits) == self._fields(single)
         assert omegas(np.array(self.RHOS[:3])) == grid[:3]
         assert grid[1].omega1 == 1.0 and grid[0].omega4 == 0.0

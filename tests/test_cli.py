@@ -338,6 +338,22 @@ class TestSimulate:
     def test_missing_args(self, capsys):
         assert run(["simulate", "--n", "10"], capsys)[0] == 3
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_exit_3(self, lam, monkeypatch, capsys):
+        def sample(*args):
+            raise AssertionError("a block was sampled")
+
+        monkeypatch.setattr("rankmoments.simulate.sample_contaminated_block",
+                            sample)
+        code, out, err = run(["simulate", "--model", "contaminated",
+                              "--epsilon", "0.1", "--lambda", lam,
+                              "--rho", "0.5", "--n", "10", "--trials", "100"],
+                             capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("invalid input: scale multipliers must be "
+                              "finite and positive")
+        assert err.count("\n") == 1
+
     def test_budget_exit_5(self, capsys):
         code, out, err = run(["simulate", "--rho", "0.5", "--n", "1001",
                               "--trials", "1000000"], capsys)

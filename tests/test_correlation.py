@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from rankmoments.correlation import (_CHUNK_ELEMENTS, PairedSample,
                                      _kendall_rows, _permutation_rows,
                                      _spearman_rows, coefficients_rows,
-                                     compute_ranks, inequality_check,
-                                     inversions_rows, kendall, pearson,
-                                     spearman, spearman_via_s)
+                                     inequality_check, inversions_rows,
+                                     kendall, pearson, spearman,
+                                     spearman_via_s)
 from rankmoments.errors import DegenerateError, SizeError, TieError
 
 
@@ -22,6 +22,13 @@ def sample(x, y):
 
 def random_sample(rng, n):
     return sample(rng.permutation(n) + 1.0, rng.permutation(n) + 1.0)
+
+
+def ranks(s):
+    """Ranks (p, q) of x and y, each a permutation of 1..n: the double
+    argsort, as a reference for the one-permutation kernel."""
+    p, q = np.argsort(np.stack((s.x, s.y)), axis=1).argsort(axis=1) + 1
+    return p, q
 
 
 def kendall_oracle(s):
@@ -79,7 +86,7 @@ class TestFixtures:
 
     def test_ranks(self):
         s = sample([10, 30, 20], [1, 2, 3])
-        p, q = compute_ranks(s)
+        p, q = ranks(s)
         assert p.tolist() == [1, 3, 2]
         assert q.tolist() == [1, 2, 3]
 
@@ -156,7 +163,7 @@ class TestProperties:
     @given(perm_strategy, st.integers(3, 30))
     def test_score_forms_match_direct(self, seed, n):
         s = random_sample(np.random.default_rng(seed), n)
-        p, q = (r.astype(float) for r in compute_ranks(s))
+        p, q = (r.astype(float) for r in ranks(s))
         assert daniels_gamma(*pair_scores(s.x, s.y)) == pytest.approx(
             pearson(s), abs=1e-12)
         assert daniels_gamma(*pair_scores(p, q)) == pytest.approx(
@@ -194,7 +201,7 @@ def permutation_from_ranks(p, q):
 def test_kendall_from_ranks_matches():
     rng = np.random.default_rng(5)
     s = random_sample(rng, 40)
-    p, q = compute_ranks(s)
+    p, q = ranks(s)
     pi = permutation_from_ranks(p, q)
     assert (pi == _permutation_rows(s.x[None], s.y[None])[0]).all()
     assert _kendall_rows(pi[None])[0] == kendall_oracle(s)

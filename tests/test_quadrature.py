@@ -12,30 +12,41 @@ from rankmoments.quadrature import (_WG, _WK, _XK, _gk15, _nodes,
                                    integrate_adaptive)
 
 
+def plain(f):
+    """f(x) as integrate_adaptive calls it, with the pair (x, rows)."""
+    return lambda nodes: f(nodes[0])
+
+
+def integrate(f, a, b, abs_tol):
+    """The integral of f(x) over one interval [a, b]."""
+    return integrate_adaptive(plain(f), np.array([a]), np.array([b]),
+                              abs_tol)[0]
+
+
 def test_polynomial_exact():
     # degree 13 is inside the Kronrod exactness range on one interval
-    val = integrate_adaptive(lambda x: 7 * x ** 13 - x ** 2 + 1, 0.0, 1.0, 1e-13)
+    val = integrate(lambda x: 7 * x ** 13 - x ** 2 + 1, 0.0, 1.0, 1e-13)
     assert abs(val - (0.5 - 1 / 3 + 1)) < 1e-13
 
 
 def test_sine():
-    val = integrate_adaptive(np.sin, 0.0, math.pi, 1e-13)
+    val = integrate(np.sin, 0.0, math.pi, 1e-13)
     assert abs(val - 2.0) < 1e-12
 
 
 def test_reversed_interval_sign():
-    val = integrate_adaptive(np.sin, math.pi, 0.0, 1e-13)
+    val = integrate(np.sin, math.pi, 0.0, 1e-13)
     assert abs(val + 2.0) < 1e-12
 
 
 def test_empty_interval():
-    assert integrate_adaptive(np.sin, 1.0, 1.0, 1e-13) == 0.0
+    assert integrate(np.sin, 1.0, 1.0, 1e-13) == 0.0
 
 
 def test_near_singular_endpoint():
     # integrable arcsine-type integrand achieving a sharp value
     f = lambda u: 1.0 / np.sqrt(1 - (u * (1 - 1e-15)) ** 2)
-    val = integrate_adaptive(f, 0.0, 1.0, 1e-11)
+    val = integrate(f, 0.0, 1.0, 1e-11)
     assert abs(val - math.pi / 2) < 1e-7
 
 
@@ -48,13 +59,13 @@ def test_budget_exhaustion(monkeypatch):
 
     monkeypatch.setattr("rankmoments.quadrature.MAX_SUBDIVISIONS", 4)
     with pytest.raises(ConvergenceError):
-        integrate_adaptive(jagged, 0.0, 1.0, 1e-15)
+        integrate(jagged, 0.0, 1.0, 1e-15)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(-3, 3), st.floats(-3, 3))
 def test_exponential_matches_closed_form(a, b):
-    val = integrate_adaptive(np.exp, a, b, 1e-12)
+    val = integrate(np.exp, a, b, 1e-12)
     assert abs(val - (math.exp(b) - math.exp(a))) < 1e-9 * (1 + abs(val))
 
 
@@ -99,13 +110,11 @@ def test_lock_step_matches_one_at_a_time():
         seen.append(rows.tolist())
         return f(x)
 
-    indexed = integrate_adaptive(recorded, a, b, 1e-13, indexed=True)
-    batch = integrate_adaptive(f, a, b, 1e-13)
-    single = [integrate_adaptive(f, lo, hi, 1e-13) for lo, hi in zip(a, b)]
+    batch = integrate_adaptive(recorded, a, b, 1e-13)
+    single = [integrate(f, lo, hi, 1e-13) for lo, hi in zip(a, b)]
     reference, bisections = zip(*(one_at_a_time(f, lo, hi, 1e-13)
                                   for lo, hi in zip(a.tolist(), b.tolist())))
-    assert all(isinstance(v, float) for v in single)
-    assert indexed.tolist() == batch.tolist() == single == list(reference)
+    assert batch.tolist() == single == list(reference)
     assert single[3] == 0.0
     # one call per round, on the unfinished integrals only: integral k is
     # in rounds 0..bisections[k], the empty one in none
@@ -125,12 +134,13 @@ def test_lock_step_stall_names_its_interval(monkeypatch):
     a, b = np.array([0.0, 0.25, 0.0]), np.array([1.0, 0.75, 2.0])
     monkeypatch.setattr("rankmoments.quadrature.MAX_SUBDIVISIONS", 4)
     with pytest.raises(ConvergenceError, match=r"on \[0\.25, 0\.75\] stalled"):
-        integrate_adaptive(f, a, b, 1e-13, indexed=True)
+        integrate_adaptive(f, a, b, 1e-13)
     monkeypatch.undo()
     # the other two converge on their own
-    assert integrate_adaptive(np.sin, a[[0, 2]], b[[0, 2]], 1e-13).tolist() \
-        == [integrate_adaptive(np.sin, 0.0, 1.0, 1e-13),
-            integrate_adaptive(np.sin, 0.0, 2.0, 1e-13)]
+    assert integrate_adaptive(plain(np.sin), a[[0, 2]], b[[0, 2]],
+                              1e-13).tolist() \
+        == [integrate(np.sin, 0.0, 1.0, 1e-13),
+            integrate(np.sin, 0.0, 2.0, 1e-13)]
 
 
 def test_per_integral_tolerance():
@@ -141,8 +151,8 @@ def test_per_integral_tolerance():
     def f(x):
         return np.cos(x * x)
 
-    assert integrate_adaptive(f, a, b, tol).tolist() == [
-        integrate_adaptive(f, 0.0, hi, t) for hi, t in zip(b, tol)]
+    assert integrate_adaptive(plain(f), a, b, tol).tolist() == [
+        integrate(f, 0.0, hi, t) for hi, t in zip(b, tol)]
 
 
 def _moment_errors(nodes, weights, degree):

@@ -24,18 +24,18 @@ def small_config(**kw):
 class TestSampler:
     def test_degenerate(self):
         rng = np.random.default_rng(0)
-        x, y = sample_binormal_block(1.0, 50, rng, size=2)
+        x, y = sample_binormal_block(1.0, 50, rng, 2)
         assert np.allclose(x, y)
 
     def test_independent_mean(self):
         rng = np.random.default_rng(1)
-        x, y = sample_binormal_block(0.0, 100000, rng, size=1)
+        x, y = sample_binormal_block(0.0, 100000, rng, 1)
         r = np.corrcoef(x[0], y[0])[0, 1]
         assert abs(r) < 3 / math.sqrt(100000)
 
     def test_strong_correlation_concentrates(self):
         rng = np.random.default_rng(2)
-        x, y = sample_binormal_block(0.6, 1000, rng, size=1)
+        x, y = sample_binormal_block(0.6, 1000, rng, 1)
         r = np.corrcoef(x[0], y[0])[0, 1]
         assert 0.55 <= r <= 0.65
 
@@ -44,7 +44,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n", [10, 64, 65, 1000])
     def test_block_kendall_matches_single_sample(self, n):
         rng = np.random.default_rng(n)
-        x, y = sample_binormal_block(0.5, n, rng, size=5)
+        x, y = sample_binormal_block(0.5, n, rng, 5)
         r_k = coefficients_rows(x, y)[2]
         assert r_k.tolist() == [kendall(PairedSample(x=x[i], y=y[i]))
                                 for i in range(5)]
@@ -52,7 +52,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n", [10, 64, 65, 1000])
     def test_block_spearman_matches_single_sample(self, n):
         rng = np.random.default_rng(n)
-        x, y = sample_binormal_block(0.5, n, rng, size=300)
+        x, y = sample_binormal_block(0.5, n, rng, 300)
         r_s = coefficients_rows(x, y)[1]
         assert r_s.tolist() == [spearman(PairedSample(x=x[i], y=y[i]))
                                 for i in range(300)]
@@ -60,7 +60,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n", [10, 64, 65, 1000])
     def test_block_pearson_matches_single_sample(self, n):
         rng = np.random.default_rng(n)
-        x, y = sample_binormal_block(0.5, n, rng, size=300)
+        x, y = sample_binormal_block(0.5, n, rng, 300)
         r_p = coefficients_rows(x, y)[0]
         assert r_p.tolist() == [pearson(PairedSample(x=x[i], y=y[i]))
                                 for i in range(300)]
