@@ -2,8 +2,8 @@
 under bivariate normal and contaminated-normal models.
 """
 
-from .correlation import (PairedSample, SStatistic, inequality_check, kendall,
-                          pearson, spearman, spearman_via_s)
+from .correlation import (PairedSample, inequality_check, kendall, pearson,
+                          spearman)
 from .orthant import CorrelationMatrix4, orthant_p4
 from .binormal import (OmegaValues, cov_rs_rk_asymptotic, cov_rs_rk_exact,
                        cov_series_asymptotic, lemma2_moments, omegas,
@@ -19,8 +19,7 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "PairedSample", "SStatistic", "inequality_check",
-    "kendall", "pearson", "spearman", "spearman_via_s",
+    "PairedSample", "inequality_check", "kendall", "pearson", "spearman",
     "CorrelationMatrix4", "orthant_p4",
     "OmegaValues", "cov_rs_rk_asymptotic", "cov_rs_rk_exact",
     "cov_series_asymptotic", "lemma2_moments", "omegas",

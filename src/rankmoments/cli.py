@@ -32,7 +32,7 @@ from .errors import (ConvergenceError, CrossCheckError, DegenerateError,
                      DerivationError, DomainError, NegativeVarianceError,
                      RankMomentsError, ResourceError, SizeError, TieError)
 from .estimators import EstimatorKind, are, estimates
-from .formatting import format_fixed
+from .formatting import format_fixed, label_places
 from .simulate import (ExperimentConfig, compare_report, format_report_csv,
                        run_experiment)
 
@@ -98,10 +98,11 @@ def cmd_tables(args) -> int:
     if any(not 0 <= r <= 1 for r in grid):
         raise DomainError("tables grid must lie within [0, 1]")
     p = args.precision
+    places = label_places(grid, 2)
     out = ["rho,omega1,omega2,omega3"]
     for rho, om in zip(grid, omegas(grid)):
         out.append(",".join([
-            format_fixed(rho, 2),
+            format_fixed(rho, places),
             format_fixed(om.omega1, p),
             format_fixed(om.omega2, p),
             format_fixed(om.omega3, p),
@@ -118,7 +119,7 @@ def cmd_moments(args) -> int:
         raise DomainError("moments requires n >= 4")
     lm = lemma2_moments(rho, n)
     lines = [
-        f"rho={format_fixed(rho, 4)} n={n}",
+        f"rho={format_fixed(rho, label_places([rho], 4))} n={n}",
         f"mean_rp={format_fixed(lm['mean_rp'], p)}",
         f"var_rp={format_fixed(lm['var_rp'], p)}",
         f"mean_rs={format_fixed(lm['mean_rs'], p)}",
@@ -221,11 +222,12 @@ def cmd_are(args) -> int:
     if grid is None:
         raise DomainError("are requires --rho or --grid")
     p = args.precision
+    places = label_places(grid, 4)
     omegas(grid)  # the whole grid in lock-step passes, before are() reads it
     out = ["rho,are_spearman,are_kendall"]
     for rho in grid:
         out.append(",".join([
-            format_fixed(rho, 4),
+            format_fixed(rho, places),
             format_fixed(are(EstimatorKind.SPEARMAN, rho), p),
             format_fixed(are(EstimatorKind.KENDALL, rho), p),
         ]))

@@ -46,23 +46,15 @@ class ContaminationParams:
                               f"got {self.lambda_x}, {self.lambda_y}")
 
 
-@dataclass(frozen=True)
-class MixtureCorrelations:
-    """Correlations of standardized differences, by component pattern.
+def mixture_correlations(params: ContaminationParams) -> tuple:
+    """Correlations of standardized differences, by component pattern,
+    as (pair, triple), each a tuple of (correlation, weight).
 
-    pair_* refer to differences of two observations (four patterns,
-    weighted by which component each observation came from); triple_*
-    refer to the two differences sharing one observation out of three.
+    pair holds rho_1..rho_4, the differences of two observations,
+    weighted by which component each came from: (1-e)^2, e(1-e), e(1-e),
+    e^2. triple holds rho_5..rho_12, the two differences sharing one
+    observation out of three, with their multiplicities.
     """
-
-    pair: tuple          # rho_1..rho_4, weights (1-e)^2, e(1-e), e(1-e), e^2
-    triple: tuple        # rho_5..rho_12 with their multiplicities
-    pair_weights: tuple
-    triple_weights: tuple
-
-
-def mixture_correlations(params: ContaminationParams) -> MixtureCorrelations:
-    """Correlations of difference pairs for every component pattern."""
     rho, eps = params.rho, params.epsilon
     lx, ly, rp = params.lambda_x, params.lambda_y, params.rho_prime
     cx = math.sqrt(1 + lx * lx)
@@ -90,41 +82,27 @@ def mixture_correlations(params: ContaminationParams) -> MixtureCorrelations:
                 eps * eb * eb, eps * eb * eb, eps * eb * eb,
                 eps * eps * eb, eps * eps * eb, eps * eps * eb,
                 eps ** 3)
-    return MixtureCorrelations(pair=pair, triple=triple,
-                               pair_weights=pair_w, triple_weights=triple_w)
+    return tuple(zip(pair, pair_w)), tuple(zip(triple, triple_w))
 
 
-def expected_rk_contaminated(params: ContaminationParams,
-                             limit: bool = False) -> float:
+def expected_rk_contaminated(params: ContaminationParams) -> float:
     """Expected concordance coefficient under the mixture, the same for
-    every n >= 2. With limit=True the small-epsilon linearization is
-    returned instead.
-    """
-    if limit:
-        eps = params.epsilon
-        return 2 / math.pi * ((1 - 2 * eps) * math.asin(params.rho)
-                              + 2 * eps * math.asin(params.rho_prime))
-    mc = mixture_correlations(params)
+    every n >= 2."""
     acc = 0.0
-    for r, w in zip(mc.pair, mc.pair_weights):
+    for r, w in mixture_correlations(params)[0]:
         acc += w * asin_clamped(r)
     return 2 / math.pi * acc
 
 
-def expected_rs_contaminated(params: ContaminationParams, n: int,
-                             limit: bool = False) -> float:
+def expected_rs_contaminated(params: ContaminationParams, n: int) -> float:
     """Expected rank correlation under the mixture, exact in n."""
     if n < 2:
         raise DomainError("need n >= 2")
-    if limit:
-        eps = params.epsilon
-        return 6 / math.pi * ((1 - 3 * eps) * math.asin(params.rho / 2)
-                              + eps * math.asin(params.rho_prime))
-    mc = mixture_correlations(params)
+    pair, triple = mixture_correlations(params)
     # E1: orthant probability of two differences built from the same pair
-    e1 = sum(w * orthant_p2(r) for r, w in zip(mc.pair, mc.pair_weights))
+    e1 = sum(w * orthant_p2(r) for r, w in pair)
     # E2: orthant probability of two differences sharing one observation
-    e2 = sum(w * orthant_p2(r) for r, w in zip(mc.triple, mc.triple_weights))
+    e2 = sum(w * orthant_p2(r) for r, w in triple)
     es = n * (n - 1) * e1 + n * (n - 1) * (n - 2) * e2
     return 12 * (es - n * (n - 1) ** 2 / 4) / (n * (n * n - 1))
 

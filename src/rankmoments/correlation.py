@@ -1,11 +1,8 @@
-"""Ranks and the three classical correlation coefficients, plus an
-integer-statistic route to the rank correlation used as an exact
-cross-check."""
+"""Ranks and the three classical correlation coefficients."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,22 +31,6 @@ class PairedSample:
     @property
     def n(self) -> int:
         return len(self.x)
-
-
-@dataclass(frozen=True)
-class SStatistic:
-    """Integer decomposition of the triple-indicator sum.
-
-    s_value = i_term + j_term, and the pair-sign numerator satisfies
-    t_value = 4*i_term - 2*k_term - 2*l_term + n(n-1).
-    """
-
-    s_value: int
-    t_value: int
-    i_term: int
-    j_term: int
-    k_term: int
-    l_term: int
 
 
 def _check_ties(values: np.ndarray, name: str):
@@ -281,31 +262,6 @@ def coefficients_rows(x: np.ndarray, y: np.ndarray
         out[:, lo:lo + rows] = (_pearson_rows(xs, ys)[0], _spearman_rows(pi),
                                 _kendall_rows(pi))
     return out[0], out[1], out[2]
-
-
-def spearman_via_s(sample: PairedSample) -> tuple[float, SStatistic]:
-    """Rank correlation recovered from the integer triple-indicator sum.
-
-    All counting is done in exact integer arithmetic, so the returned
-    value is bit-identical to spearman(sample).
-    """
-    pi = _sample_permutation(sample)
-    n = sample.n
-    # sum over j of H(x_i - x_j) is the rank from 0, and the (x, y) ranks
-    # of the observations are the pairs (pi[k], k)
-    s = int(_rank_dot_rows(pi)[0])
-    # i_term counts ordered pairs with both differences positive, i.e.
-    # concordant unordered pairs
-    k_term = n * (n - 1) // 2
-    i_term = k_term - int(inversions_rows(pi)[0])
-    l_term = k_term
-    j_term = s - i_term
-    t = 4 * i_term - 2 * k_term - 2 * l_term + n * (n - 1)
-    stat = SStatistic(s_value=s, t_value=t, i_term=i_term, j_term=j_term,
-                      k_term=k_term, l_term=l_term)
-    r = float(Fraction(12, 1) * (Fraction(s) - Fraction(n * (n - 1) ** 2, 4))
-              / (n * (n * n - 1)))
-    return r, stat
 
 
 def inequality_check(rs: float, rk: float, n: int) -> tuple[bool, bool]:

@@ -20,3 +20,11 @@ def format_fixed(value: float, places: int) -> str:
     if text.startswith("-") and float(text) == 0.0:
         text = text[1:]
     return text
+
+
+def label_places(values, places: int) -> int:
+    """The fewest decimals, and no fewer than `places`, at which
+    format_fixed renders every finite value so that it reads back as
+    itself: the decimals of the shortest repr that round-trips."""
+    return max([places, *(-Decimal(repr(float(v))).as_tuple().exponent
+                          for v in values if math.isfinite(v))])

@@ -360,13 +360,14 @@ def compare_report(report: TrialReport, tol_sigmas: float) -> ComparisonSummary:
 
 
 def format_report_csv(rows, precision: int = 10) -> str:
-    from .formatting import format_fixed
+    from .formatting import format_fixed, label_places
 
+    places = label_places([r.rho for r in rows], 4)
     out = ["model,rho,n,kind,metric,empirical,theory,se,verdict"]
     for r in rows:
         theory = "" if r.theory is None else format_fixed(r.theory, precision)
         out.append(",".join([
-            r.model, format_fixed(r.rho, 4), str(r.n), r.kind, r.metric,
+            r.model, format_fixed(r.rho, places), str(r.n), r.kind, r.metric,
             format_fixed(r.empirical, precision), theory,
             format_fixed(r.se, precision), r.verdict,
         ]))

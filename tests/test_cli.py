@@ -158,9 +158,14 @@ class TestMoments:
         # 0.49999995500; a table row of 0.5000000000 would be wrong
         code, out, err = run(args, capsys)
         assert code == 0 and err == ""
+        lines = out.splitlines()
+        # the rho label reads back as the rho asked for, not as 1.00
         if args[0] == "tables":
-            omega3 = float(out.splitlines()[1].split(",")[3])
-            assert abs(omega3 - 0.49999995500) <= 1e-9
+            rho, _, _, omega3 = lines[1].split(",")
+            assert rho == "0.99999999999999"
+            assert abs(float(omega3) - 0.49999995500) <= 1e-9
+        else:
+            assert lines[0] == "rho=0.99999999999999 n=1000"
 
 
 class TestEstimate:
@@ -395,6 +400,37 @@ class TestAre:
         code, out, _ = run(["are", "--grid", "0(0.5)1"], capsys)
         assert code == 0
         assert len(out.splitlines()) == 4
+
+
+class TestRhoLabels:
+    # each rho column takes the fewest decimals at which every rho of the
+    # command reads back as itself, and never fewer than 2 (tables) or 4;
+    # the golden files hold the coarse grids, and
+    # test_omega3_near_one_exit_0 a single rho near 1
+    @pytest.mark.parametrize("args, labels", [
+        (["tables", "--grid", "0(0.001)0.005"],
+         ["0.000", "0.001", "0.002", "0.003", "0.004", "0.005"]),
+        (["are", "--grid", "0.99(0.00001)0.99003"],
+         ["0.99000", "0.99001", "0.99002", "0.99003"]),
+        (["simulate", "--grid", "0.5(0.00001)0.50002", "--n", "10",
+          "--trials", "100"], ["0.50000", "0.50001", "0.50002"]),
+    ])
+    def test_grid_labels(self, args, labels, capsys):
+        code, out, _ = run(args, capsys)
+        assert code == 0
+        column = 1 if args[0] == "simulate" else 0
+        read = [line.split(",")[column] for line in out.splitlines()[1:]]
+        assert list(dict.fromkeys(read)) == labels
+
+    @pytest.mark.parametrize("command", [
+        ["are"], ["moments", "--n", "10"],
+        ["simulate", "--n", "10", "--trials", "10"]])
+    def test_non_finite_rho_exit_3(self, command, capsys):
+        # the label width skips a non-finite rho; the range check rejects it
+        for rho in ("nan", "inf"):
+            code, _, err = run(command + ["--rho", rho], capsys)
+            assert code == 3
+            assert "invalid input" in err
 
 
 class TestPrecision:

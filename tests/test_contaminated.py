@@ -19,28 +19,70 @@ def params(rho=0.5, eps=0.1, lx=3.0, ly=2.0, rp=-0.4):
                                lambda_y=ly, rho_prime=rp)
 
 
+def rk_limit(p):
+    """Small-epsilon linearisation of the mean of r_K as the contaminant
+    scales grow: a contaminated pair carries rho_prime, the rest rho."""
+    eps = p.epsilon
+    return 2 / math.pi * ((1 - 2 * eps) * math.asin(p.rho)
+                          + 2 * eps * math.asin(p.rho_prime))
+
+
+def rs_limit(p):
+    """The same linearisation for the large-n mean of r_S."""
+    eps = p.epsilon
+    return 6 / math.pi * ((1 - 3 * eps) * math.asin(p.rho / 2)
+                          + eps * math.asin(p.rho_prime))
+
+
 class TestMixtureCorrelations:
     def test_weights_sum_to_one(self):
-        mc = mixture_correlations(params())
-        assert sum(mc.pair_weights) == pytest.approx(1.0, abs=1e-15)
-        assert sum(mc.triple_weights) == pytest.approx(1.0, abs=1e-15)
+        pair, triple = mixture_correlations(params())
+        assert sum(w for _, w in pair) == pytest.approx(1.0, abs=1e-15)
+        assert sum(w for _, w in triple) == pytest.approx(1.0, abs=1e-15)
 
     def test_all_magnitudes_bounded(self):
-        mc = mixture_correlations(params(rho=0.99, rp=0.99, lx=100, ly=100))
-        for r in mc.pair + mc.triple:
+        pair, triple = mixture_correlations(
+            params(rho=0.99, rp=0.99, lx=100, ly=100))
+        assert len(pair) == 4 and len(triple) == 8
+        for r, _ in pair + triple:
             assert abs(r) <= 1
 
     def test_no_contamination_collapses(self):
-        mc = mixture_correlations(params(eps=0.0))
-        assert mc.pair_weights == (1.0, 0.0, 0.0, 0.0)
-        assert mc.pair[0] == 0.5
-        assert mc.triple[0] == 0.25
+        pair, triple = mixture_correlations(params(eps=0.0))
+        assert tuple(w for _, w in pair) == (1.0, 0.0, 0.0, 0.0)
+        assert pair[0][0] == 0.5
+        assert triple[0][0] == 0.25
 
     def test_equal_scales_symmetric(self):
         p = params(lx=4.0, ly=4.0)
-        mc = mixture_correlations(p)
+        pair, _ = mixture_correlations(p)
         # the two single-contaminated pair patterns coincide
-        assert mc.pair[1] == mc.pair[2]
+        assert pair[1][0] == pair[2][0]
+
+    @pytest.mark.parametrize("n", [4, 15, 200])
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.5, 0.95])
+    def test_all_contaminated_ignores_scale(self, rho, n):
+        # at epsilon = 1 every pair is a contaminant; ranks ignore the
+        # unequal scales, so the means are the binormal ones at rho_prime
+        for rp in (-0.7, 0.2, 0.8):
+            p = params(rho=rho, eps=1.0, lx=7.0, ly=0.3, rp=rp)
+            lm = lemma2_moments(rp, n)
+            assert abs(expected_rk_contaminated(p) - lm["mean_rk"]) <= 1e-14
+            assert abs(expected_rs_contaminated(p, n)
+                       - lm["mean_rs"]) <= 1e-14
+
+    @pytest.mark.parametrize("n", [4, 15, 200])
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.5, 0.95])
+    def test_unit_scales_same_rho_is_binormal(self, rho, n):
+        # with unit scales and rho_prime = rho both components are the
+        # same binormal law, whatever epsilon mixes them; every one of
+        # the twelve table entries carries weight for 0 < epsilon < 1
+        lm = lemma2_moments(rho, n)
+        for eps in (0.0, 0.05, 0.3, 0.7, 1.0):
+            p = params(rho=rho, eps=eps, lx=1.0, ly=1.0, rp=rho)
+            assert abs(expected_rk_contaminated(p) - lm["mean_rk"]) <= 1e-14
+            assert abs(expected_rs_contaminated(p, n)
+                       - lm["mean_rs"]) <= 1e-14
 
 
 class TestExpectations:
@@ -52,29 +94,18 @@ class TestExpectations:
         assert expected_rs_contaminated(p, 15) == pytest.approx(lm["mean_rs"],
                                                                 abs=1e-14)
 
-    def test_limit_forms(self):
-        p = params(eps=0.05, rho=0.7, rp=0.2)
-        rk_lim = 2 / math.pi * ((1 - 0.1) * math.asin(0.7)
-                                + 0.1 * math.asin(0.2))
-        rs_lim = 6 / math.pi * ((1 - 0.15) * math.asin(0.35)
-                                + 0.05 * math.asin(0.2))
-        assert expected_rk_contaminated(p, limit=True) == pytest.approx(
-            rk_lim, abs=1e-14)
-        assert expected_rs_contaminated(p, 50, limit=True) == pytest.approx(
-            rs_lim, abs=1e-14)
-
     def test_exact_approaches_limit_for_heavy_tails(self):
         # large scale inflation and large n drive the exact value to
         # the epsilon-linear limit
         p = params(eps=0.01, rho=0.6, lx=1000.0, ly=1000.0, rp=0.0)
         exact = expected_rs_contaminated(p, 5000)
-        lim = expected_rs_contaminated(p, 5000, limit=True)
+        lim = rs_limit(p)
         assert abs(exact - lim) < 5e-3
 
     def test_rival_differs(self):
         p = params(eps=0.05, rho=0.9, rp=0.0, lx=100.0, ly=100.0)
         assert abs(rival_formula_star(p)
-                   - expected_rs_contaminated(p, 50, limit=True)) > 0.01
+                   - rs_limit(p)) > 0.01
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("lam", [0.1, 1.0, 3.0])
@@ -174,7 +205,7 @@ class TestSymmetryAndConvergence:
         for lam in (10.0, 100.0, 1000.0):
             p = params(rho=0.6, eps=0.02, lx=lam, ly=lam, rp=0.0)
             gaps_k.append(abs(expected_rk_contaminated(p)
-                              - expected_rk_contaminated(p, limit=True)))
+                              - rk_limit(p)))
             gaps_s.append(abs(expected_rs_contaminated(p, 500)
                               - rs_scale_limit))
         assert gaps_k[0] > gaps_k[1] > gaps_k[2]

@@ -10,9 +10,10 @@ from rankmoments.correlation import (_CHUNK_ELEMENTS, PairedSample,
                                      _kendall_rows, _permutation_rows,
                                      _spearman_rows, coefficients_rows,
                                      inequality_check, inversions_rows,
-                                     kendall, pearson, spearman,
-                                     spearman_via_s)
+                                     kendall, pearson, spearman)
 from rankmoments.errors import DegenerateError, SizeError, TieError
+
+from oracles import s_statistic
 
 
 def sample(x, y):
@@ -33,10 +34,7 @@ def ranks(s):
 
 def kendall_oracle(s):
     """Pair-sign correlation, O(n^2) reference implementation."""
-    sx = np.sign(s.x[:, None] - s.x[None, :])
-    sy = np.sign(s.y[:, None] - s.y[None, :])
-    t = int((sx * sy).sum())
-    return float(Fraction(t, s.n * (s.n - 1)))
+    return float(Fraction(s_statistic(s.x, s.y)[1], s.n * (s.n - 1)))
 
 
 def pair_scores(x, y):
@@ -79,9 +77,10 @@ class TestFixtures:
 
     def test_three_point_s_statistic(self):
         s = sample([1, 2, 3], [2, 1, 3])
-        val, stats = spearman_via_s(s)
-        assert val == pytest.approx(0.5, abs=0)
-        t_norm = stats.t_value / (3 * 2)
+        r_s, t = s_statistic(s.x, s.y)
+        assert float(r_s) == pytest.approx(0.5, abs=0)
+        assert spearman(s) == float(r_s)
+        t_norm = t / (3 * 2)
         assert t_norm == pytest.approx(kendall(s), abs=0)
 
     def test_ranks(self):
@@ -125,8 +124,7 @@ class TestProperties:
     @given(perm_strategy, st.integers(3, 50))
     def test_s_statistic_identity_exact(self, seed, n):
         s = random_sample(np.random.default_rng(seed), n)
-        via_s, _ = spearman_via_s(s)
-        assert via_s == spearman(s)
+        assert float(s_statistic(s.x, s.y)[0]) == spearman(s)
 
     @settings(max_examples=200, deadline=None)
     @given(perm_strategy, st.integers(3, 50))
@@ -228,7 +226,6 @@ def test_spearman_beyond_int64():
     assert _spearman_rows(rows).tolist() == [1.0, -1.0]
     x = np.arange(float(n))
     assert spearman(sample(x, -x)) == -1.0
-    assert spearman_via_s(sample(x, -x))[0] == -1.0
 
 
 def test_large_n_fast_path():

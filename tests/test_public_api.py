@@ -4,7 +4,6 @@ library example, and the rule that every export has a user."""
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import rankmoments
@@ -16,8 +15,6 @@ README = ROOT / "README.md"
 # a real call that returns one.
 RETURN_TYPES = {
     "OmegaValues": lambda: rankmoments.omegas(0.3),
-    "SStatistic": lambda: rankmoments.spearman_via_s(rankmoments.PairedSample(
-        x=np.array([1.0, 2.0, 3.0]), y=np.array([1.0, 3.0, 2.0])))[1],
     "TrialReport": lambda: rankmoments.run_experiment(
         rankmoments.ExperimentConfig(model="binormal", rho_grid=(0.3,),
                                      n_list=(10,), trials=1, seed=1)),
