@@ -17,10 +17,12 @@ against exact anchor values at rho = 0 and rho = 1 and against four
 internal W-identities; failure raises DerivationError. Each omegas pass
 checks omega3 = W_g / 2 + W_h against 1/18 + I, I the integral along rho
 of its Plackett (1954) derivative; omega4 = pi^2 / 2 * I. Childs's (1967)
-legs of W are the same identity along Z1's row from W = 0, from the same
-orthant._plackett_coeffs. The check stays independent: the routes use
-disjoint halves of its cubic numerator (d0, d2 on Z1's row, d1, d3 on
-rho), and the variances b, g they share are pinned by the anchors above
+legs of W are the same identity along Z1's row from W = 0. Both are sums
+of term rows of orthant._plackett_coeffs, integrated by one body,
+orthant._plackett_term, in one lock-step run per pass. The check stays
+independent: the routes use disjoint halves of its cubic numerator
+(d0, d2 on Z1's row, d1, d3 on rho), and the variances b, g and the
+factor 1 / sqrt(1 - c^2 t^2) they share are pinned by the anchors above
 and by the tests' QUADPACK omega4 oracle.
 """
 
@@ -36,9 +38,9 @@ import numpy as np
 
 from .errors import (CrossCheckError, DerivationError, DomainError,
                      NegativeVarianceError)
-from .orthant import (CorrelationMatrix4, _p4_from_w, _plackett_asin,
-                      _plackett_coeffs, w_integral, w_legs)
-from .quadrature import ABS_TOL, Family, integrate_families
+from .orthant import (CorrelationMatrix4, _p4_from_w, _plackett_coeffs,
+                      integrate_terms, leg_rows, w_integral)
+from .quadrature import ABS_TOL
 
 _NEG_CLAMP = -1e-10
 
@@ -172,13 +174,13 @@ def pattern_w(labels: str, rho: float) -> dict:
 _omega_cache: dict = {}
 _omega_lock = threading.Lock()
 
-_OMEGA_AT_1 = (1.0, 16 / 3, 0.5)
+_OMEGA_AT_1 = (1.0, 16 / 3, 0.5, 2 * math.pi ** 2 / 9)
 
 # the eight patterns the omegas read, as (8, 4, 4) same and cross stacks
 _OMEGA_SAME, _OMEGA_CROSS = (
     np.stack(part) for part in zip(*(_PATTERNS[c] for c in "cdfghlno")))
 
-# rho per lock-step pass: about 12 * 19 W legs plus 12 Plackett integrals
+# rho per lock-step pass: about 19 leg rows and 7 omega3 term rows per rho
 # keep a pass's arrays near 1 MB for a grid of any length
 _RHOS_PER_PASS = 12
 
@@ -188,8 +190,9 @@ _ROUTE_TOL = 1e-9  # largest |omega3 - (1/18 + I)| a pass accepts
 def _plackett_terms(weights: dict):
     """Terms of Plackett's (1954) d/drho of sum weight * W[label], 4/pi^2
     times the sum of coef * asin(r_kl.ij) / sqrt(1 - r_ij^2) over pairs i < j
-    with cross_ij != 0, on each pattern's path same + rho * cross: coef,
-    then the arrays of _plackett_coeffs, each of shape (T,)."""
+    with cross_ij != 0, on each pattern's path same + rho * cross, as the
+    (10, T) terms of orthant.integrate_terms: coef = weight * c_ij, then
+    the arrays of _plackett_coeffs."""
     i, j = np.triu_indices(4, 1)
     parts = []
     for label, weight in weights.items():
@@ -197,23 +200,11 @@ def _plackett_terms(weights: dict):
         on = cross[i, j] != 0.0
         c_ij, *coeffs = _plackett_coeffs(same, cross, i[on], j[on])
         parts.append((weight * c_ij, c_ij, *coeffs))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    return np.concatenate(parts, axis=1)
 
 
 # omega3 = W_g / 2 + W_h
 _OMEGA3_TERMS = _plackett_terms({"g": 0.5, "h": 1.0})
-
-
-def _omega3_rate(theta):
-    """d omega3 / d theta at rho = sin(theta), for an (R, m) array of nodes,
-    from the terms of _OMEGA3_TERMS summed left to right, without BLAS."""
-    coef, c_ij, *coeffs = _OMEGA3_TERMS
-    sin, cos = np.sin(theta)[..., None], np.cos(theta)[..., None]
-    # q = 1 - r_ij^2 (r_ij = c_ij sin): cos/sqrt(q) = 1 at |c_ij| = 1
-    q = cos * cos + (1 - c_ij ** 2) * (sin * sin)
-    terms = coef * _plackett_asin(sin, sin * sin, coeffs) / np.sqrt(q)
-    total = np.add.accumulate(terms, axis=-1)[..., -1]
-    return 4 / math.pi ** 2 * cos[..., 0] * total
 
 
 def omegas(rho):
@@ -223,9 +214,10 @@ def omegas(rho):
 
     Values are cached per rho. The rho not in the cache are computed
     _RHOS_PER_PASS at a time, each group in one lock-step pass over the
-    Childs legs of its eight pattern matrices and one Plackett integral I
-    of omega3 per rho, omega4 being pi^2 / 2 * I. Each integral keeps its
-    own bisections, so a value does not depend on the rho it was computed
+    Childs legs of its eight pattern matrices and the term rows of the
+    Plackett integral I of omega3 per rho, omega4 being pi^2 / 2 * I; at
+    |rho| = 1 all four are exact constants. Each row keeps its own
+    bisections, so a value does not depend on the rho it was computed
     with. Raises CrossCheckError if omega3 and 1/18 + I differ by more
     than _ROUTE_TOL.
     """
@@ -246,31 +238,37 @@ def omegas(rho):
 
 
 def _omega_pass(rhos: list) -> dict:
-    """{rho: OmegaValues} for distinct rho, from one integrate_families run."""
+    """{rho: OmegaValues} for distinct rho, from one integrate_terms run
+    over the legs of the eight pattern matrices and the omega3 term rows
+    on [0, rho] of each |rho| < 1."""
     _ensure_validated()
     inner = [r for r in rhos if abs(r) < 1]
     stack = _OMEGA_SAME + np.array(inner)[:, None, None, None] * _OMEGA_CROSS
-    legs, fold = w_legs(stack.reshape(-1, 4, 4))
-    # rho = sin(theta) on [0, asin(rho)], an empty interval at rho = 0
-    uppers = np.array([math.copysign(math.asin(abs(r)), r) for r in rhos])
-    values, rate = integrate_families([legs, Family(
-        _omega3_rate, np.zeros(len(rhos)), uppers, 2 * ABS_TOL / math.pi ** 2)])
-    w = dict(zip(inner, fold(values).reshape(-1, 8).tolist()))
+    legs, start = leg_rows(stack.reshape(-1, 4, 4))
+    # each rho's t omega3 rows add to one total after the 8 k W; their
+    # tolerances sum to 2 ABS_TOL / pi^2 in I
+    t, k = _OMEGA3_TERMS.shape[1], len(inner)
+    omega3 = (np.tile(_OMEGA3_TERMS, k), np.repeat(inner, t),
+              np.full(k * t, ABS_TOL / (2 * t)),
+              np.repeat(np.arange(8 * k, 9 * k), t))
+    totals = integrate_terms(
+        [np.concatenate(c, axis=-1) for c in zip(legs, omega3)],
+        np.concatenate([start, np.zeros(k)]))
     out = {}
-    for r, integral in zip(rhos, rate.tolist()):
-        # pattern matrices are exactly singular at |rho| = 1
-        if abs(r) == 1.0:
-            o1, o2, o3 = _OMEGA_AT_1
-        else:
-            c, d, f, g, h, l, n, o = w[r]
-            o1 = c + 8 * d + 2 * f
-            o2 = 6 * g + 8 * h + 6 * l + 2 * n + o + 1 / 3
-            o3 = 0.5 * g + h
+    for r, (c, d, f, g, h, l, n, o), integral in zip(
+            inner, totals[:8 * k].reshape(-1, 8).tolist(),
+            totals[8 * k:].tolist()):
+        o3 = 0.5 * g + h
         if not abs(o3 - (1 / 18 + integral)) <= _ROUTE_TOL:
             raise CrossCheckError(
                 f"omega3 cross-check failed at rho={r}: Childs {o3!r} vs "
                 f"Plackett {1 / 18 + integral!r}")
-        out[r] = OmegaValues(o1, o2, o3, math.pi ** 2 / 2 * integral)
+        out[r] = OmegaValues(c + 8 * d + 2 * f,
+                             6 * g + 8 * h + 6 * l + 2 * n + o + 1 / 3, o3,
+                             math.pi ** 2 / 2 * integral)
+    # pattern matrices are exactly singular at |rho| = 1, and omega3's
+    # rows with |c_ij| = 1 are infinite at the end of [0, rho]
+    out.update((r, OmegaValues(*_OMEGA_AT_1)) for r in rhos if abs(r) == 1)
     return out
 
 

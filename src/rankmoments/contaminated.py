@@ -40,10 +40,12 @@ class ContaminationParams:
             raise DomainError(f"|rho_prime| must be <= 1, got {self.rho_prime}")
         if not 0 <= self.epsilon <= 1:
             raise DomainError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        # a NaN or infinite scale would run a whole cell and fail late
-        if not (0 < self.lambda_x < math.inf and 0 < self.lambda_y < math.inf):
+        # a NaN, infinite or overflowing scale would run a whole cell and
+        # fail late; the mixture correlations square each scale
+        lx, ly = self.lambda_x, self.lambda_y
+        if not (0 < lx and 0 < ly and max(lx * lx, ly * ly) < math.inf):
             raise DomainError("scale multipliers must be finite and positive, "
-                              f"got {self.lambda_x}, {self.lambda_y}")
+                              f"with finite squares, got {lx}, {ly}")
 
 
 def mixture_correlations(params: ContaminationParams) -> tuple:

@@ -98,25 +98,48 @@ def _sample_permutation(sample: PairedSample) -> np.ndarray:
     return _permutation_rows(sample.x[None], sample.y[None])
 
 
+_FLOOR = 2.0 ** -500  # see _pearson_rows
+
+
+def _scaled(v: np.ndarray) -> np.ndarray:
+    """Each row of v times the power of two that brings its largest
+    magnitude into [0.5, 1) (the frexp exponent of 0 is 0)."""
+    top = np.maximum(v.max(axis=1), -v.min(axis=1))
+    return np.ldexp(v, -np.frexp(top)[1][:, None])
+
+
+def _centred_sums(x: np.ndarray, y: np.ndarray):
+    xc = x - x.mean(axis=1, keepdims=True)
+    yc = y - y.mean(axis=1, keepdims=True)
+    return (xc * yc).sum(axis=1), (xc * xc).sum(axis=1), (yc * yc).sum(axis=1)
+
+
 def _pearson_rows(x: np.ndarray, y: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Product-moment correlation of each row of two (b, n) arrays (0 where
     the centred sums of squares multiply to 0), and that product's root.
-    No BLAS: a row reads the same in any block and on any BLAS kernel."""
-    xc = x - x.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    denom = np.sqrt((xc * xc).sum(axis=1) * (yc * yc).sum(axis=1))
-    r_p = np.where(denom > 0, (xc * yc).sum(axis=1) / np.maximum(denom, 1e-300),
-                   0.0)
+    No BLAS: a row reads the same in any block and on any BLAS kernel.
+
+    A power of two scales the centred sums exactly unless one overflows or
+    loses terms to underflow. So a row is summed again from _scaled copies
+    only where its sums overflowed or a sum of squares is below _FLOOR;
+    above it an underflowed term is far below the sum's last bit, and the
+    product of the two sums is a normal number.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sxy, sxx, syy = _centred_sums(x, y)
+        redo = ~((np.minimum(sxx, syy) >= _FLOOR) & (sxx * syy < np.inf))
+    if redo.any():
+        sxy[redo], sxx[redo], syy[redo] = _centred_sums(_scaled(x[redo]),
+                                                        _scaled(y[redo]))
+    denom = np.sqrt(sxx * syy)
+    r_p = np.where(denom > 0, sxy / np.maximum(denom, 1e-300), 0.0)
     return r_p, denom
 
 
 def pearson(sample: PairedSample) -> float:
     """Product-moment correlation of the raw values."""
-    # scaling a column by a power of two is exact and keeps its squares
-    # in range at any magnitude (the frexp exponent of 0 is 0)
-    x, y = (np.ldexp(v, -np.frexp(np.abs(v).max())[1])
-            for v in (sample.x, sample.y))
+    x, y = sample.x, sample.y
     r_p, denom = _pearson_rows(x[None], y[None])
     # a constant column whose mean rounds (six copies of 0.1) leaves
     # centred values of roundoff size, so test max == min as well

@@ -4,14 +4,15 @@ in dimensions 2-4.
 The quadrivariate case is reduced (Childs 1967) to three 1-D arcsine
 integrals on [0, 1], one leg per partner Z_j of Z1: Plackett's (1954)
 term of the pair (Z1, Z_j) on the path that scales Z1's row up from 0,
-where W = 0, from the _plackett_coeffs and _plackett_asin that also serve
-binormal's rho path. The legs of a stack run in lock-step adaptive
-Gauss-Kronrod quadrature. A matrix with an exactly coincident pair,
-|r_ab| >= 1 so that Z_b = +-Z_a, gets no legs: its orthant is the
-trivariate one of the other three variables, or empty for an opposed
-pair. Where a leg's partner nearly coincides with another variable its
-arcsine argument is 0/0 and is taken as 0. Every arcsine argument, scalar
-or array, passes one clamp that forgives CLAMP_EPS of roundoff beyond 1.
+where W = 0. A leg is one term row of integrate_terms, the one body that
+also integrates binormal's rows on its rho path; the rows of a run go in
+lock-step adaptive Gauss-Kronrod quadrature. A matrix with an exactly
+coincident pair, |r_ab| >= 1 so that Z_b = +-Z_a, gets no legs: its
+orthant is the trivariate one of the other three variables, or empty for
+an opposed pair. Where a leg's partner nearly coincides with another
+variable its arcsine argument is 0/0 and is taken as 0. Every arcsine
+argument, scalar or array, passes one clamp that forgives CLAMP_EPS of
+roundoff beyond 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import ABS_TOL, CLAMP_EPS, Family, integrate_families
+from .quadrature import ABS_TOL, CLAMP_EPS, integrate_adaptive
 
 _PSD_TOL = -1e-10
 _BG_FLOOR = 1e-14
@@ -168,9 +169,29 @@ def _plackett_asin(t, t2, coeffs):
                        * np.maximum(g0 - g2 * t2, 0.0))
 
 
-def _plain_leg(u, r1l, *coeffs):
+def _plackett_term(u, coef, c, *coeffs):
+    """coef * asin(r_kl.ij) / sqrt(1 - c^2 u^2) at the nodes u of a term
+    row, from its columns after c_ij in _plackett_coeffs."""
     u2 = u * u
-    return r1l / np.sqrt(1 - r1l * r1l * u2) * _plackett_asin(u, u2, coeffs)
+    return coef / np.sqrt(1 - c * c * u2) * _plackett_asin(u, u2, coeffs)
+
+
+def integrate_terms(rows, totals: np.ndarray) -> np.ndarray:
+    """Add 4/pi^2 times the integral of _plackett_term over [0, upper] of
+    each term row to totals[owner], in row order, and return totals. rows
+    is (terms, upper, tol, owner) for T rows, terms the (10, T) array of
+    their coef, c_ij, d0, d1, d2, d3, b0, b2, g0 and g2; they run in one
+    lock-step integrate_adaptive call, each to its own tolerance."""
+    terms, upper, tol, owner = rows
+
+    def f(nodes):
+        x, at = nodes
+        return _plackett_term(x, *terms[:, at, None])
+
+    values = integrate_adaptive(f, np.zeros(len(owner)), upper, tol)
+    # unbuffered, in row order
+    np.add.at(totals, owner, 4 / math.pi ** 2 * values)
+    return totals
 
 
 def _coincident_w(m: np.ndarray) -> float:
@@ -184,48 +205,38 @@ def _coincident_w(m: np.ndarray) -> float:
     return 16 * p4 - 1 - 2 / math.pi * _arcsin_sum(m)
 
 
-def w_legs(ms: np.ndarray):
-    """The 1-D arcsine integrals whose sums are the coupling terms of a
-    (M, 4, 4) stack of correlation matrices that the caller has already
-    checked.
+def leg_rows(ms: np.ndarray):
+    """Childs's legs of the coupling terms of a (M, 4, 4) stack of
+    correlation matrices that the caller has already checked, as the rows
+    of integrate_terms, and the (M,) totals they add to.
 
     A matrix with an exactly coincident pair (some off-diagonal
-    |r_ab| >= 1) takes its W in closed form and has no legs. Every other
-    W is a sum of up to three legs on [0, 1], one per nonzero r_1l.
-    Returns the one family of legs and the map from its values to the M
-    coupling terms; each W sums its legs in leg order.
+    |r_ab| >= 1) takes its W in closed form, its start total, and has no
+    legs. Every other W starts at 0 and adds up to three legs on [0, 1],
+    one per nonzero r_1l in partner order, each to ABS_TOL / 3: the
+    Plackett term of the pair (Z1, Z_l) with coef = c_ij = r_1l.
     """
     i, j = np.triu_indices(4, 1)
     coincident = (np.abs(ms[:, i, j]) >= 1).any(axis=1)
-    closed = np.flatnonzero(coincident)
-    closed_w = [_coincident_w(ms[k]) for k in closed]
+    start = np.zeros(len(ms))
+    start[coincident] = [_coincident_w(m) for m in ms[coincident]]
     # Z1's row scaled up from 0, where W = 0, as same + t * cross
     row = (np.arange(4) == 0) != (np.arange(4) == 0)[:, None]
     r = ms[~coincident]
-    coeffs = _plackett_coeffs(np.where(row, 0.0, r), np.where(row, r, 0.0),
-                              0, np.arange(1, 4))
-    # one leg per nonzero r_1l, matrix-major then by partner
-    legs = coeffs[0] != 0.0
+    c_ij, *coeffs = _plackett_coeffs(np.where(row, 0.0, r),
+                                     np.where(row, r, 0.0), 0, np.arange(1, 4))
+    legs = c_ij != 0.0
     owner = np.repeat(np.flatnonzero(~coincident), 3)[legs.ravel()]
-    family = Family(_plain_leg, np.zeros(len(owner)), np.ones(len(owner)),
-                    ABS_TOL / 3, tuple(c[legs] for c in coeffs))
-
-    def fold(values: np.ndarray) -> np.ndarray:
-        totals = np.zeros(len(ms))
-        # unbuffered, in leg order: each W adds its legs left to right
-        np.add.at(totals, owner, 4 / math.pi ** 2 * values)
-        totals[closed] = closed_w
-        return totals
-
-    return family, fold
+    ones = np.ones(len(owner))
+    return (np.stack((c_ij, c_ij, *coeffs))[:, legs], ones,
+            ABS_TOL / 3 * ones, owner), start
 
 
 def w_integral(ms: np.ndarray) -> np.ndarray:
     """Quadrivariate coupling terms of a (M, 4, 4) stack of correlation
     matrices that the caller has already checked, from one lock-step run
     over all their legs."""
-    family, fold = w_legs(ms)
-    return fold(*integrate_families([family]))
+    return integrate_terms(*leg_rows(ms))
 
 
 def _arcsin_sum(m: np.ndarray) -> float:

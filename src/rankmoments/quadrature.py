@@ -2,7 +2,8 @@
 
 A 7-point Gauss / 15-point Kronrod pair is applied per interval; the
 interval with the largest error estimate is bisected until the summed
-error estimate falls below the absolute tolerance. Many integrals run in
+error estimate falls below the absolute tolerance. Many integrals (the
+package's are the Plackett term rows of orthant.integrate_terms) run in
 lock-step: each round bisects the worst panel of every unfinished
 integral, evaluates the integrand once on the nodes of all the children,
 and reduces every panel of the round in one fixed-order array expression.
@@ -10,7 +11,7 @@ and reduces every panel of the round in one fixed-order array expression.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -160,42 +161,3 @@ def integrate_adaptive(
     raise ConvergenceError(
         f"quadrature on [{a[k]}, {b[k]}] stalled at error {total_err[0]:.3e} "
         f"(target {tol[k]:.3e}) after {MAX_SUBDIVISIONS} subdivisions")
-
-
-class Family(NamedTuple):
-    """K integrals of f(x, *params) over [a[k], b[k]] to one tolerance.
-
-    f receives an (R, m) array of nodes and each parameter as the (R, 1)
-    column of its R rows' values.
-    """
-
-    f: Callable
-    a: np.ndarray
-    b: np.ndarray
-    abs_tol: float
-    params: tuple = ()
-
-
-def integrate_families(families) -> list:
-    """Integrate several families in one lock-step integrate_adaptive run
-    and return each family's values as an array."""
-    sizes = [len(fam.a) for fam in families]
-    starts = np.cumsum([0] + sizes)
-
-    def f(nodes):
-        x, rows = nodes
-        out = np.empty_like(x)
-        # rows increase, so each family's rows form one slice of x
-        cuts = np.searchsorted(rows, starts)
-        for fam, start, lo, hi in zip(families, starts, cuts, cuts[1:]):
-            if lo < hi:
-                own = rows[lo:hi] - start
-                out[lo:hi] = fam.f(x[lo:hi],
-                                   *(p[own, None] for p in fam.params))
-        return out
-
-    values = integrate_adaptive(
-        f, np.concatenate([fam.a for fam in families]),
-        np.concatenate([fam.b for fam in families]),
-        np.repeat([fam.abs_tol for fam in families], sizes))
-    return np.split(values, starts[1:-1])

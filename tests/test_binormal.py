@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from rankmoments import binormal
+from rankmoments import binormal, orthant
 from rankmoments.binormal import (cov_rs_rk_asymptotic,
                                   cov_rs_rk_exact, cov_series_asymptotic,
                                   lemma2_moments, omegas, pattern_w,
@@ -37,8 +37,10 @@ class TestAnchors:
 
     def test_omega4_endpoints(self):
         assert omegas(0.0).omega4 == 0.0
-        assert omegas(1.0).omega4 == pytest.approx(2 * math.pi ** 2 / 9,
-                                                   abs=1e-9)
+        for rho in (1.0, -1.0):
+            om = omegas(rho)
+            assert (om.omega1, om.omega2, om.omega3, om.omega4) == (
+                1.0, 16 / 3, 0.5, 2 * math.pi ** 2 / 9)
 
     def test_omega4_even(self):
         # omega3 is even in rho, so the Plackett integrand is odd in theta
@@ -170,6 +172,22 @@ class TestCovariance:
             omegas(0.5)
         assert binormal._omega_cache == {}
 
+    def test_wrong_shared_factor_trips_the_guard(self, monkeypatch):
+        # a mutated term body, |c| in place of c^2 under the root, serves
+        # both routes; their disjoint numerators still tell them apart
+        pattern_w("c", 0.0)  # the one-time validation runs here
+        asin = orthant._plackett_asin
+
+        def wrong(u, coef, c, *coeffs):
+            u2 = u * u
+            return coef / np.sqrt(1 - np.abs(c) * u2) * asin(u, u2, coeffs)
+
+        monkeypatch.setattr("rankmoments.orthant._plackett_term", wrong)
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+        with pytest.raises(CrossCheckError, match=r"rho=0\.5: Childs"):
+            omegas(0.5)
+        assert binormal._omega_cache == {}
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_asymptotic_moments_reject_small_n(self, n):
         with pytest.raises(DomainError):
@@ -224,13 +242,13 @@ class TestPatternMatrices:
         pattern_w("c", 0.0)  # the one-time validation runs here
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         calls = []
-        w_legs = binormal.w_legs
+        leg_rows = binormal.leg_rows
 
         def counted(ms):
             calls.append(ms)
-            return w_legs(ms)
+            return leg_rows(ms)
 
-        monkeypatch.setattr("rankmoments.binormal.w_legs", counted)
+        monkeypatch.setattr("rankmoments.binormal.leg_rows", counted)
         rho = 0.4321
         omegas(rho)
         assert len(calls) == 1

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +91,7 @@ class TestTables:
             raise ConvergenceError("forced")
 
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
-        monkeypatch.setattr("rankmoments.quadrature.integrate_adaptive", fail)
+        monkeypatch.setattr("rankmoments.orthant.integrate_adaptive", fail)
         target = tmp_path / "t.csv"
         code, out, err = run(["tables", "--grid", "0.4321",
                               "--out", str(target)], capsys)
@@ -343,17 +344,20 @@ class TestSimulate:
     def test_missing_args(self, capsys):
         assert run(["simulate", "--n", "10"], capsys)[0] == 3
 
-    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    # 1e160 is finite, but its square is not
+    @pytest.mark.parametrize("lam", ["nan", "inf", "1e160"])
     def test_non_finite_lambda_exit_3(self, lam, monkeypatch, capsys):
         def sample(*args):
             raise AssertionError("a block was sampled")
 
         monkeypatch.setattr("rankmoments.simulate.sample_contaminated_block",
                             sample)
-        code, out, err = run(["simulate", "--model", "contaminated",
-                              "--epsilon", "0.1", "--lambda", lam,
-                              "--rho", "0.5", "--n", "10", "--trials", "100"],
-                             capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["simulate", "--model", "contaminated",
+                                  "--epsilon", "0.1", "--lambda", lam,
+                                  "--rho", "0.5", "--n", "10",
+                                  "--trials", "100"], capsys)
         assert (code, out) == (3, "")
         assert err.startswith("invalid input: scale multipliers must be "
                               "finite and positive")

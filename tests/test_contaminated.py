@@ -173,7 +173,11 @@ class TestValidation:
             params(eps=1.5)
 
     def test_bad_scale(self):
-        for bad in (0.0, -1.0, math.nan, math.inf):
+        # the largest scale whose square is finite passes, the next fails
+        top = math.sqrt(np.finfo(float).max)
+        params(lx=top, ly=top)
+        for bad in (0.0, -1.0, math.nan, math.inf,
+                    math.nextafter(top, math.inf)):
             with pytest.raises(DomainError):
                 params(lx=bad)
             with pytest.raises(DomainError):

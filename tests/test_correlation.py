@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -347,6 +348,21 @@ class TestBlockKernel:
                       for sl in (slice(None, cut), slice(cut, None)))
         assert [h.tolist() + t.tolist()
                 for h, t in zip(head, tail)] == block
+
+    @pytest.mark.parametrize("scale", [1e80, 1e-160])
+    def test_extreme_scale_block(self, scale):
+        # unscaled, the centred squares overflow (r_P read 0) or underflow;
+        # one row at unit scale shares the chunk with the scaled ones
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((7, 20))
+        y = 0.6 * x + 0.8 * rng.standard_normal(x.shape)
+        x[1:], y[1:] = x[1:] * scale, y[1:] * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r_p = coefficients_rows(x, y)[0]
+            assert r_p.tolist() == [pearson(sample(a, b))
+                                    for a, b in zip(x, y)]
+        assert np.abs(r_p).min() > 0.1
 
     @pytest.mark.parametrize("n", [20, 1000])
     def test_ties_match_stable_sorts(self, n, monkeypatch):
