@@ -213,8 +213,8 @@ def leg_rows(ms: np.ndarray):
     A matrix with an exactly coincident pair (some off-diagonal
     |r_ab| >= 1) takes its W in closed form, its start total, and has no
     legs. Every other W starts at 0 and adds up to three legs on [0, 1],
-    one per nonzero r_1l in partner order, each to ABS_TOL / 3: the
-    Plackett term of the pair (Z1, Z_l) with coef = c_ij = r_1l.
+    each to ABS_TOL / 3: the Plackett term of the pair (Z1, Z_l) with
+    coef = c_ij = r_1l.
     """
     i, j = np.triu_indices(4, 1)
     coincident = (np.abs(ms[:, i, j]) >= 1).any(axis=1)
@@ -223,12 +223,13 @@ def leg_rows(ms: np.ndarray):
     # Z1's row scaled up from 0, where W = 0, as same + t * cross
     row = (np.arange(4) == 0) != (np.arange(4) == 0)[:, None]
     r = ms[~coincident]
-    c_ij, *coeffs = _plackett_coeffs(np.where(row, 0.0, r),
-                                     np.where(row, r, 0.0), 0, np.arange(1, 4))
-    legs = c_ij != 0.0
+    coeffs = _plackett_coeffs(np.where(row, 0.0, r), np.where(row, r, 0.0),
+                              0, np.arange(1, 4))
+    # one leg per nonzero r_1l, matrix-major then by partner
+    legs = coeffs[0] != 0.0
     owner = np.repeat(np.flatnonzero(~coincident), 3)[legs.ravel()]
     ones = np.ones(len(owner))
-    return (np.stack((c_ij, c_ij, *coeffs))[:, legs], ones,
+    return (np.stack((coeffs[0], *coeffs))[:, legs], ones,
             ABS_TOL / 3 * ones, owner), start
 
 
