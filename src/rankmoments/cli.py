@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -135,32 +137,89 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
+# np.loadtxt parses a cell as float() does, but it also strips \x1c-\x1f
+# as whitespace, which float() refuses, and it knows no csv quoting (a
+# quoted cell may hold a comma or a line break). A text holding any of
+# these goes to the row loop.
+_NOT_FOR_LOADTXT = ('"', "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _nonblank_rows(reader, path: str, offset: int = 0):
+    """(physical line, cells) of each csv row with a non-blank cell, when
+    offset lines of the file come before the reader's first."""
+    try:
+        for cells in reader:
+            if any(c.strip() for c in cells):
+                yield offset + reader.line_num, cells
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        raise _IoFailure(f"{path}: line {offset + reader.line_num}: "
+                         f"{exc}") from None
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _row_loop(rows, path: str) -> list:
+    """The (x, y) of each (line, cells) row; a bad row names its line."""
+    pairs = []
+    for line, cells in rows:
+        if len(cells) < 2:
+            raise _IoFailure(f"{path}: line {line}: need two columns")
+        try:
+            pairs.append((float(cells[0]), float(cells[1])))
+        except ValueError as exc:
+            raise _IoFailure(f"{path}: line {line}: {exc}") from None
+    return pairs
+
+
 def _read_pairs(path: str) -> PairedSample:
+    """The sample in the first two columns of a CSV file.
+
+    Rows whose cells are all blank are skipped, and columns past the
+    second are ignored. The first other row is a header when neither of
+    its first two cells is a number. The rows after it are parsed by one
+    np.loadtxt call; a text that loadtxt refuses, or may read otherwise
+    than float(), goes through the row loop, which names the physical line
+    of the first bad row.
+    """
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [row for row in reader if row and any(c.strip() for c in row)]
+            first = next(_nonblank_rows(csv.reader(fh), path), None)
+            if first is None:
+                raise _IoFailure(f"{path}: empty file")
+            line, cells = first
+            head = []
+            if any(_is_number(c) for c in cells[:2]):  # not a header
+                head = _row_loop([first], path)
+            rest = fh.read()
     except OSError as exc:
         raise _IoFailure(str(exc))
-    if not rows:
-        raise _IoFailure(f"{path}: empty file")
-    start = 0
-    try:
-        float(rows[0][0]), float(rows[0][1])
-    except (ValueError, IndexError):
-        start = 1  # header line
-    xs, ys = [], []
-    for idx, row in enumerate(rows[start:], start=start + 1):
-        if len(row) < 2:
-            raise _IoFailure(f"{path}: line {idx}: need two columns")
+    except UnicodeDecodeError as exc:
+        raise _IoFailure(f"{path}: {exc}")
+    buf = io.StringIO(rest, newline="")
+    body = None
+    if not any(c in rest for c in _NOT_FOR_LOADTXT):
         try:
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
-        except ValueError as exc:
-            raise _IoFailure(f"{path}: line {idx}: {exc}")
-    if len(xs) < 4:
-        raise DomainError(f"{path}: need at least 4 rows, got {len(xs)}")
-    return PairedSample(x=np.asarray(xs), y=np.asarray(ys))
+            with warnings.catch_warnings():
+                # no rows after the first: the count check reports it
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                body = np.loadtxt(buf, delimiter=",", usecols=(0, 1),
+                                  comments=None, ndmin=2)
+        except ValueError:
+            buf.seek(0)
+    if body is None:
+        body = _row_loop(_nonblank_rows(csv.reader(buf), path, line), path)
+    data = np.concatenate((np.reshape(head, (-1, 2)),
+                           np.reshape(body, (-1, 2))))
+    if len(data) < 4:
+        raise DomainError(f"{path}: need at least 4 rows, got {len(data)}")
+    return PairedSample(x=data[:, 0], y=data[:, 1])
 
 
 def cmd_estimate(args) -> int:

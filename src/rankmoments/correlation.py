@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -11,14 +12,16 @@ from .errors import DegenerateError, DomainError, SizeError, TieError
 
 @dataclass(frozen=True)
 class PairedSample:
-    """n paired observations with finite real values."""
+    """n paired observations with finite real values, held as read-only
+    copies so that the permutation cached on the sample cannot go stale."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x = np.array(self.x, dtype=float)
+        y = np.array(self.y, dtype=float)
+        x.flags.writeable = y.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         if x.ndim != 1 or y.ndim != 1 or len(x) != len(y):
@@ -31,6 +34,14 @@ class PairedSample:
     @property
     def n(self) -> int:
         return len(self.x)
+
+    @cached_property
+    def _permutation(self) -> np.ndarray:
+        """The (1, n) permutation of the sample, after its tie check (x
+        first); spearman and kendall of one sample share it."""
+        _check_ties(self.x, "x")
+        _check_ties(self.y, "y")
+        return _permutation_rows(self.x[None], self.y[None])
 
 
 def _check_ties(values: np.ndarray, name: str):
@@ -89,13 +100,6 @@ def _permutation_rows(x: np.ndarray, y: np.ndarray,
     if kind is None and (_tied(xs) or _tied(yx.ravel()[pi + offsets])):
         return _permutation_rows(x, y, "stable")
     return pi
-
-
-def _sample_permutation(sample: PairedSample) -> np.ndarray:
-    """The (1, n) permutation of a sample, after its tie check."""
-    _check_ties(sample.x, "x")
-    _check_ties(sample.y, "y")
-    return _permutation_rows(sample.x[None], sample.y[None])
 
 
 _FLOOR = 2.0 ** -500  # see _pearson_rows
@@ -182,7 +186,7 @@ def _spearman_rows(pi: np.ndarray) -> np.ndarray:
 
 def spearman(sample: PairedSample) -> float:
     """Rank correlation from squared rank differences."""
-    return float(_spearman_rows(_sample_permutation(sample))[0])
+    return float(_spearman_rows(sample._permutation)[0])
 
 
 def inversions_rows(perms: np.ndarray) -> np.ndarray:
@@ -262,7 +266,7 @@ def _kendall_rows(pi: np.ndarray) -> np.ndarray:
 
 def kendall(sample: PairedSample) -> float:
     """Pair-sign correlation, via the discordant count of the ranks."""
-    return float(_kendall_rows(_sample_permutation(sample))[0])
+    return float(_kendall_rows(sample._permutation)[0])
 
 
 def coefficients_rows(x: np.ndarray, y: np.ndarray

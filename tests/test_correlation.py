@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmoments import correlation
 from rankmoments.correlation import (_CHUNK_ELEMENTS, PairedSample,
                                      _kendall_rows, _permutation_rows,
                                      _spearman_rows, coefficients_rows,
@@ -375,3 +376,66 @@ class TestBlockKernel:
             np, "argsort",
             lambda a, axis=-1, kind=None: argsort(a, axis, kind="stable"))
         assert [v.tolist() for v in coefficients_rows(x, y)] == got
+
+
+class TestSharedPermutation:
+    """spearman and kendall of one sample share one tie check and one
+    permutation, cached on the sample."""
+
+    def test_one_check_and_one_permutation(self, monkeypatch):
+        calls = {"_check_ties": 0, "_permutation_rows": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(correlation, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(correlation, name, counted)
+        s = random_sample(np.random.default_rng(5), 50)
+        kendall(s), spearman(s), kendall(s)
+        assert calls == {"_check_ties": 2, "_permutation_rows": 1}
+
+    @pytest.mark.parametrize("n", [4, 20, 65, 1000, 5000])
+    def test_bitwise_equal_to_block_kernel(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        y = 0.6 * x + 0.8 * rng.standard_normal(n)
+        want = [v[0] for v in coefficients_rows(x[None], y[None])]
+        # a strided input, and kendall asked before spearman
+        s = PairedSample(x=np.stack((x, y), axis=1)[:, 0], y=y)
+        assert [pearson(s), kendall(s), spearman(s)] == \
+            [want[0], want[2], want[1]]
+
+    def test_arrays_are_read_only_copies(self):
+        x, y = np.array([3.0, 1.0, 2.0, 4.0]), np.array([1.0, 2.0, 4.0, 3.0])
+        s = PairedSample(x=x, y=y)
+        r_s = spearman(s)
+        x[:] = x[::-1]
+        assert x.flags.writeable and not s.x.flags.writeable
+        with pytest.raises(ValueError):
+            s.x[0] = 0.0
+        assert spearman(s) == r_s == spearman(sample([3, 1, 2, 4],
+                                                     [1, 2, 4, 3]))
+
+    @pytest.mark.parametrize("x, y, coordinate, message", [
+        ([1, 2, 2, 4, 4], [5, 1, 1, 3, 2], "x",
+         "tied values in x: (2.0, 4.0)"),
+        ([1, 2, 3, 4, 5], [0.5, 1, 0.5, 1, 3], "y",
+         "tied values in y: (0.5, 1.0)"),
+        ([7, 7, 7, 7], [1, 2, 3, 4], "x", "tied values in x: (7.0,)"),
+        ([1, 2, 3, 4], [-0.0, 0.0, 1, 2], "y", "tied values in y: (-0.0,)"),
+    ])
+    def test_tie_errors_unchanged(self, x, y, coordinate, message):
+        s = sample(x, y)
+        for f in (spearman, kendall, spearman):
+            with pytest.raises(TieError) as exc:
+                f(s)
+            assert (exc.value.coordinate, str(exc.value)) == \
+                (coordinate, message)
+
+    def test_constant_column_before_ties(self):
+        # estimate asks pearson first, so a constant column is reported as
+        # degenerate, not as tied (test_cli's test_constant_column_exit_3)
+        s = sample([7, 7, 7, 7], [1, 1, 3, 4])
+        with pytest.raises(DegenerateError):
+            pearson(s)
+        with pytest.raises(TieError, match="in x"):
+            kendall(s)
