@@ -321,13 +321,17 @@ def var_rs_exact(rho: float, n: int) -> float:
     return _clamp_variance(v, "var(r_S)")
 
 
+def _pi2_n_var_rs_limit(rho: float) -> float:
+    """pi^2 times the limit of n var(r_S), unclamped."""
+    om1, s2 = omegas(rho).omega1, math.asin(rho / 2)
+    return 9 * math.pi ** 2 * om1 - 324 * s2 * s2
+
+
 def var_rs_asymptotic(rho: float, n: int) -> float:
     """Leading-order variance of the rank correlation."""
     if n < 1:
         raise DomainError("need n >= 1")
-    om = omegas(rho)
-    s2 = math.asin(rho / 2)
-    v = (9 * om.omega1 - 324 * s2 * s2 / math.pi ** 2) / n
+    v = _pi2_n_var_rs_limit(rho) / (math.pi ** 2 * n)
     return _clamp_variance(v, "asymptotic var(r_S)")
 
 

@@ -180,7 +180,8 @@ def _row_loop(rows, path: str) -> list:
 def _read_pairs(path: str) -> PairedSample:
     """The sample in the first two columns of a CSV file.
 
-    Rows whose cells are all blank are skipped, and columns past the
+    A byte-order mark at the start of the text is dropped. Rows whose
+    cells are all blank are skipped, and columns past the
     second are ignored. The first other row is a header when neither of
     its first two cells is a number. The rows after it are parsed by one
     np.loadtxt call; a text that loadtxt refuses, or may read otherwise
@@ -189,6 +190,8 @@ def _read_pairs(path: str) -> PairedSample:
     """
     try:
         with open(path, newline="") as fh:
+            if fh.read(1) != "\ufeff":  # a UTF-8 byte-order mark
+                fh.seek(0)
             first = next(_nonblank_rows(csv.reader(fh), path), None)
             if first is None:
                 raise _IoFailure(f"{path}: empty file")
@@ -247,21 +250,48 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def _rho_grid(args) -> list:
+    """The rho of --grid or of --rho, whichever of the two was given."""
+    if args.grid is not None and args.rho is not None:
+        raise DomainError(f"{args.command} takes --rho or --grid, not both")
     if args.grid is not None:
-        rho_grid = tuple(parse_grid(args.grid))
-    elif args.rho is not None:
-        rho_grid = (args.rho,)
-    else:
-        raise DomainError("simulate requires --rho or --grid")
+        return parse_grid(args.grid)
+    if args.rho is not None:
+        return [args.rho]
+    raise DomainError(f"{args.command} requires --rho or --grid")
+
+
+def _contamination(args):
+    """The contamination parameters of simulate's flags, each unset one at
+    its default, or None for the binormal model, which takes none."""
+    flags = {"--epsilon": args.epsilon, "--lambda-x": args.lambda_x,
+             "--lambda-y": args.lambda_y, "--lambda": args.lambda_both,
+             "--rho-prime": args.rho_prime}
+    given = [flag for flag, value in flags.items() if value is not None]
+    if args.model != "contaminated":
+        if given:
+            raise DomainError(f"{given[0]} needs --model contaminated")
+        return None
+    lam = args.lambda_both
+    if lam is not None and (args.lambda_x, args.lambda_y) != (None, None):
+        raise DomainError("give --lambda or --lambda-x/--lambda-y, "
+                          "not both")
+    lam = 1.0 if lam is None else lam
+
+    def pick(value, default):
+        return default if value is None else value
+
+    return ContaminationParams(
+        rho=0.0, epsilon=pick(args.epsilon, 0.0),
+        lambda_x=pick(args.lambda_x, lam), lambda_y=pick(args.lambda_y, lam),
+        rho_prime=pick(args.rho_prime, 0.0))
+
+
+def cmd_simulate(args) -> int:
+    rho_grid = tuple(_rho_grid(args))
     if args.n is None:
         raise DomainError("simulate requires --n")
-    contamination = None
-    if args.model == "contaminated":
-        contamination = ContaminationParams(
-            rho=0.0, epsilon=args.epsilon,
-            lambda_x=args.lambda_x, lambda_y=args.lambda_y,
-            rho_prime=args.rho_prime)
+    contamination = _contamination(args)
     config = ExperimentConfig(model=args.model, rho_grid=rho_grid,
                               n_list=(args.n,), trials=args.trials,
                               seed=args.seed, contamination=contamination)
@@ -276,10 +306,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_are(args) -> int:
-    grid = parse_grid(args.grid) if args.grid is not None else \
-        ([args.rho] if args.rho is not None else None)
-    if grid is None:
-        raise DomainError("are requires --rho or --grid")
+    grid = _rho_grid(args)
     p = args.precision
     places = label_places(grid, 4)
     omegas(grid)  # the whole grid in lock-step passes, before are() reads it
@@ -323,15 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
                             default="binormal")
             sp.add_argument("--trials", type=int, default=100000)
             sp.add_argument("--seed", type=int, default=0)
-            sp.add_argument("--epsilon", type=float, default=0.0)
-            sp.add_argument("--lambda-x", type=float, default=1.0,
+            # the contamination flags default to None, so that the binormal
+            # model can refuse them; _contamination fills in 0, 1, 1, 0
+            sp.add_argument("--epsilon", type=float, default=None)
+            sp.add_argument("--lambda-x", type=float, default=None,
                             dest="lambda_x")
-            sp.add_argument("--lambda-y", type=float, default=1.0,
+            sp.add_argument("--lambda-y", type=float, default=None,
                             dest="lambda_y")
             sp.add_argument("--lambda", type=float, default=None,
                             dest="lambda_both",
                             help="sets both --lambda-x and --lambda-y")
-            sp.add_argument("--rho-prime", type=float, default=0.0,
+            sp.add_argument("--rho-prime", type=float, default=None,
                             dest="rho_prime")
             sp.add_argument("--tol-sigmas", type=float, default=4.0,
                             dest="tol_sigmas")
@@ -366,8 +395,6 @@ def main(argv=None) -> int:
     if not 1 <= args.precision <= 15:
         sys.stderr.write("precision must be in [1, 15]\n")
         return EXIT_DATA
-    if getattr(args, "lambda_both", None) is not None:
-        args.lambda_x = args.lambda_y = args.lambda_both
     try:
         return args.func(args)
     except TieError as exc:

@@ -1,6 +1,11 @@
 """Estimators of the population correlation built from the three sample
 coefficients, with their approximate biases, variances, and asymptotic
 relative efficiencies.
+
+Each rank-based estimator is c sin(a L) of a linear rank statistic L, one
+delta-method body giving its bias and variance: (c, a, L) = (2, pi/6, r_S)
+(Spearman), (1, pi/2, r_K) (Kendall), (2, pi/6, ((n+1) r_S - 3 r_K)/(n-2))
+(mixed). Pearson's estimator and the Kendall efficiency keep closed forms.
 """
 
 from __future__ import annotations
@@ -10,8 +15,8 @@ import math
 
 import numpy as np
 
-from .binormal import (_check_rho, cov_rs_rk_exact, lemma2_moments, omegas,
-                       var_rs_exact)
+from .binormal import (_check_rho, _pi2_n_var_rs_limit, cov_rs_rk_exact,
+                       lemma2_moments, var_rs_exact)
 from .errors import DomainError, SizeError
 
 
@@ -36,46 +41,38 @@ def estimates(r_p, r_s, r_k, n: int) -> dict:
     }
 
 
-def _mixed_form(rho: float, n: int) -> float:
-    # (n+1)^2 sigma_S^2 - 6(n+1) sigma_SK + 9 sigma_K^2, the quadratic form
-    # in the mixed estimator's bias and variance
-    sig2_s = n * var_rs_exact(rho, n)
-    sig2_k = n * lemma2_moments(rho, n)["var_rk"]
-    sig_sk = n * cov_rs_rk_exact(rho, n)
-    return (n + 1) ** 2 * sig2_s - 6 * (n + 1) * sig_sk + 9 * sig2_k
+def _moments(kind: EstimatorKind, rho: float, n: int) -> tuple:
+    """(bias, variance) to leading order. For c sin(a L) the delta method
+    gives shift - a^2 rho var L / 2 and a^2 (c^2 - rho^2) var L, where
+    shift = c sin(a E[L]) - rho is 0 but for Spearman."""
+    _check_args(rho, n, kind)
+    if kind is EstimatorKind.PEARSON:
+        return (-rho * (1 - rho * rho) / (2 * n),
+                lemma2_moments(rho, n)["var_rp"])
+    c, a, shift = 2, math.pi / 6, 0.0
+    if kind is EstimatorKind.KENDALL:
+        c, a = 1, math.pi / 2
+        var_l = lemma2_moments(rho, n)["var_rk"]
+    elif kind is EstimatorKind.SPEARMAN:
+        var_l = var_rs_exact(rho, n)
+        shift = (math.sqrt(4 - rho * rho)
+                 * (math.asin(rho) - 3 * math.asin(rho / 2)) / (n + 1))
+    else:
+        var_l = ((n + 1) ** 2 * var_rs_exact(rho, n)
+                 - 6 * (n + 1) * cov_rs_rk_exact(rho, n)
+                 + 9 * lemma2_moments(rho, n)["var_rk"]) / (n - 2) ** 2
+    a2_var = a * a * var_l
+    return shift - a2_var * rho / 2, a2_var * (c * c - rho * rho)
 
 
 def bias_theoretical(kind: EstimatorKind, rho: float, n: int) -> float:
     """Leading-order bias of the estimator at (rho, n)."""
-    _check_args(rho, n, kind)
-    s1 = math.asin(rho)
-    s2 = math.asin(rho / 2)
-    pi2 = math.pi ** 2
-    if kind is EstimatorKind.PEARSON:
-        return -rho * (1 - rho * rho) / (2 * n)
-    if kind is EstimatorKind.SPEARMAN:
-        sig2_s = n * var_rs_exact(rho, n)
-        return (math.sqrt(4 - rho * rho) * (s1 - 3 * s2) / (n + 1)
-                - pi2 * rho * sig2_s / (72 * n))
-    if kind is EstimatorKind.KENDALL:
-        sig2_k = n * lemma2_moments(rho, n)["var_rk"]
-        return -pi2 * rho * sig2_k / (8 * n)
-    return -(pi2 * rho / (72 * n * (n - 2) ** 2)) * _mixed_form(rho, n)
+    return _moments(kind, rho, n)[0]
 
 
 def variance_theoretical(kind: EstimatorKind, rho: float, n: int) -> float:
     """Leading-order variance of the estimator at (rho, n)."""
-    _check_args(rho, n, kind)
-    pi2 = math.pi ** 2
-    if kind is EstimatorKind.PEARSON:
-        return (1 - rho * rho) ** 2 / (n - 1)
-    if kind is EstimatorKind.SPEARMAN:
-        return pi2 * (4 - rho * rho) / 36 * var_rs_exact(rho, n)
-    if kind is EstimatorKind.KENDALL:
-        var_rk = lemma2_moments(rho, n)["var_rk"]
-        return pi2 * (1 - rho * rho) / 4 * var_rk
-    return (pi2 * (4 - rho * rho) / (36 * n * (n - 2) ** 2)) * _mixed_form(
-        rho, n)
+    return _moments(kind, rho, n)[1]
 
 
 # closed forms of the efficiencies at the boundary
@@ -100,9 +97,7 @@ def are(kind: EstimatorKind, rho: float) -> float:
     # the rank-based and mixed estimators share the same limit
     if abs(rho) == 1.0:
         return _ARE_S_AT_1
-    s2 = math.asin(rho / 2)
-    om1 = omegas(rho).omega1
-    denom = (4 - rho * rho) * (9 * math.pi ** 2 * om1 - 324 * s2 * s2)
+    denom = (4 - rho * rho) * _pi2_n_var_rs_limit(rho)
     return 36 * (1 - rho * rho) ** 2 / denom
 
 

@@ -1,12 +1,16 @@
 """Independent references: the rank statistics as O(n^2) comparisons of
-the raw values, with no sort and no rank code from the package, and the
-`estimate` CSV reader as a plain csv.reader row loop."""
+the raw values, with no sort and no rank code from the package, the
+`estimate` CSV reader as a plain csv.reader row loop, and the estimators'
+bias and variance formulas written out per kind."""
 
 import csv
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from rankmoments.binormal import (cov_rs_rk_exact, lemma2_moments, omegas,
+                                  var_rs_exact)
 from rankmoments.cli import _IoFailure
 from rankmoments.correlation import PairedSample
 from rankmoments.errors import DomainError
@@ -66,3 +70,66 @@ def read_pairs_oracle(path):
     if len(xs) < 4:
         raise DomainError(f"{path}: need at least 4 rows, got {len(xs)}")
     return PairedSample(x=np.asarray(xs), y=np.asarray(ys))
+
+
+# The estimators' leading-order bias and variance, one hand-expanded
+# formula per kind, and Spearman's limiting variance as var_rs_asymptotic
+# and the Spearman efficiency wrote it out, before the delta-method body
+# replaced them.
+
+def _mixed_form(rho: float, n: int) -> float:
+    # (n+1)^2 sigma_S^2 - 6(n+1) sigma_SK + 9 sigma_K^2, the quadratic form
+    # in the mixed estimator's bias and variance
+    sig2_s = n * var_rs_exact(rho, n)
+    sig2_k = n * lemma2_moments(rho, n)["var_rk"]
+    sig_sk = n * cov_rs_rk_exact(rho, n)
+    return (n + 1) ** 2 * sig2_s - 6 * (n + 1) * sig_sk + 9 * sig2_k
+
+
+def bias_oracle(kind: str, rho: float, n: int) -> float:
+    """Leading-order bias of the estimator named by an EstimatorKind value."""
+    s1 = math.asin(rho)
+    s2 = math.asin(rho / 2)
+    pi2 = math.pi ** 2
+    if kind == "pearson":
+        return -rho * (1 - rho * rho) / (2 * n)
+    if kind == "spearman":
+        sig2_s = n * var_rs_exact(rho, n)
+        return (math.sqrt(4 - rho * rho) * (s1 - 3 * s2) / (n + 1)
+                - pi2 * rho * sig2_s / (72 * n))
+    if kind == "kendall":
+        sig2_k = n * lemma2_moments(rho, n)["var_rk"]
+        return -pi2 * rho * sig2_k / (8 * n)
+    return -(pi2 * rho / (72 * n * (n - 2) ** 2)) * _mixed_form(rho, n)
+
+
+def variance_oracle(kind: str, rho: float, n: int) -> float:
+    """Leading-order variance of the estimator named by an EstimatorKind
+    value."""
+    pi2 = math.pi ** 2
+    if kind == "pearson":
+        return (1 - rho * rho) ** 2 / (n - 1)
+    if kind == "spearman":
+        return pi2 * (4 - rho * rho) / 36 * var_rs_exact(rho, n)
+    if kind == "kendall":
+        var_rk = lemma2_moments(rho, n)["var_rk"]
+        return pi2 * (1 - rho * rho) / 4 * var_rk
+    return (pi2 * (4 - rho * rho) / (36 * n * (n - 2) ** 2)) * _mixed_form(
+        rho, n)
+
+
+def var_rs_asymptotic_oracle(rho: float, n: int) -> float:
+    """Leading-order var(r_S), before its clamp."""
+    om = omegas(rho)
+    s2 = math.asin(rho / 2)
+    return (9 * om.omega1 - 324 * s2 * s2 / math.pi ** 2) / n
+
+
+def are_rank_oracle(rho: float) -> float:
+    """Efficiency of the Spearman and mixed estimators."""
+    if abs(rho) == 1.0:
+        return (15 + 11 * math.sqrt(5)) / 57
+    s2 = math.asin(rho / 2)
+    om1 = omegas(rho).omega1
+    denom = (4 - rho * rho) * (9 * math.pi ** 2 * om1 - 324 * s2 * s2)
+    return 36 * (1 - rho * rho) ** 2 / denom

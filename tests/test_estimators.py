@@ -6,11 +6,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmoments.binormal import omegas, var_rs_asymptotic
+from rankmoments.cli import parse_grid
 from rankmoments.correlation import (PairedSample, coefficients_rows,
                                      kendall, pearson, spearman)
 from rankmoments.errors import DomainError, SizeError, TieError
 from rankmoments.estimators import (EstimatorKind, are, bias_theoretical,
                                     estimates, variance_theoretical)
+
+from oracles import (are_rank_oracle, bias_oracle, var_rs_asymptotic_oracle,
+                     variance_oracle)
 
 
 def rho_hat(kind, r_p=0.0, r_s=0.0, r_k=0.0, n=10):
@@ -231,3 +236,42 @@ class TestAreRange:
                 assert 0.0 < val <= 1.0 + 1e-12
             assert are(EstimatorKind.KENDALL, rho) >= \
                 are(EstimatorKind.SPEARMAN, rho) - 1e-12
+
+
+class TestAgainstPerKindFormulas:
+    """The delta-method body against the hand-expanded formula of each
+    kind it replaced, and Spearman's limiting variance against the two
+    bodies that wrote it out."""
+
+    GRID = parse_grid("-1(0.01)1")
+    NS = (4, 5, 10, 20, 100, 1000, 10 ** 6)
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_bias_and_variance(self, kind):
+        omegas(self.GRID)
+        for n in self.NS:
+            for rho in self.GRID:
+                for got, want in (
+                        (bias_theoretical(kind, rho, n),
+                         bias_oracle(kind.value, rho, n)),
+                        (variance_theoretical(kind, rho, n),
+                         variance_oracle(kind.value, rho, n))):
+                    assert abs(got - want) <= 4e-15 * abs(want), (rho, n)
+
+    def test_var_rs_asymptotic(self):
+        omegas(self.GRID)
+        for n in self.NS:
+            for rho in self.GRID:
+                want = max(var_rs_asymptotic_oracle(rho, n), 0.0)
+                assert abs(var_rs_asymptotic(rho, n) - want) <= 2e-15
+
+    @pytest.mark.parametrize("kind", [EstimatorKind.SPEARMAN,
+                                      EstimatorKind.MIXED])
+    def test_are_bits(self, kind):
+        # the near-one points, where the limit cancels, keep their
+        # (wrong) values too
+        grid = parse_grid("-1(0.001)1") + [
+            0.9999999, 0.99999999, 0.9999999999, -0.99999999999]
+        omegas(grid)
+        for rho in grid:
+            assert are(kind, rho).hex() == are_rank_oracle(rho).hex(), rho
