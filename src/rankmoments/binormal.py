@@ -11,15 +11,19 @@ using the covariance rule for differences of i.i.d. coordinates,
     cov(X_a - X_b, Y_c - Y_d) = rho * (d_ac - d_ad - d_bc + d_bd)
 
 Each template is split once into (same, cross), the pattern matrix being
-same + rho * cross. On first use the pairs are checked as correlation
-matrices at rho = -1 and rho = 1, which covers every |rho| <= 1, then
-against exact anchor values at rho = 0 and rho = 1 and against four
-internal W-identities; failure raises DerivationError. Each omegas pass
+same + rho * cross. The first omegas pass of a process (for pattern_w, a
+pass with no rho) checks the pairs once: as correlation matrices at
+rho = -1 and rho = 1, which covers every |rho| <= 1 since the rho at
+which an affine matrix is one form a convex set; then the legs of the 24
+matrices at rho = 0 and rho = 1 ride in that pass's run, and their W must
+meet exact anchor values and four internal W-identities. A failure
+raises DerivationError, and nothing of the pass is cached. Each pass
 checks omega3 = W_g / 2 + W_h against 1/18 + I, I the integral along rho
 of its Plackett (1954) derivative; omega4 = pi^2 / 2 * I. Childs's (1967)
 legs of W are the same identity along Z1's row from W = 0. Both are sums
 of term rows of orthant._plackett_coeffs, integrated by one body,
-orthant._plackett_term, in one lock-step run per pass. The check stays
+orthant._plackett_term, in one lock-step run per pass of up to 24 rho,
+some 600 rows, evaluated at most 4096 nodes at a time. The check stays
 independent: the routes use disjoint halves of its cubic numerator
 (d0, d2 on Z1's row, d1, d3 on rho), and the variances b, g and the
 factor 1 / sqrt(1 - c^2 t^2) they share are pinned by the anchors above
@@ -28,6 +32,7 @@ and by the tests' QUADPACK omega4 oracle.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import threading
@@ -38,7 +43,7 @@ import numpy as np
 
 from .errors import (CrossCheckError, DerivationError, DomainError,
                      NegativeVarianceError)
-from .orthant import (CorrelationMatrix4, _p4_from_w, _plackett_coeffs,
+from .orthant import (_correlation_fault, _p4_from_w, _plackett_coeffs,
                       integrate_terms, leg_rows, w_integral)
 from .quadrature import ABS_TOL
 
@@ -109,37 +114,35 @@ def _split_template(template):
 _PATTERNS = {label: _split_template(t)
              for label, t in _PATTERN_TEMPLATES.items()}
 
+# the twelve templates' endpoint matrices same -/+ cross and their anchor
+# matrices at rho = 0 and rho = 1, each (24, 4, 4) in _PATTERNS order
+_SAME, _CROSS = (np.stack(part) for part in zip(*_PATTERNS.values()))
+_ENDPOINTS = np.concatenate([_SAME - _CROSS, _SAME + _CROSS])
+_ANCHOR_MATS = np.concatenate([_SAME, _SAME + _CROSS])
+
 _validation_done = False
 _validation_lock = threading.Lock()
 
 
-def _validate_patterns():
-    """Endpoint checks of same -/+ cross, anchor checks at rho = 0 and
-    rho = 1, plus the W-identities.
-
-    The rho at which an affine matrix is a valid correlation matrix form a
-    convex set, so passing at rho = -1 and rho = 1 covers every |rho| <= 1.
-    """
-    for same, cross in _PATTERNS.values():
-        CorrelationMatrix4(same - cross)
-        CorrelationMatrix4(same + cross)
-    tol = 1e-9
-    for rho, anchors, kind in ((0.0, _ANCHORS_P4_RHO0, "P4"),
-                               (1.0, _ANCHORS_W_RHO1, "W")):
-        mats = {label: same + rho * cross
-                for label, (same, cross) in _PATTERNS.items()}
-        w = dict(zip(mats, w_integral(np.stack(list(mats.values()))).tolist()))
+def _check_anchors(w):
+    """Check the 24 W of _ANCHOR_MATS against the anchors and the
+    W-identities; a miss, or a NaN, raises DerivationError."""
+    for half, (rho, anchors, kind) in enumerate(
+            ((0.0, _ANCHORS_P4_RHO0, "P4"), (1.0, _ANCHORS_W_RHO1, "W"))):
+        mats = dict(zip(_PATTERNS, _ANCHOR_MATS[12 * half:12 * half + 12]))
+        w_rho = dict(zip(_PATTERNS, w[12 * half:12 * half + 12].tolist()))
         for label, anchor in anchors.items():
-            got = _p4_from_w(mats[label], w[label]) if kind == "P4" \
-                else w[label]
-            if abs(got - float(anchor)) > tol:
+            got = _p4_from_w(mats[label], w_rho[label]) if kind == "P4" \
+                else w_rho[label]
+            if not abs(got - float(anchor)) <= 1e-9:
                 raise DerivationError(
                     f"pattern {label} fails its rho={rho} anchor: "
                     f"{kind}={got!r}, expected {float(anchor)!r}")
-        checks = (w["e"] - 2 * w["d"], w["g"] - w["p"], w["h"] - w["q"],
-                  w["m"] - 2 * w["l"] - 1 / 3)
-        if max(abs(v) for v in checks) > 1e-10:
-            raise DerivationError(f"W-identities violated at rho={rho}: {checks}")
+        checks = (w_rho["e"] - 2 * w_rho["d"], w_rho["g"] - w_rho["p"],
+                  w_rho["h"] - w_rho["q"], w_rho["m"] - 2 * w_rho["l"] - 1 / 3)
+        if not max(abs(v) for v in checks) <= 1e-10:
+            raise DerivationError(
+                f"W-identities violated at rho={rho}: {checks}")
 
 
 def _check_rho(rho):
@@ -147,21 +150,12 @@ def _check_rho(rho):
         raise DomainError(f"|rho| must be <= 1, got {rho}")
 
 
-def _ensure_validated():
-    """Validate the whole template set once per process; later calls skip
-    the (expensive) validation."""
-    global _validation_done
-    with _validation_lock:
-        if not _validation_done:
-            _validate_patterns()
-            _validation_done = True
-
-
 def pattern_w(labels: str, rho: float) -> dict:
     """W terms at rho of the pattern matrices named by the letters of
     labels, from one lock-step w_integral run, keyed by letter."""
     _check_rho(rho)
-    _ensure_validated()
+    if not _validation_done:
+        _omega_pass([])  # a pass with no rho: the validation alone
     stack = np.stack([same + rho * cross
                       for same, cross in (_PATTERNS[c] for c in labels)])
     return dict(zip(labels, w_integral(stack).tolist()))
@@ -180,9 +174,9 @@ _OMEGA_AT_1 = (1.0, 16 / 3, 0.5, 2 * math.pi ** 2 / 9)
 _OMEGA_SAME, _OMEGA_CROSS = (
     np.stack(part) for part in zip(*(_PATTERNS[c] for c in "cdfghlno")))
 
-# rho per lock-step pass: about 19 leg rows and 7 omega3 term rows per rho
-# keep a pass's arrays near 1 MB for a grid of any length
-_RHOS_PER_PASS = 12
+# rho per lock-step pass: about 19 leg rows and 7 omega3 term rows per rho;
+# integrate_terms' slices keep the integrand's temporaries small
+_RHOS_PER_PASS = 24
 
 _ROUTE_TOL = 1e-9  # largest |omega3 - (1/18 + I)| a pass accepts
 
@@ -219,7 +213,8 @@ def omegas(rho):
     |rho| = 1 all four are exact constants. Each row keeps its own
     bisections, so a value does not depend on the rho it was computed
     with. Raises CrossCheckError if omega3 and 1/18 + I differ by more
-    than _ROUTE_TOL.
+    than _ROUTE_TOL, and DerivationError if the first pass of the process
+    finds a bad template; neither caches anything of the failed pass.
     """
     single = isinstance(rho, numbers.Real)
     rhos = [rho] if single else list(rho)
@@ -240,24 +235,41 @@ def omegas(rho):
 def _omega_pass(rhos: list) -> dict:
     """{rho: OmegaValues} for distinct rho, from one integrate_terms run
     over the legs of the eight pattern matrices and the omega3 term rows
-    on [0, rho] of each |rho| < 1."""
-    _ensure_validated()
-    inner = [r for r in rhos if abs(r) < 1]
-    stack = _OMEGA_SAME + np.array(inner)[:, None, None, None] * _OMEGA_CROSS
-    legs, start = leg_rows(stack.reshape(-1, 4, 4))
-    # each rho's t omega3 rows add to one total after the 8 k W; their
-    # tolerances sum to 2 ABS_TOL / pi^2 in I
-    t, k = _OMEGA3_TERMS.shape[1], len(inner)
-    omega3 = (np.tile(_OMEGA3_TERMS, k), np.repeat(inner, t),
-              np.full(k * t, ABS_TOL / (2 * t)),
-              np.repeat(np.arange(8 * k, 9 * k), t))
-    totals = integrate_terms(
-        [np.concatenate(c, axis=-1) for c in zip(legs, omega3)],
-        np.concatenate([start, np.zeros(k)]))
+    on [0, rho] of each |rho| < 1. The first pass of a process holds
+    _validation_lock and checks the templates (see the module docstring)
+    before it returns."""
+    global _validation_done
+    with contextlib.nullcontext() if _validation_done else _validation_lock:
+        validate = not _validation_done
+        inner = [r for r in rhos if abs(r) < 1]
+        k = len(inner)
+        stack = (_OMEGA_SAME + np.array(inner)[:, None, None, None]
+                 * _OMEGA_CROSS).reshape(-1, 4, 4)
+        if validate:
+            fault = _correlation_fault(_ENDPOINTS)
+            if fault is not None:
+                index, reason = fault
+                raise DerivationError(
+                    f"pattern {list(_PATTERNS)[index % 12]} at "
+                    f"rho={(-1.0, 1.0)[index // 12]}: {reason}")
+            stack = np.concatenate([stack, _ANCHOR_MATS])
+        legs, start = leg_rows(stack)
+        # each rho's t omega3 rows add to one total after the W; their
+        # tolerances sum to 2 ABS_TOL / pi^2 in I
+        t, m = _OMEGA3_TERMS.shape[1], len(stack)
+        omega3 = (np.tile(_OMEGA3_TERMS, k), np.repeat(inner, t),
+                  np.full(k * t, ABS_TOL / (2 * t)),
+                  np.repeat(np.arange(m, m + k), t))
+        totals = integrate_terms(
+            [np.concatenate(c, axis=-1) for c in zip(legs, omega3)],
+            np.concatenate([start, np.zeros(k)]))
+        if validate:
+            _check_anchors(totals[8 * k:m])
+            _validation_done = True
     out = {}
     for r, (c, d, f, g, h, l, n, o), integral in zip(
             inner, totals[:8 * k].reshape(-1, 8).tolist(),
-            totals[8 * k:].tolist()):
+            totals[m:].tolist()):
         o3 = 0.5 * g + h
         if not abs(o3 - (1 / 18 + integral)) <= _ROUTE_TOL:
             raise CrossCheckError(

@@ -3,19 +3,32 @@
 from __future__ import annotations
 
 import math
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, getcontext
 
 
 def format_fixed(value: float, places: int) -> str:
-    """Render a float with exactly `places` decimals, banker's rounding."""
+    """Render a float with exactly `places` decimals: its shortest repr
+    rounded half-even, as a Decimal quantize of that repr would."""
     value = float(value)
     if math.isnan(value):
         return "nan"
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
-    quantum = Decimal(1).scaleb(-places)
-    text = format(Decimal(repr(value)).quantize(quantum,
-                                                rounding=ROUND_HALF_EVEN), "f")
+    r = repr(value)
+    whole, _, decimals = r.partition(".")
+    text = None
+    # plain notation, and a result well within the Decimal context, which
+    # raises InvalidOperation past it
+    if "e" not in r and len(whole.lstrip("-")) + places < getcontext().prec:
+        if len(decimals) <= places:
+            text = r + "0" * (places - len(decimals))
+        elif decimals[places:] != "5":
+            # a rounding boundary between value and r would be a shorter
+            # or closer repr than r, so the two round alike
+            text = f"{value:.{places}f}"
+    if text is None:
+        text = format(Decimal(r).quantize(Decimal(1).scaleb(-places),
+                                          rounding=ROUND_HALF_EVEN), "f")
     # normalize "-0.00..." to the positive form
     if text.startswith("-") and float(text) == 0.0:
         text = text[1:]

@@ -27,6 +27,7 @@ from .quadrature import ABS_TOL, CLAMP_EPS, integrate_adaptive
 
 _PSD_TOL = -1e-10
 _BG_FLOOR = 1e-14
+_SLICE_NODES = 4096  # most integrand nodes integrate_terms evaluates at once
 
 
 def _psd_within_tol(m: np.ndarray) -> bool:
@@ -74,14 +75,31 @@ class CorrelationMatrix4:
         object.__setattr__(self, "rho", r)
         if r.shape != (4, 4):
             raise DomainError("correlation matrix must be 4x4")
-        if not np.allclose(r, r.T, atol=1e-12):
-            raise DomainError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(r), 1.0, atol=1e-12):
-            raise DomainError("correlation matrix must have unit diagonal")
-        if np.abs(r).max() > 1 + 1e-12:
-            raise DomainError("correlations must lie in [-1, 1]")
-        if not _psd_within_tol(r):
-            raise DomainError("correlation matrix is not positive semidefinite")
+        fault = _correlation_fault(r[None])
+        if fault is not None:
+            raise DomainError(fault[1])
+
+
+def _correlation_fault(ms: np.ndarray):
+    """None if each matrix of a (M, 4, 4) stack is a correlation matrix,
+    else (index, reason) of the first failing check, all but the exact
+    PSD test made on the whole stack at once."""
+    bad = (
+        (~np.isclose(ms, ms.swapaxes(1, 2), atol=1e-12).all(axis=(1, 2)),
+         "correlation matrix must be symmetric"),
+        (~np.isclose(ms.diagonal(axis1=1, axis2=2), 1.0,
+                     atol=1e-12).all(axis=1),
+         "correlation matrix must have unit diagonal"),
+        (np.abs(ms).max(axis=(1, 2)) > 1 + 1e-12,
+         "correlations must lie in [-1, 1]"),
+    )
+    for mask, reason in bad:
+        if mask.any():
+            return int(mask.argmax()), reason
+    for index, m in enumerate(ms):
+        if not _psd_within_tol(m):
+            return index, "correlation matrix is not positive semidefinite"
+    return None
 
 
 def _clamp_unit(r):
@@ -150,6 +168,8 @@ def _asin_ratio(num, den2):
     vanishing root is a DomainError."""
     den = np.sqrt(np.maximum(den2, 0.0))
     ok = den >= _BG_FLOOR
+    if ok.all():
+        return np.arcsin(_clamp_unit(num / den))
     if (~ok & (np.abs(num) >= _BG_FLOOR)).any():
         raise DomainError("arcsine argument diverges: vanishing denominator "
                           "with nonvanishing numerator")
@@ -181,12 +201,19 @@ def integrate_terms(rows, totals: np.ndarray) -> np.ndarray:
     each term row to totals[owner], in row order, and return totals. rows
     is (terms, upper, tol, owner) for T rows, terms the (10, T) array of
     their coef, c_ij, d0, d1, d2, d3, b0, b2, g0 and g2; they run in one
-    lock-step integrate_adaptive call, each to its own tolerance."""
+    lock-step integrate_adaptive call, each to its own tolerance. The
+    integrand runs in slices of whole rows of at most _SLICE_NODES nodes,
+    so that its temporaries stay small however many rows run."""
     terms, upper, tol, owner = rows
 
     def f(nodes):
         x, at = nodes
-        return _plackett_term(x, *terms[:, at, None])
+        out = np.empty_like(x)
+        step = max(1, _SLICE_NODES // x.shape[1])
+        for s in range(0, len(x), step):
+            part = slice(s, s + step)
+            out[part] = _plackett_term(x[part], *terms[:, at[part], None])
+        return out
 
     values = integrate_adaptive(f, np.zeros(len(owner)), upper, tol)
     # unbuffered, in row order

@@ -47,6 +47,9 @@ _WG = np.array([
     0.381830050505118944950369775488975, 0.279705391489276667901467771423780,
     0.129484966168869693270611432679082,
 ])
+# the weights of the centre node and of the pairs, as _gk15 reduces them
+_K_TERMS = np.concatenate([_WK[7:8], _WK[:7]])
+_G_TERMS = np.concatenate([_WG[3:4], _WG[:3]])
 
 
 # Accuracy used for every 1-D integral of the moment theory: total
@@ -55,6 +58,9 @@ _WG = np.array([
 ABS_TOL = 1e-13
 MAX_SUBDIVISIONS = 400
 CLAMP_EPS = 1e-10
+
+# panel columns added to an integrate_adaptive run's storage at a time
+_PANEL_CHUNK = 8
 
 
 def _nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -76,12 +82,11 @@ def _gk15(fx: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     multiply-add is involved).
     """
     half = 0.5 * (hi - lo)
-    centre = fx[..., 7:8]
-    pair = fx[..., :7] + fx[..., :7:-1]
-    k = np.add.accumulate(np.concatenate(
-        [centre * _WK[7], pair * _WK[:7]], axis=-1), axis=-1)[..., -1]
-    g = np.add.accumulate(np.concatenate(
-        [centre * _WG[3], pair[..., 1::2] * _WG[:3]], axis=-1), axis=-1)[..., -1]
+    # the centre value, then the pair sums; the Gauss terms are every other
+    terms = np.concatenate([fx[..., 7:8], fx[..., :7] + fx[..., :7:-1]],
+                           axis=-1)
+    k = np.add.accumulate(terms * _K_TERMS, axis=-1)[..., -1]
+    g = np.add.accumulate(terms[..., ::2] * _G_TERMS, axis=-1)[..., -1]
     k, g = half * k, half * g
     # standard QUADPACK-style rescaled error estimate
     err = np.abs(k - g)
@@ -107,7 +112,8 @@ def integrate_adaptive(
     Each integral bisects its own worst panel (largest error estimate,
     then lowest first end) once per round until its own summed error
     estimate reaches its tolerance, exactly as it would alone. Panel
-    storage grows by one column per round actually run.
+    storage grows _PANEL_CHUNK columns at a time, as the rounds actually
+    run need them.
 
     Raises ConvergenceError, naming the interval, if an integral exhausts
     its budget of MAX_SUBDIVISIONS bisections (read at call time) before
@@ -123,41 +129,53 @@ def integrate_adaptive(
         return _gk15(fx, lo, hi)
 
     # per unfinished integral (one row each): its panels as (lo, hi, value,
-    # error), and the running totals of their values and errors
+    # error) in the first `used` columns of the storage, and its running
+    # value, error estimate and tolerance
     rows = np.flatnonzero(a != b)
     if rows.size == 0:
         return values
     lo, hi = a[rows, None], b[rows, None]
     val, err = evaluate(rows, lo, hi)
-    panels = np.stack([lo, hi, val, err], axis=-1)
-    total_val, total_err = val[:, 0].copy(), err[:, 0].copy()
+    panels = np.empty((rows.size, _PANEL_CHUNK, 4))
+    panels[:, :1] = np.stack([lo, hi, val, err], axis=-1)
+    used = 1
+    sums = np.stack([val[:, 0], err[:, 0], tol[rows]], axis=1)
+    r = np.arange(rows.size)
     for subdivisions in range(MAX_SUBDIVISIONS + 1):
-        done = total_err <= tol[rows]
+        done = sums[:, 1] <= sums[:, 2]
         if done.any():
-            values[rows[done]] = total_val[done]
+            values[rows[done]] = sums[done, 0]
             keep = ~done
-            rows, panels, total_val, total_err = (
-                v[keep] for v in (rows, panels, total_val, total_err))
+            rows, panels, sums = rows[keep], panels[keep], sums[keep]
+            r = np.arange(rows.size)
         if rows.size == 0:
             return values
         if subdivisions == MAX_SUBDIVISIONS:
             break
+        if used == panels.shape[1]:
+            panels = np.concatenate(
+                [panels, np.empty((rows.size, _PANEL_CHUNK, 4))], axis=1)
         # the heap order of a lone run: largest error, then lowest first end
-        err = panels[..., 3]
+        err = panels[:, :used, 3]
         worst = np.where(err == err.max(axis=1, keepdims=True),
-                         panels[..., 0], np.inf).argmin(axis=1)
-        r = np.arange(rows.size)
+                         panels[:, :used, 0], np.inf).argmin(axis=1)
         p_lo, p_hi, p_val, p_err = panels[r, worst].T
         mid = 0.5 * (p_lo + p_hi)
-        lo, hi = np.stack([p_lo, mid], axis=1), np.stack([mid, p_hi], axis=1)
+        # concatenates of [..., None] views: np.stack costs several times more
+        ends = np.concatenate([p_lo[:, None], mid[:, None], p_hi[:, None]],
+                              axis=1)
+        lo, hi = ends[:, :2], ends[:, 1:]
         val, err = evaluate(rows, lo, hi)
-        total_val += val[:, 0] + val[:, 1] - p_val
-        total_err += err[:, 0] + err[:, 1] - p_err
-        # the first child takes its parent's column, the second a new one
-        children = np.stack([lo, hi, val, err], axis=-1)
+        sums[:, 0] += val[:, 0] + val[:, 1] - p_val
+        sums[:, 1] += err[:, 0] + err[:, 1] - p_err
+        # the first child takes its parent's column, the second the next one
+        children = np.concatenate(
+            [lo[..., None], hi[..., None], val[..., None], err[..., None]],
+            axis=-1)
         panels[r, worst] = children[:, 0]
-        panels = np.concatenate([panels, children[:, 1:]], axis=1)
+        panels[:, used] = children[:, 1]
+        used += 1
     k = rows[0]
     raise ConvergenceError(
-        f"quadrature on [{a[k]}, {b[k]}] stalled at error {total_err[0]:.3e} "
+        f"quadrature on [{a[k]}, {b[k]}] stalled at error {sums[0, 1]:.3e} "
         f"(target {tol[k]:.3e}) after {MAX_SUBDIVISIONS} subdivisions")

@@ -1,10 +1,12 @@
 """Independent references: the rank statistics as O(n^2) comparisons of
 the raw values, with no sort and no rank code from the package, the
-`estimate` CSV reader as a plain csv.reader row loop, and the estimators'
-bias and variance formulas written out per kind."""
+`estimate` CSV reader as a plain csv.reader row loop, the estimators'
+bias and variance formulas written out per kind, and the table writers'
+fixed-point rendering as one Decimal quantize."""
 
 import csv
 import math
+from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -133,3 +135,20 @@ def are_rank_oracle(rho: float) -> float:
     om1 = omegas(rho).omega1
     denom = (4 - rho * rho) * (9 * math.pi ** 2 * om1 - 324 * s2 * s2)
     return 36 * (1 - rho * rho) ** 2 / denom
+
+
+def format_fixed_oracle(value: float, places: int) -> str:
+    """format_fixed as a Decimal quantize of the repr for every value,
+    the body its fast paths must match byte for byte."""
+    value = float(value)
+    if math.isnan(value):
+        return "nan"
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    quantum = Decimal(1).scaleb(-places)
+    text = format(Decimal(repr(value)).quantize(quantum,
+                                                rounding=ROUND_HALF_EVEN), "f")
+    # normalize "-0.00..." to the positive form
+    if text.startswith("-") and float(text) == 0.0:
+        text = text[1:]
+    return text

@@ -1,9 +1,13 @@
 import math
 import os
+import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,7 @@ from rankmoments.binormal import (cov_rs_rk_asymptotic,
                                   lemma2_moments, omegas, pattern_w,
                                   var_rs_asymptotic, var_rs_exact)
 from rankmoments.cli import main
-from rankmoments.errors import CrossCheckError, DomainError
+from rankmoments.errors import CrossCheckError, DerivationError, DomainError
 from rankmoments.orthant import CorrelationMatrix4
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -291,9 +295,10 @@ class TestOmegaGrid:
         assert binormal._omega_cache == {}
 
     def test_memory_bounded_on_long_grid(self, monkeypatch):
-        # chunked passes whose panel storage grows with the rounds run: an
-        # unchunked pass, or a dense MAX_SUBDIVISIONS-wide panel table,
-        # needs several times this bound
+        # chunked passes whose panel storage grows with the rounds run and
+        # whose integrand runs in slices: 1.18 MB traced on 1001 rho with
+        # 24 rho a pass; an unchunked pass, unsliced integrand temporaries
+        # or a dense MAX_SUBDIVISIONS-wide panel table exceed this bound
         pattern_w("c", 0.0)  # the one-time validation runs here
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         grid = np.linspace(-1.0, 1.0, 1001).tolist()
@@ -304,7 +309,7 @@ class TestOmegaGrid:
         finally:
             tracemalloc.stop()
         assert len(values) == 1001
-        assert peak < 3 * 2 ** 20
+        assert peak < 1.5 * 2 ** 20
 
     def test_independent_of_blas_kernel(self):
         # no value may depend on which OpenBLAS kernel DYNAMIC_ARCH picks
@@ -327,6 +332,121 @@ class TestOmegaGrid:
             outputs.append(proc.stdout)
         assert len(outputs[0].splitlines()) == 15
         assert outputs[0] == outputs[1]
+
+
+class TestPatternValidation:
+    """The one-time check of the twelve templates rides in the first omega
+    pass of a process: a bad template or anchor stops that pass before
+    anything is cached, from whichever entry point comes first, and the
+    check runs once, also when threads race on the first call."""
+
+    @pytest.fixture
+    def fresh(self, monkeypatch):
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+        monkeypatch.setattr("rankmoments.binormal._validation_done", False)
+
+    @staticmethod
+    def _put(monkeypatch, label, same, cross):
+        """Replace one template's (same, cross) everywhere the check reads
+        it."""
+        index = list(binormal._PATTERNS).index(label)
+        monkeypatch.setitem(binormal._PATTERNS, label, (same, cross))
+        for name, mats in (("_ENDPOINTS", (same - cross, same + cross)),
+                           ("_ANCHOR_MATS", (same, same + cross))):
+            stack = getattr(binormal, name).copy()
+            stack[index], stack[12 + index] = mats
+            monkeypatch.setattr(binormal, name, stack)
+
+    def _not_psd(self, monkeypatch):
+        same, cross = binormal._PATTERNS["c"]
+        self._put(monkeypatch, "c", same, 2 * cross)
+        return r"pattern c at rho=-1\.0: .* not positive semidefinite"
+
+    def _wrong_index(self, monkeypatch):
+        # f's last difference Y_l - Y_j read as Y_l - Y_k
+        template = binormal._PATTERN_TEMPLATES["f"][:3] + (("y", "l", "k"),)
+        self._put(monkeypatch, "f", *binormal._split_template(template))
+        return r"pattern f fails its rho=0\.0 anchor: P4="
+
+    def _identity(self, monkeypatch):
+        # q has no anchor of its own; only W_h = W_q can catch it
+        self._put(monkeypatch, "q", *binormal._PATTERNS["c"])
+        return r"W-identities violated at rho=0\.0"
+
+    def _anchor(self, monkeypatch):
+        monkeypatch.setitem(binormal._ANCHORS_W_RHO1, "g", Fraction(1, 4))
+        return r"pattern g fails its rho=1\.0 anchor: W=0\.333"
+
+    @pytest.mark.parametrize("fault", ["_not_psd", "_wrong_index",
+                                       "_identity", "_anchor"])
+    @pytest.mark.parametrize("entry", ["omegas", "pattern_w", "tables"])
+    def test_fault_stops_first_pass(self, fault, entry, fresh, monkeypatch,
+                                    capsys):
+        message = getattr(self, fault)(monkeypatch)
+        for _ in range(2):  # a failed check is not marked done
+            if entry == "tables":
+                assert main(["tables", "--grid", "0(0.5)1"]) == 2
+                out, err = capsys.readouterr()
+                assert out == "" and err.count("\n") == 1
+                assert err.startswith("numerical failure: ")
+                assert re.search(message, err)
+            else:
+                call = {"omegas": lambda: omegas([0.3, 1.0]),
+                        "pattern_w": lambda: pattern_w("cd", 0.3)}[entry]
+                with pytest.raises(DerivationError, match=message):
+                    call()
+            assert binormal._omega_cache == {}
+            assert not binormal._validation_done
+
+    def test_once_per_process_under_a_race(self, fresh, monkeypatch, capsys):
+        calls = []
+        check_anchors = binormal._check_anchors
+        fault = binormal._correlation_fault
+
+        def slow_check(w):
+            calls.append("anchors")
+            time.sleep(0.05)  # the other thread arrives meanwhile
+            return check_anchors(w)
+
+        def counted_fault(ms):
+            calls.append("endpoints")
+            return fault(ms)
+
+        monkeypatch.setattr(binormal, "_check_anchors", slow_check)
+        monkeypatch.setattr(binormal, "_correlation_fault", counted_fault)
+        grids = ([0.1, 0.2], [0.3, 0.1], [0.2], [0.1, 0.3])
+        barrier = threading.Barrier(len(grids))
+        results, errors = {}, []
+
+        def first_call(rhos):
+            try:
+                barrier.wait(timeout=30)
+                results[tuple(rhos)] = omegas(rhos)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=first_call, args=(rhos,))
+                   for rhos in grids]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and calls == ["endpoints", "anchors"]
+        omegas([0.6, 0.7])
+        pattern_w("ch", 0.2)
+        assert main(["are", "--rho", "0.4"]) == 0
+        assert capsys.readouterr().out.startswith("rho,are_spearman")
+        assert calls == ["endpoints", "anchors"]
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+        again = dict(zip((0.1, 0.2, 0.3), omegas([0.1, 0.2, 0.3])))
+        for rhos in grids:
+            assert results[tuple(rhos)] == [again[r] for r in rhos]
 
 
 class TestTables:

@@ -741,3 +741,49 @@ class TestUsageErrors:
             main(args)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: rankmoments")
+
+
+class TestParserReuse:
+    """main builds its parser once per process; a run must read exactly as
+    it would from a freshly built parser, after any mix of subcommands,
+    usage errors and help."""
+
+    ARGVS = [
+        ["moments", "--rho", "0.5", "--n", "10"],
+        ["tables", "--grid", "0(0.5)1", "--precision", "4"],
+        ["tables", "--no-such-flag"],
+        ["--help"],
+        ["moments", "--rho", "x", "--n", "10"],
+        ["are", "--rho", "0.3"],
+        ["simulate", "--help"],
+        [],
+        ["estimate"],
+        ["tables", "--grid", "0(0.5)1", "--precision", "0"],
+        ["are", "--rho", "0.3", "--grid", "0(0.5)1"],
+        ["frobnicate"],
+        ["moments", "--rho", "0.5", "--n", "10"],
+        ["tables", "--grid", "0(0.5)1"],
+    ]
+
+    @staticmethod
+    def _call(argv, capsys):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_matches_fresh_parser(self, capsys):
+        cli._parser.cache_clear()
+        shared = [self._call(argv, capsys) for argv in self.ARGVS]
+        assert cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv in self.ARGVS:
+            cli._parser.cache_clear()
+            fresh.append(self._call(argv, capsys))
+        assert shared == fresh
+        codes = [code for code, _, _ in shared]
+        assert codes.count(0) == 5 and codes.count(3) == 2
+        assert codes.count(("SystemExit", 3)) == 5
+        assert codes.count(("SystemExit", 0)) == 2
