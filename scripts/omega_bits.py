@@ -8,8 +8,10 @@ at rho in {-1, 0, 0.3, 1}, then of what is built on them on a small grid:
 the estimators' bias and variance for the four kinds and var_rs_asymptotic
 at each (rho, n) of ESTIMATOR_RHOS x ESTIMATOR_NS, and the efficiency of
 the three rank-based kinds at ESTIMATOR_RHOS, at +-1 and at two points
-where it cancels. One line per quantity. Run it under two checkouts and
-diff the outputs: an empty diff means every value is bitwise unchanged.
+where it cancels, and last the contaminated model's means of r_K and r_S
+at each (rho, epsilon, lambda_x, lambda_y, rho_prime, n) of a small grid.
+One line per quantity. Run it under two checkouts and diff the outputs:
+an empty diff means every value is bitwise unchanged.
 
     PYTHONPATH=src python3 scripts/omega_bits.py > bits.txt
 """
@@ -17,11 +19,18 @@ diff the outputs: an empty diff means every value is bitwise unchanged.
 from rankmoments.binormal import (_PATTERNS, omegas, pattern_w,
                                   var_rs_asymptotic)
 from rankmoments.cli import parse_grid
+from rankmoments.contaminated import (ContaminationParams,
+                                      expected_rk_contaminated,
+                                      expected_rs_contaminated)
 from rankmoments.estimators import (EstimatorKind, are, bias_theoretical,
                                     variance_theoretical)
 
 ESTIMATOR_RHOS = (-0.95, -0.5, 0.0, 0.3, 0.6, 0.9, 0.999999)
 ESTIMATOR_NS = (4, 5, 20, 1000)
+MIXTURE_RHOS = (-0.5, 0.3, 0.9)
+MIXTURE_EPSILONS = (0.0, 0.05, 0.5, 1.0)
+MIXTURE_SCALES = ((3.0, 2.0, -0.4), (100.0, 100.0, 0.0))  # lx, ly, rho'
+MIXTURE_NS = (4, 20, 1000)
 
 
 def main() -> None:
@@ -46,6 +55,14 @@ def main() -> None:
     for rho in ESTIMATOR_RHOS + (1.0, -1.0, 0.9999999, -0.99999999999):
         for kind in list(EstimatorKind)[1:]:
             print(f"are {kind.value} {rho!r}", are(kind, rho).hex())
+    for rho in MIXTURE_RHOS:
+        for eps in MIXTURE_EPSILONS:
+            for lx, ly, rp in MIXTURE_SCALES:
+                p = ContaminationParams(rho, eps, lx, ly, rp)
+                for n in MIXTURE_NS:
+                    print(f"contaminated {rho!r} {eps!r} {lx!r} {ly!r} "
+                          f"{rp!r} {n}", expected_rk_contaminated(p).hex(),
+                          expected_rs_contaminated(p, n).hex())
 
 
 if __name__ == "__main__":

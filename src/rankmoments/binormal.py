@@ -288,24 +288,38 @@ def _omega_pass(rhos: list) -> dict:
 # Closed-form moments.
 # ---------------------------------------------------------------------------
 
+def _check_n(n: int, least: int, message: str):
+    """DomainError(message) for n < least, and past 2**53 (n^4 overflows)."""
+    if n < least or n > 2 ** 53:
+        raise DomainError(message if n < least
+                          else f"n must be at most 2**53, got {n}")
+
+
+def _mean_rs(a1: float, a2: float, n: int) -> float:
+    """E[r_S] from a1 = asin(rho), a2 = asin(rho / 2), or mixture averages."""
+    return 6 / (math.pi * (n + 1)) * (a1 + (n - 2) * a2)
+
+
+def _mean_rk(a1: float) -> float:
+    """E[r_K] from a1 = asin(rho), or its mixture average."""
+    return 2 / math.pi * a1
+
+
 def lemma2_moments(rho: float, n: int) -> dict:
     """Known closed-form moments of the three coefficients."""
     _check_rho(rho)
-    if n < 2:
-        raise DomainError("need n >= 2")
+    _check_n(n, 2, "need n >= 2")
     s1, s2 = math.asin(rho), math.asin(rho / 2)
     pi2 = math.pi ** 2
     mean_rp = rho * (1 - (1 - rho * rho) / (2 * n))
     var_rp = (1 - rho * rho) ** 2 / (n - 1)
-    mean_rs = 6 / (math.pi * (n + 1)) * (s1 + (n - 2) * s2)
-    mean_rk = 2 / math.pi * s1
     var_rk = 2 / (n * (n - 1)) * (1 - 4 * s1 * s1 / pi2
                                   + 2 * (n - 2) * (1 / 9 - 4 * s2 * s2 / pi2))
     return {
         "mean_rp": mean_rp,
         "var_rp": var_rp,
-        "mean_rs": mean_rs,
-        "mean_rk": mean_rk,
+        "mean_rs": _mean_rs(s1, s2, n),
+        "mean_rk": _mean_rk(s1),
         "var_rk": var_rk,
     }
 
@@ -318,8 +332,7 @@ def _clamp_variance(v: float, what: str) -> float:
 
 def var_rs_exact(rho: float, n: int) -> float:
     """Exact finite-n variance of the rank correlation."""
-    if n < 4:
-        raise DomainError("exact variance requires n >= 4")
+    _check_n(n, 4, "exact variance requires n >= 4")
     om = omegas(rho)
     s1, s2 = math.asin(rho), math.asin(rho / 2)
     pi2 = math.pi ** 2
@@ -341,8 +354,7 @@ def _pi2_n_var_rs_limit(rho: float) -> float:
 
 def var_rs_asymptotic(rho: float, n: int) -> float:
     """Leading-order variance of the rank correlation."""
-    if n < 1:
-        raise DomainError("need n >= 1")
+    _check_n(n, 1, "need n >= 1")
     v = _pi2_n_var_rs_limit(rho) / (math.pi ** 2 * n)
     return _clamp_variance(v, "asymptotic var(r_S)")
 
@@ -350,8 +362,7 @@ def var_rs_asymptotic(rho: float, n: int) -> float:
 def cov_rs_rk_exact(rho: float, n: int) -> float:
     """Exact finite-n covariance between the two rank coefficients, from
     omega3; omegas checks omega3 against a second route."""
-    if n < 4:
-        raise DomainError("exact covariance requires n >= 4")
+    _check_n(n, 4, "exact covariance requires n >= 4")
     om = omegas(rho)
     s1, s2 = math.asin(rho), math.asin(rho / 2)
     pi2 = math.pi ** 2
@@ -365,8 +376,7 @@ def cov_rs_rk_exact(rho: float, n: int) -> float:
 
 def cov_rs_rk_asymptotic(rho: float, n: int) -> float:
     """Leading-order covariance between the two rank coefficients."""
-    if n < 1:
-        raise DomainError("need n >= 1")
+    _check_n(n, 1, "need n >= 1")
     om = omegas(rho)
     s1, s2 = math.asin(rho), math.asin(rho / 2)
     return 12 / n * (om.omega3 - 6 * s1 * s2 / math.pi ** 2)
@@ -382,7 +392,6 @@ def cov_series_asymptotic(rho: float, n: int) -> float:
     Useful only for small |rho|; retained for cross-validation of the
     integral forms.
     """
-    if n < 1:
-        raise DomainError("need n >= 1")
+    _check_n(n, 1, "need n >= 1")
     acc = sum(c * rho ** (2 * k) for k, c in enumerate(_SERIES_COEFFS))
     return 2 / (3 * n) * acc

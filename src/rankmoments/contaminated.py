@@ -7,19 +7,23 @@ correlation rho_prime (probability epsilon).
 
 Because ranks are invariant to the common location and scale, the
 expectations depend only on the correlations of differences of mixture
-draws. Those correlations take twelve distinct values indexed by which
-component each of the two (or three) contributing observations came from.
+draws, generated from the two components by which one each of the two
+(or three) contributing observations came from. The means are the normal
+model's, with asin(rho) and asin(rho / 2) replaced by the weighted
+arcsines of the pair and the triple correlations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
+from .binormal import _check_n, _mean_rk, _mean_rs
 from .errors import DomainError
-from .orthant import asin_clamped, orthant_p2
+from .orthant import asin_clamped
 
 
 @dataclass(frozen=True)
@@ -48,65 +52,55 @@ class ContaminationParams:
                               f"with finite squares, got {lx}, {ly}")
 
 
+def _difference_corr(xa, ya, ra, xb, yb, rb) -> float:
+    """corr(X_a - X_b, Y_a - Y_b) for independent draws a and b, with
+    standard deviations x, y and correlation r. Both X and both Y are first
+    scaled by the power of two that puts the larger in [1, 2): that is
+    exact, and sums of squares then neither overflow nor vanish."""
+    ex, ey = (1 - math.frexp(max(s, t))[1] for s, t in ((xa, xb), (ya, yb)))
+    xa, xb = math.ldexp(xa, ex), math.ldexp(xb, ex)
+    ya, yb = math.ldexp(ya, ey), math.ldexp(yb, ey)
+    return ((xa * ya * ra + xb * yb * rb)
+            / math.sqrt((xa * xa + xb * xb) * (ya * ya + yb * yb)))
+
+
 def mixture_correlations(params: ContaminationParams) -> tuple:
     """Correlations of standardized differences, by component pattern,
-    as (pair, triple), each a tuple of (correlation, weight).
-
-    pair holds rho_1..rho_4, the differences of two observations,
-    weighted by which component each came from: (1-e)^2, e(1-e), e(1-e),
-    e^2. triple holds rho_5..rho_12, the two differences sharing one
-    observation out of three, with their multiplicities.
+    as (pair, triple), each a tuple of (correlation, weight): pair holds
+    corr(X_i - X_j, Y_i - Y_j), triple corr(X_i - X_j, Y_i - Y_k), over the
+    components (probability, sd of X, sd of Y, correlation) of i, j (and k)
+    in itertools.product order, weighted by the product of their
+    probabilities. The all-nominal entries are exactly rho and rho / 2.
     """
-    rho, eps = params.rho, params.epsilon
-    lx, ly, rp = params.lambda_x, params.lambda_y, params.rho_prime
-    cx = math.sqrt(1 + lx * lx)
-    cy = math.sqrt(1 + ly * ly)
-    r2 = math.sqrt(2)
+    comps = ((1 - params.epsilon, 1.0, 1.0, params.rho),
+             (params.epsilon, params.lambda_x, params.lambda_y,
+              params.rho_prime))
+    pair = tuple((_difference_corr(xi, yi, ri, xj, yj, rj), wi * wj)
+                 for (wi, xi, yi, ri), (wj, xj, yj, rj)
+                 in product(comps, repeat=2))
+    # X_j and Y_k come from different draws: correlation 0
+    triple = tuple((_difference_corr(xi, yi, ri, xj, yk, 0.0), wi * wj * wk)
+                   for (wi, xi, yi, ri), (wj, xj, _, _), (wk, _, yk, _)
+                   in product(comps, repeat=3))
+    return pair, triple
 
-    rho1 = rho
-    rho2 = (rho + lx * ly * rp) / (cx * cy)
-    rho3 = rho2
-    rho4 = rp
-    pair = (rho1, rho2, rho3, rho4)
-    eb = 1 - eps
-    pair_w = (eb * eb, eps * eb, eps * eb, eps * eps)
 
-    rho5 = rho / 2
-    rho6 = rho / (r2 * cy)
-    rho7 = rho / (r2 * cx)
-    rho8 = lx * ly * rp / (cx * cy)
-    rho9 = rho / (cx * cy)
-    rho10 = lx * rp / (r2 * cx)
-    rho11 = ly * rp / (r2 * cy)
-    rho12 = rp / 2
-    triple = (rho5, rho6, rho7, rho8, rho9, rho10, rho11, rho12)
-    triple_w = (eb ** 3,
-                eps * eb * eb, eps * eb * eb, eps * eb * eb,
-                eps * eps * eb, eps * eps * eb, eps * eps * eb,
-                eps ** 3)
-    return tuple(zip(pair, pair_w)), tuple(zip(triple, triple_w))
+def _weighted_asins(params: ContaminationParams) -> list:
+    """[A1, A2], the weighted arcsines of the pair and triple entries."""
+    return [math.fsum(w * asin_clamped(r) for r, w in table)
+            for table in mixture_correlations(params)]
 
 
 def expected_rk_contaminated(params: ContaminationParams) -> float:
     """Expected concordance coefficient under the mixture, the same for
     every n >= 2."""
-    acc = 0.0
-    for r, w in mixture_correlations(params)[0]:
-        acc += w * asin_clamped(r)
-    return 2 / math.pi * acc
+    return _mean_rk(_weighted_asins(params)[0])
 
 
 def expected_rs_contaminated(params: ContaminationParams, n: int) -> float:
     """Expected rank correlation under the mixture, exact in n."""
-    if n < 2:
-        raise DomainError("need n >= 2")
-    pair, triple = mixture_correlations(params)
-    # E1: orthant probability of two differences built from the same pair
-    e1 = sum(w * orthant_p2(r) for r, w in pair)
-    # E2: orthant probability of two differences sharing one observation
-    e2 = sum(w * orthant_p2(r) for r, w in triple)
-    es = n * (n - 1) * e1 + n * (n - 1) * (n - 2) * e2
-    return 12 * (es - n * (n - 1) ** 2 / 4) / (n * (n * n - 1))
+    _check_n(n, 2, "need n >= 2")
+    return _mean_rs(*_weighted_asins(params), n)
 
 
 def rival_formula_star(params: ContaminationParams) -> float:

@@ -1,5 +1,5 @@
 """Positive orthant probabilities of zero-mean multivariate normal vectors
-in dimensions 2-4.
+in dimensions 3 and 4.
 
 The quadrivariate case is reduced (Childs 1967) to three 1-D arcsine
 integrals on [0, 1], one leg per partner Z_j of Z1: Plackett's (1954)
@@ -114,11 +114,6 @@ def _clamp_unit(r):
 def asin_clamped(r: float) -> float:
     """asin(r), with |r| up to CLAMP_EPS beyond 1 taken as roundoff."""
     return math.asin(_clamp_unit(r))
-
-
-def orthant_p2(rho12: float) -> float:
-    """P(Z1 > 0, Z2 > 0) for a standard bivariate normal pair."""
-    return 0.25 + asin_clamped(rho12) / (2 * math.pi)
 
 
 def orthant_p3(rho12: float, rho13: float, rho23: float) -> float:

@@ -152,3 +152,48 @@ def format_fixed_oracle(value: float, places: int) -> str:
     if text.startswith("-") and float(text) == 0.0:
         text = text[1:]
     return text
+
+
+# The contaminated model's difference correlations as the paper tables
+# them: rho_1..rho_12 written out one by one with their weights, an
+# independent route to the entries mixture_correlations generates from
+# the two components. The triple entries come in the paper's order, which
+# has rho_8 and rho_9 the other way round from the generated order.
+
+def mixture_correlations_oracle(params) -> tuple:
+    """Correlations of standardized differences, by component pattern,
+    as (pair, triple), each a tuple of (correlation, weight).
+
+    pair holds rho_1..rho_4, the differences of two observations,
+    weighted by which component each came from: (1-e)^2, e(1-e), e(1-e),
+    e^2. triple holds rho_5..rho_12, the two differences sharing one
+    observation out of three, with their multiplicities.
+    """
+    rho, eps = params.rho, params.epsilon
+    lx, ly, rp = params.lambda_x, params.lambda_y, params.rho_prime
+    cx = math.sqrt(1 + lx * lx)
+    cy = math.sqrt(1 + ly * ly)
+    r2 = math.sqrt(2)
+
+    rho1 = rho
+    rho2 = (rho + lx * ly * rp) / (cx * cy)
+    rho3 = rho2
+    rho4 = rp
+    pair = (rho1, rho2, rho3, rho4)
+    eb = 1 - eps
+    pair_w = (eb * eb, eps * eb, eps * eb, eps * eps)
+
+    rho5 = rho / 2
+    rho6 = rho / (r2 * cy)
+    rho7 = rho / (r2 * cx)
+    rho8 = lx * ly * rp / (cx * cy)
+    rho9 = rho / (cx * cy)
+    rho10 = lx * rp / (r2 * cx)
+    rho11 = ly * rp / (r2 * cy)
+    rho12 = rp / 2
+    triple = (rho5, rho6, rho7, rho8, rho9, rho10, rho11, rho12)
+    triple_w = (eb ** 3,
+                eps * eb * eb, eps * eb * eb, eps * eb * eb,
+                eps * eps * eb, eps * eps * eb, eps * eps * eb,
+                eps ** 3)
+    return tuple(zip(pair, pair_w)), tuple(zip(triple, triple_w))

@@ -154,6 +154,28 @@ class TestVarianceSpecialCases:
             cov_rs_rk_exact(0.5, 3)
 
 
+class TestSampleSizeBounds:
+    # each moment function's least n, with its message
+    FUNCS = ((lemma2_moments, 2, "need n >= 2"),
+             (var_rs_exact, 4, "exact variance requires n >= 4"),
+             (cov_rs_rk_exact, 4, "exact covariance requires n >= 4"),
+             (var_rs_asymptotic, 1, "need n >= 1"),
+             (cov_rs_rk_asymptotic, 1, "need n >= 1"),
+             (cov_series_asymptotic, 1, "need n >= 1"))
+
+    def test_bounds_and_messages(self):
+        # n past 2**53 is refused before n^4 can overflow a float
+        for func, least, message in self.FUNCS:
+            func(0.5, least)
+            func(0.5, 2 ** 53)
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                func(0.5, least - 1)
+            for n in (2 ** 53 + 1, 10 ** 80):
+                with pytest.raises(DomainError, match=re.escape(
+                        f"n must be at most 2**53, got {n}")):
+                    func(0.5, n)
+
+
 class TestCovariance:
     def test_two_routes_agree(self):
         # every omegas pass checks Childs's omega3 against the Plackett

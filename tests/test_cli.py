@@ -154,6 +154,19 @@ class TestMoments:
     def test_small_n_rejected(self, capsys):
         assert run(["moments", "--rho", "0.5", "--n", "3"], capsys)[0] == 3
 
+    @pytest.mark.parametrize("n", [2 ** 53 + 1, 10 ** 79])
+    def test_huge_n_exit_3(self, n, capsys):
+        code, out, err = run(["moments", "--rho", "0.5", "--n", str(n)],
+                             capsys)
+        assert (code, out) == (3, "")
+        assert err == f"invalid input: n must be at most 2**53, got {n}\n"
+
+    def test_largest_n_exit_0(self, capsys):
+        code, out, err = run(["moments", "--rho", "0.5", "--n",
+                              str(2 ** 53)], capsys)
+        assert code == 0 and err == ""
+        assert "mean_rk=0.3333333333" in out
+
     def test_cross_check_failure_exit_2(self, monkeypatch, capsys):
         monkeypatch.setattr("rankmoments.binormal._ROUTE_TOL", -1.0)
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
@@ -523,9 +536,8 @@ class TestEstimateReader:
 class TestSimulate:
     @pytest.mark.parametrize("sign", ["1", "-1"])
     def test_contaminated_perfect_correlation(self, capsys, sign):
-        # the mixed-pattern pair correlation is 1 + 1 ulp in magnitude at
-        # lambda = 0.1; every trial is identical, so se = 0, and the exact
-        # means miss +-1 by asin roundoff (up to 2.4e-9 at lambda = 3)
+        # every trial is identical, so se = 0, and the exact means miss +-1
+        # only by the rounding of the weighted arcsine sums
         for lam in ("0.1", "3"):
             code, out, err = run(["simulate", "--model", "contaminated",
                                   "--rho", sign, "--rho-prime", sign,

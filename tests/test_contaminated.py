@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from rankmoments.contaminated import (ContaminationParams,
                                       sample_contaminated_block)
 from rankmoments.correlation import PairedSample, kendall, spearman
 from rankmoments.errors import DomainError
+
+from oracles import mixture_correlations_oracle
 
 
 def params(rho=0.5, eps=0.1, lx=3.0, ly=2.0, rp=-0.4):
@@ -34,7 +38,47 @@ def rs_limit(p):
                           + eps * math.asin(p.rho_prime))
 
 
+# the oracle's entries in generated (itertools.product) order: the paper
+# tables rho_8 (contaminant, nominal, nominal) before rho_9 (nominal,
+# contaminant, contaminant)
+_ORACLE_ORDER = (0, 1, 2, 3, 4, 5, 6, 8, 7, 9, 10, 11)
+
+
+def ulps(a, b):
+    return 0.0 if a == b else abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+def oracle_table(p):
+    pair, triple = mixture_correlations_oracle(p)
+    return tuple((pair + triple)[i] for i in _ORACLE_ORDER)
+
+
 class TestMixtureCorrelations:
+    def test_matches_paper_table(self):
+        # the generated entries against the hand-written table, matched
+        # entry by entry, over scales from 1e-200 (whose square vanishes
+        # in a float) to the largest the parameters accept
+        top = math.sqrt(np.finfo(float).max)
+        scales = (1e-200, 1e-5, 0.1, 0.7, 1.0, 3.0, 1e4, 1e150, top)
+        worst = 0.0
+        for rho, rp, eps, lx, ly in itertools.product(
+                (-1.0, -0.99, -0.3, 0.0, 0.1, 0.5, 0.9, 1.0),
+                (-1.0, -0.7, 0.0, 0.1, 0.9), (0.0, 0.01, 0.3, 1.0),
+                scales, scales):
+            p = params(rho=rho, eps=eps, lx=lx, ly=ly, rp=rp)
+            pair, triple = mixture_correlations(p)
+            for (r, w), (ro, wo) in zip(pair + triple, oracle_table(p),
+                                        strict=True):
+                worst = max(worst, ulps(r, ro), ulps(w, wo))
+        assert worst <= 4
+
+    def test_nominal_entries_exact(self):
+        for rho in [k / 100 for k in range(-100, 101)] + [5e-324, -1e-310]:
+            for lx, ly in ((1.0, 1.0), (3.0, 0.5), (1e-200, 1e150)):
+                pair, triple = mixture_correlations(
+                    params(rho=rho, eps=0.2, lx=lx, ly=ly))
+                assert pair[0][0] == rho and triple[0][0] == rho / 2
+
     def test_weights_sum_to_one(self):
         pair, triple = mixture_correlations(params())
         assert sum(w for _, w in pair) == pytest.approx(1.0, abs=1e-15)
@@ -76,7 +120,9 @@ class TestMixtureCorrelations:
     def test_unit_scales_same_rho_is_binormal(self, rho, n):
         # with unit scales and rho_prime = rho both components are the
         # same binormal law, whatever epsilon mixes them; every one of
-        # the twelve table entries carries weight for 0 < epsilon < 1
+        # the 4 pair and 8 triple entries carries weight for
+        # 0 < epsilon < 1, and each generated correlation is exactly rho
+        # or rho / 2
         lm = lemma2_moments(rho, n)
         for eps in (0.0, 0.05, 0.3, 0.7, 1.0):
             p = params(rho=rho, eps=eps, lx=1.0, ly=1.0, rp=rho)
@@ -89,10 +135,44 @@ class TestExpectations:
     def test_epsilon_zero_matches_uncontaminated(self):
         p = params(eps=0.0, rho=0.6)
         lm = lemma2_moments(0.6, 15)
-        assert expected_rk_contaminated(p) == pytest.approx(lm["mean_rk"],
-                                                            abs=1e-14)
-        assert expected_rs_contaminated(p, 15) == pytest.approx(lm["mean_rs"],
-                                                                abs=1e-14)
+        assert expected_rk_contaminated(p) == lm["mean_rk"]
+        assert expected_rs_contaminated(p, 15) == lm["mean_rs"]
+
+    def test_epsilon_zero_is_binormal_bit_for_bit(self):
+        # both models' means come from one body, and at epsilon = 0 the
+        # weighted arcsines are asin(rho) and asin(rho / 2) exactly
+        for rho in [k / 100 for k in range(-100, 101)]:
+            for lx, ly, rp in ((3.0, 2.0, -0.4), (1.0, 1.0, 0.9),
+                               (0.05, 40.0, 1.0)):
+                p = params(rho=rho, eps=0.0, lx=lx, ly=ly, rp=rp)
+                mean_rk = expected_rk_contaminated(p)
+                for n in (4, 5, 10, 20, 65, 1000):
+                    lm = lemma2_moments(rho, n)
+                    assert mean_rk == lm["mean_rk"], (rho, lx, n)
+                    assert expected_rs_contaminated(p, n) \
+                        == lm["mean_rs"], (rho, lx, n)
+
+    def test_means_match_high_precision_paper_table(self):
+        # E[r_K] = 2 / pi A1 and E[r_S] = 6 / (pi (n + 1)) (A1 + (n - 2) A2),
+        # A1 and A2 the weighted arcsines of the pair and the triple
+        # entries, evaluated in 40 digits on the hand table's floats
+        worst_k = worst_s = 0.0
+        with mp.workdps(40):
+            for rho, rp, eps, (lx, ly) in itertools.product(
+                    (-0.9, -0.4, 0.0, 0.35, 0.8), (-0.6, 0.0, 0.5),
+                    (0.01, 0.1, 0.5, 0.9),
+                    ((1.0, 1.0), (3.0, 2.0), (0.5, 10.0), (100.0, 100.0))):
+                p = params(rho=rho, eps=eps, lx=lx, ly=ly, rp=rp)
+                a1, a2 = (mp.fsum(mp.mpf(w) * mp.asin(mp.mpf(r))
+                                  for r, w in table)
+                          for table in mixture_correlations_oracle(p))
+                worst_k = max(worst_k, abs(expected_rk_contaminated(p)
+                                           - 2 / mp.pi * a1))
+                for n in (2, 3, 10, 1000, 100000):
+                    exact = 6 / (mp.pi * (n + 1)) * (a1 + (n - 2) * a2)
+                    worst_s = max(worst_s, abs(expected_rs_contaminated(p, n)
+                                               - exact))
+        assert worst_k <= 1e-15 and worst_s <= 1e-15, (worst_k, worst_s)
 
     def test_exact_approaches_limit_for_heavy_tails(self):
         # large scale inflation and large n drive the exact value to
@@ -110,11 +190,12 @@ class TestExpectations:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("lam", [0.1, 1.0, 3.0])
     def test_perfect_correlation(self, sign, lam):
-        # at lambda = 0.1 the mixed-pattern pair correlation rounds to
-        # 1 + 1 ulp in magnitude, which the arcsine must take as 1
+        # every pair correlation is generated as exactly +-1, so the means
+        # miss +-1 only by the rounding of the weighted sums (a pair
+        # correlation 1 ulp inside +-1 would cost about 2.4e-9)
         p = params(rho=sign, rp=sign, eps=0.1, lx=lam, ly=lam)
-        assert abs(expected_rk_contaminated(p) - sign) <= 1e-8
-        assert abs(expected_rs_contaminated(p, 10) - sign) <= 1e-8
+        assert abs(expected_rk_contaminated(p) - sign) <= 1e-15
+        assert abs(expected_rs_contaminated(p, 10) - sign) <= 1e-15
 
     def test_degrades_with_epsilon(self):
         # contamination with rho_prime = 0 pulls the mean toward zero
@@ -186,6 +267,14 @@ class TestValidation:
     def test_bad_rho(self):
         with pytest.raises(DomainError):
             params(rho=-1.01)
+
+    def test_bad_n(self):
+        p = params()
+        expected_rs_contaminated(p, 2 ** 53)
+        for n, message in ((1, "need n >= 2"),
+                           (2 ** 53 + 1, "n must be at most 2")):
+            with pytest.raises(DomainError, match=message):
+                expected_rs_contaminated(p, n)
 
 
 class TestSymmetryAndConvergence:

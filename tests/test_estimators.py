@@ -145,6 +145,16 @@ class TestMoments:
         with pytest.raises(SizeError):
             variance_theoretical(EstimatorKind.MIXED, 0.5, 2)
 
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_huge_n_rejected(self, kind):
+        # var(r_S) would divide by n^4 as a float, which overflows
+        bias_theoretical(kind, 0.5, 2 ** 53)
+        for n in (2 ** 53 + 1, 10 ** 80):
+            with pytest.raises(DomainError, match="at most 2"):
+                variance_theoretical(kind, 0.5, n)
+            with pytest.raises(DomainError, match="at most 2"):
+                bias_theoretical(kind, 0.5, n)
+
 
 class TestEstimateFromSample:
     def sample(self):

@@ -12,7 +12,7 @@ from rankmoments.errors import DomainError
 from rankmoments.orthant import (_PSD_TOL, CorrelationMatrix4,
                                  _asin_ratio, _plackett_asin,
                                  _plackett_coeffs, _psd_within_tol,
-                                 orthant_p2, orthant_p3, orthant_p4,
+                                 asin_clamped, orthant_p3, orthant_p4,
                                  w_integral)
 from rankmoments.quadrature import CLAMP_EPS
 
@@ -34,19 +34,13 @@ def random_correlation(rng):
 
 
 class TestLowOrder:
-    def test_p2_independent(self):
-        assert orthant_p2(0.0) == pytest.approx(0.25, abs=1e-15)
-
-    def test_p2_half(self):
-        assert orthant_p2(0.5) == pytest.approx(1 / 3, abs=1e-12)
-
-    def test_p2_clamp_margin(self):
+    def test_asin_clamp_margin(self):
         # roundoff within CLAMP_EPS beyond 1 is clamped, more is an error
-        assert orthant_p2(1 + 2e-16) == 0.5
-        assert orthant_p2(-1 - CLAMP_EPS) == 0.0
+        assert asin_clamped(1 + 2e-16) == math.pi / 2
+        assert asin_clamped(-1 - CLAMP_EPS) == -math.pi / 2
         for bad in (1 + 2 * CLAMP_EPS, -1.5, math.nan):
             with pytest.raises(DomainError):
-                orthant_p2(bad)
+                asin_clamped(bad)
 
     def test_p3_equicorrelated_half(self):
         assert orthant_p3(0.5, 0.5, 0.5) == pytest.approx(0.25, abs=1e-12)
