@@ -9,8 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 numerical failure, 3 data precondition violated
 (ties, constant column, too few rows, bad parameters, usage errors), 4
-I/O or parse error, 5 resource limit (the simulate work budget, or memory
-that could not be allocated).
+I/O or parse error, 5 resource limit (the simulate work budget or its bound
+on n, or memory that could not be allocated).
 """
 
 from __future__ import annotations

@@ -115,25 +115,27 @@ def rival_formula_star(params: ContaminationParams) -> float:
 
 
 def sample_contaminated_block(params: ContaminationParams, n: int,
-                              stream: np.random.Generator, size: int
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw `size` samples of n pairs from the mixture.
+                              stream: np.random.Generator, size: int) -> tuple:
+    """Draw `size` samples of n pairs from the mixture, for every rho.
 
-    Returns (x, y) arrays of shape (size, n). Each pair independently
-    picks its component; the nominal component has unit scales.
+    Returns the draw (x, v, mask, y_masked): x and v have shape
+    (size, n), and mask is True where a pair came from the contaminant.
+    For standard normals u and v, x is u, or lambda_x u on the mask. Off
+    the mask a rho's y is sqrt(1 - rho^2) v + rho x (simulate._pairs).
+    On the mask y does not depend on rho: y_masked holds
+    lambda_y (rho' u + sqrt(1 - rho'^2) v) for the mask's entries, in
+    row-major order. params.rho is not read.
     """
     if n < 1 or size < 1:
         raise DomainError("n and size must be positive")
-
-    def cholesky_pair(r):
-        return r, math.sqrt(max(1 - r * r, 0.0))
-
-    u, v = stream.standard_normal((2, size, n))
-    contaminated = stream.random((size, n)) < params.epsilon
-
-    a0, b0 = cholesky_pair(params.rho)
-    a1, b1 = cholesky_pair(params.rho_prime)
-    x = np.where(contaminated, params.lambda_x * u, u)
-    y_core = np.where(contaminated, a1 * u + b1 * v, a0 * u + b0 * v)
-    y = np.where(contaminated, params.lambda_y * y_core, y_core)
-    return x, y
+    x, v = stream.standard_normal((2, size, n))
+    mask = stream.random((size, n)) < params.epsilon
+    a1 = params.rho_prime
+    b1 = math.sqrt(max(1 - a1 * a1, 0.0))
+    u_masked = x[mask]
+    y_masked = a1 * u_masked
+    y_masked += b1 * v[mask]
+    y_masked *= params.lambda_y
+    u_masked *= params.lambda_x
+    x[mask] = u_masked
+    return x, v, mask, y_masked

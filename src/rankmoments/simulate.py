@@ -1,31 +1,40 @@
 """Seedable Monte Carlo engine for verifying the moment theory.
 
-Determinism contract: every (rho-index, n-index, block-index) cell gets
-its own counter-based Philox stream derived from the experiment seed, and
-block results are reduced in block order. The output is therefore
-bit-identical for a given (config, seed) regardless of how many worker
-threads computed the blocks.
+Determinism contract: every (n-index, block-index) pair gets its own
+counter-based Philox stream derived from the experiment seed, and one
+draw from it serves every rho cell of the grid (common random numbers):
+x and the contaminant mask do not depend on rho, and each cell makes
+its y from the shared draw. So cells at different rho are correlated,
+while each cell's own distribution is that of an independent run, and a
+cell's rows are the same whichever other rho share its grid. Block
+results are reduced in block order, so the output is bit-identical for
+a given (config, seed) regardless of how many worker threads computed
+the blocks.
 
 Blocks take their coefficients from correlation.coefficients_rows and
 their estimates from estimators.estimates, the bodies that single
 samples and the estimate command use too.
 
-The whole campaign is one stream of (rho, n, block) jobs, cell by cell
-and block by block. Worker threads compute the blocks, at most two per
-worker ahead of the block the main thread is reducing, so the pool does
-not drain at a cell boundary and at most that many results are held. A
-campaign of one block runs on the main thread. The main thread takes
-the results in job order: a cell's first block gives the shift (its
-means), and every block of the cell adds raw power sums shifted by it.
-So the final reduction reproduces two-pass central moments to near
-machine precision while remaining a fixed-order sum of per-block
-contributions, and the blocks themselves never wait for the shift.
+The whole campaign is one stream of (n, block, rho) jobs, rho
+innermost, so that consecutive jobs share a draw: the first of them to
+run makes it, and the last to end drops it. Worker threads compute the
+jobs, at most two per worker ahead of the job the main thread is
+reducing, so the pool does not drain at a block boundary and at most
+that many results, and the draws they use, are held. A campaign of one
+job runs on the main thread. The main thread takes the results in job
+order: a cell's first block gives the shift (its means), and every
+block of the cell adds raw power sums shifted by it. So the final
+reduction reproduces two-pass central moments to near machine precision
+while remaining a fixed-order sum of per-block contributions, and the
+blocks themselves never wait for the shift. Cells and rows come out in
+the config's order, rho outer and n inner.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -33,8 +42,7 @@ from itertools import starmap
 
 import numpy as np
 
-from .binormal import (_check_rho, cov_rs_rk_exact, lemma2_moments, omegas,
-                       var_rs_exact)
+from .binormal import cov_rs_rk_exact, lemma2_moments, omegas, var_rs_exact
 from .contaminated import (ContaminationParams, expected_rk_contaminated,
                            expected_rs_contaminated, rival_formula_star,
                            sample_contaminated_block)
@@ -45,6 +53,8 @@ from .estimators import (EstimatorKind, bias_theoretical, estimates,
 
 _BLOCK = 4096            # trials per block; each block has its own stream
 _BUDGET = 10 ** 9        # cap on trials * n per cell
+_MAX_N = 2 ** 24         # cap on n: one row of one array is 128 MB
+_CHUNK = 2 ** 15         # values per step of the per-rho transform
 # absolute slack of every verdict: the sqrt(eps) error of asin near +-1,
 # which a cell of identical trials (se = 0) has no other way to absorb
 _VERDICT_ALLOWANCE = 1e-8
@@ -157,16 +167,37 @@ def threads_limit() -> int:
     return min(value, avail)
 
 
-def sample_binormal_block(rho: float, n: int, stream: np.random.Generator,
-                          size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard-marginal correlated pairs, shape (size, n) each."""
-    _check_rho(rho)
+def sample_binormal_block(n: int, stream: np.random.Generator,
+                          size: int) -> tuple:
+    """Independent standard normals for pairs of any rho, as a draw
+    (x, v, None, None) with x and v of shape (size, n): with a, b = rho,
+    sqrt(1 - rho^2), the pairs are (x, b v + a x)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    u, v = stream.standard_normal((2, size, n))
-    v *= math.sqrt(1 - rho * rho)
-    v += rho * u
-    return u, v
+    x, v = stream.standard_normal((2, size, n))
+    return x, v, None, None
+
+
+def _pairs(draw: tuple, rho: float, in_place: bool = False
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of one rho from a draw (x, v, mask, y_masked): y is
+    sqrt(1 - rho^2) v + rho x, then y_masked on the mask's entries.
+
+    The rho x term is added _CHUNK values at a time, so y is the only
+    block-sized array made. in_place writes y over v, for a draw that
+    no other rho will read.
+    """
+    x, v, mask, y_masked = draw
+    b = math.sqrt(1 - rho * rho)
+    y = v if in_place else np.empty_like(v)
+    step = max(1, _CHUNK // v.shape[1])
+    for lo in range(0, len(v), step):
+        rows = slice(lo, lo + step)
+        np.multiply(v[rows], b, out=y[rows])
+        y[rows] += rho * x[rows]
+    if mask is not None:
+        y[mask] = y_masked
+    return x, y
 
 
 def _block_sums(values: dict, shifts: dict) -> dict:
@@ -209,18 +240,52 @@ def _finalize(total_sums: dict, trials: int, shifts: dict
     return series, cov, se_cov
 
 
-def _cell_block(config: ExperimentConfig, rho: float, n: int,
-                rho_idx: int, n_idx: int, block_idx: int, size: int) -> dict:
-    seq = np.random.SeedSequence(entropy=config.seed,
-                                 spawn_key=(rho_idx, n_idx, block_idx))
-    stream = np.random.Generator(np.random.Philox(seq))
-    if config.model == "binormal":
-        x, y = sample_binormal_block(rho, n, stream, size)
-    else:
-        params = replace(config.contamination, rho=rho)
-        x, y = sample_contaminated_block(params, n, stream, size)
-    r_p, r_s, r_k = coefficients_rows(x, y)
-    return {"r_s": r_s, "r_k": r_k, **estimates(r_p, r_s, r_k, n)}
+class _SharedDraw:
+    """The draw of one (n, block), shared by the block's jobs, one per rho.
+
+    The first job to take it makes it, under the lock; the last to end
+    drops it, so only draws that a job still needs are alive.
+    """
+
+    def __init__(self, config: ExperimentConfig, n: int, n_idx: int,
+                 block_idx: int, size: int, users: int):
+        self.config, self.n, self.size = config, n, size
+        self.n_idx, self.block_idx = n_idx, block_idx
+        self.users = users
+        self._left = users
+        self._draw = None
+        self._lock = threading.Lock()
+
+    def take(self) -> tuple:
+        with self._lock:
+            if self._draw is None:
+                seq = np.random.SeedSequence(
+                    entropy=self.config.seed,
+                    spawn_key=(self.n_idx, self.block_idx))
+                stream = np.random.Generator(np.random.Philox(seq))
+                if self.config.model == "binormal":
+                    self._draw = sample_binormal_block(self.n, stream,
+                                                       self.size)
+                else:
+                    self._draw = sample_contaminated_block(
+                        self.config.contamination, self.n, stream, self.size)
+            return self._draw
+
+    def done(self) -> None:
+        with self._lock:
+            self._left -= 1
+            if self._left == 0:
+                self._draw = None
+
+
+def _cell_block(shared: _SharedDraw, rho: float) -> dict:
+    """Every series of one rho's trials on a shared (n, block) draw."""
+    try:
+        x, y = _pairs(shared.take(), rho, in_place=shared.users == 1)
+        r_p, r_s, r_k = coefficients_rows(x, y)
+    finally:
+        shared.done()
+    return {"r_s": r_s, "r_k": r_k, **estimates(r_p, r_s, r_k, shared.n)}
 
 
 def _in_order(pool, fn, jobs: list, window: int):
@@ -241,6 +306,9 @@ def _in_order(pool, fn, jobs: list, window: int):
 def run_experiment(config: ExperimentConfig) -> TrialReport:
     """Run the whole grid and attach theory values to every cell."""
     for n in config.n_list:
+        if n > _MAX_N:
+            raise ResourceError(f"n = {n} is above the simulate bound "
+                                f"2**24 = {_MAX_N}")
         if config.trials * n > _BUDGET:
             raise ResourceError(
                 f"cell budget exceeded: trials*n = {config.trials * n} "
@@ -250,37 +318,43 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
     trials = config.trials
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
     sizes = [_BLOCK] * (n_blocks - 1) + [trials - _BLOCK * (n_blocks - 1)]
-    jobs = [(config, float(rho), int(n), i, j, b, sizes[b])
-            for i, rho in enumerate(config.rho_grid)
-            for j, n in enumerate(config.n_list)
-            for b in range(n_blocks)]
+    grid = [float(rho) for rho in config.rho_grid]
+    # (n, block, rho) order, rho innermost: consecutive jobs share a draw
+    jobs = []
+    for j, n in enumerate(config.n_list):
+        for b, size in enumerate(sizes):
+            shared = _SharedDraw(config, int(n), j, b, size, len(grid))
+            jobs.extend((shared, rho) for rho in grid)
     workers = min(threads_limit(), len(jobs))
-    report = TrialReport(config=config)
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    sums = {}               # (rho index, n index) -> (shifts, sums)
     try:
         if pool is None:
             blocks = starmap(_cell_block, jobs)
         else:
             blocks = _in_order(pool, _cell_block, jobs, 2 * workers)
-        for (_, rho, n, _, _, b, _), values in zip(jobs, blocks):
-            if b == 0:
+        for k, ((shared, _), values) in enumerate(zip(jobs, blocks)):
+            key = (k % len(grid), shared.n_idx)
+            if shared.block_idx == 0:
                 shifts = {name: float(arr.mean())
                           for name, arr in values.items()}
-                total = _block_sums(values, shifts)
-            else:
-                # fixed reduction order: blocks arrive in block-index order
-                for key, sums in _block_sums(values, shifts).items():
-                    total[key] = tuple(a + c for a, c in zip(total[key], sums))
-            if b == n_blocks - 1:
-                series, cov, se_cov = _finalize(total, trials, shifts)
-                cell = CellResult(rho=rho, n=n, trials=trials, series=series,
-                                  cov_rs_rk=cov, se_cov_rs_rk=se_cov)
-                report.cells.append(cell)
-                report.rows.extend(_theory_rows(config, cell))
+                sums[key] = (shifts, _block_sums(values, shifts))
+                continue
+            # fixed reduction order: a cell's blocks arrive in block order
+            shifts, total = sums[key]
+            for name, block in _block_sums(values, shifts).items():
+                total[name] = tuple(a + c for a, c in zip(total[name], block))
     finally:
         if pool is not None:
             # a failed block leaves later jobs queued: drop them, then join
             pool.shutdown(cancel_futures=True)
+    report = TrialReport(config=config)
+    for (i, j), (shifts, total) in sorted(sums.items()):  # rho outer, n inner
+        series, cov, se_cov = _finalize(total, trials, shifts)
+        cell = CellResult(rho=grid[i], n=int(config.n_list[j]), trials=trials,
+                          series=series, cov_rs_rk=cov, se_cov_rs_rk=se_cov)
+        report.cells.append(cell)
+        report.rows.extend(_theory_rows(config, cell))
     return report
 
 

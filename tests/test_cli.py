@@ -643,6 +643,31 @@ class TestSimulate:
         assert err.startswith("resource limit: cell budget exceeded")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", ["16777217", "100000000"])
+    def test_n_bound_exit_5(self, n, monkeypatch, capsys):
+        # n above 2**24 is refused before any draw, although trials * n
+        # is within the budget
+        def sample(*args):
+            raise AssertionError("a block was sampled")
+
+        monkeypatch.setattr("rankmoments.simulate.sample_binormal_block",
+                            sample)
+        code, out, err = run(["simulate", "--rho", "0.5", "--n", n,
+                              "--trials", "1"], capsys)
+        assert (code, out) == (5, "")
+        assert err == (f"resource limit: n = {n} is above the simulate "
+                       "bound 2**24 = 16777216\n")
+
+    def test_n_at_bound_reaches_the_draw(self, monkeypatch, capsys):
+        def sample(*args):
+            raise MemoryError("drawn")
+
+        monkeypatch.setattr("rankmoments.simulate.sample_binormal_block",
+                            sample)
+        code, out, err = run(["simulate", "--rho", "0.5", "--n", "16777216",
+                              "--trials", "1"], capsys)
+        assert (code, out, err) == (5, "", "resource limit: drawn\n")
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_memory_limit_exit_5(self, threads):
         # a 6 GB block under a 2 GB address-space limit, set in the child

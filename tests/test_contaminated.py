@@ -14,6 +14,7 @@ from rankmoments.contaminated import (ContaminationParams,
                                       sample_contaminated_block)
 from rankmoments.correlation import PairedSample, kendall, spearman
 from rankmoments.errors import DomainError
+from rankmoments.simulate import _pairs
 
 from oracles import mixture_correlations_oracle
 
@@ -21,6 +22,10 @@ from oracles import mixture_correlations_oracle
 def params(rho=0.5, eps=0.1, lx=3.0, ly=2.0, rp=-0.4):
     return ContaminationParams(rho=rho, epsilon=eps, lambda_x=lx,
                                lambda_y=ly, rho_prime=rp)
+
+
+def sample_pairs(p, n, stream, size):
+    return _pairs(sample_contaminated_block(p, n, stream, size), p.rho)
 
 
 def rk_limit(p):
@@ -207,20 +212,20 @@ class TestExpectations:
 class TestSampler:
     def test_shapes_and_determinism(self):
         p = params()
-        x1, y1 = sample_contaminated_block(p, 20, np.random.default_rng(9), 5)
-        x2, y2 = sample_contaminated_block(p, 20, np.random.default_rng(9), 5)
+        x1, y1 = sample_pairs(p, 20, np.random.default_rng(9), 5)
+        x2, y2 = sample_pairs(p, 20, np.random.default_rng(9), 5)
         assert x1.shape == (5, 20)
         assert (x1 == x2).all() and (y1 == y2).all()
 
     def test_degenerate_correlation(self):
         p = params(rho=1.0, eps=0.0)
-        x, y = sample_contaminated_block(p, 50, np.random.default_rng(1), 1)
+        x, y = sample_pairs(p, 50, np.random.default_rng(1), 1)
         assert np.allclose(x[0], y[0])
 
     def test_location_scale(self):
         # the draws are standardised; a location/scale map on top of them
         # moves the moments and leaves the ranks alone
-        x_std, y_std = sample_contaminated_block(
+        x_std, y_std = sample_pairs(
             params(eps=0.0), 4000, np.random.default_rng(2), 1)
         x, y = 10.0 + 0.1 * x_std, -5.0 + 2.0 * y_std
         assert abs(x[0].mean() - 10.0) < 0.02
@@ -234,8 +239,7 @@ class TestSampler:
     def test_monte_carlo_agreement(self):
         p = params(rho=0.5, eps=0.1, lx=3.0, ly=2.0, rp=-0.4)
         n, trials = 10, 4000
-        x, y = sample_contaminated_block(p, n, np.random.default_rng(33),
-                                         trials)
+        x, y = sample_pairs(p, n, np.random.default_rng(33), trials)
         rs = np.empty(trials)
         rk = np.empty(trials)
         for i in range(trials):

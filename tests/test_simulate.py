@@ -1,15 +1,17 @@
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rankmoments.contaminated import ContaminationParams
+from rankmoments.contaminated import (ContaminationParams,
+                                      sample_contaminated_block)
 from rankmoments.correlation import (PairedSample, coefficients_rows,
                                      kendall, pearson, spearman)
 from rankmoments.errors import DomainError, ResourceError
 from rankmoments.simulate import (ExperimentConfig, ReportRow, TrialReport,
-                                  compare_report, format_report_csv,
+                                  _pairs, compare_report, format_report_csv,
                                   run_experiment, sample_binormal_block,
                                   threads_limit)
 
@@ -21,21 +23,25 @@ def small_config(**kw):
     return ExperimentConfig(**base)
 
 
+def binormal_pairs(rho, n, rng, size):
+    return _pairs(sample_binormal_block(n, rng, size), rho)
+
+
 class TestSampler:
     def test_degenerate(self):
         rng = np.random.default_rng(0)
-        x, y = sample_binormal_block(1.0, 50, rng, 2)
+        x, y = binormal_pairs(1.0, 50, rng, 2)
         assert np.allclose(x, y)
 
     def test_independent_mean(self):
         rng = np.random.default_rng(1)
-        x, y = sample_binormal_block(0.0, 100000, rng, 1)
+        x, y = binormal_pairs(0.0, 100000, rng, 1)
         r = np.corrcoef(x[0], y[0])[0, 1]
         assert abs(r) < 3 / math.sqrt(100000)
 
     def test_strong_correlation_concentrates(self):
         rng = np.random.default_rng(2)
-        x, y = sample_binormal_block(0.6, 1000, rng, 1)
+        x, y = binormal_pairs(0.6, 1000, rng, 1)
         r = np.corrcoef(x[0], y[0])[0, 1]
         assert 0.55 <= r <= 0.65
 
@@ -44,7 +50,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n", [10, 64, 65, 1000])
     def test_block_kendall_matches_single_sample(self, n):
         rng = np.random.default_rng(n)
-        x, y = sample_binormal_block(0.5, n, rng, 5)
+        x, y = binormal_pairs(0.5, n, rng, 5)
         r_k = coefficients_rows(x, y)[2]
         assert r_k.tolist() == [kendall(PairedSample(x=x[i], y=y[i]))
                                 for i in range(5)]
@@ -52,7 +58,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n", [10, 64, 65, 1000])
     def test_block_spearman_matches_single_sample(self, n):
         rng = np.random.default_rng(n)
-        x, y = sample_binormal_block(0.5, n, rng, 300)
+        x, y = binormal_pairs(0.5, n, rng, 300)
         r_s = coefficients_rows(x, y)[1]
         assert r_s.tolist() == [spearman(PairedSample(x=x[i], y=y[i]))
                                 for i in range(300)]
@@ -60,7 +66,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n", [10, 64, 65, 1000])
     def test_block_pearson_matches_single_sample(self, n):
         rng = np.random.default_rng(n)
-        x, y = sample_binormal_block(0.5, n, rng, 300)
+        x, y = binormal_pairs(0.5, n, rng, 300)
         r_p = coefficients_rows(x, y)[0]
         assert r_p.tolist() == [pearson(PairedSample(x=x[i], y=y[i]))
                                 for i in range(300)]
@@ -80,16 +86,18 @@ class TestDeterminism:
 
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
         cell_block, block_sums = simulate._cell_block, simulate._block_sums
+        grid = (-0.4, 0.3, 0.8)
         block_threads = set()
         ahead = []      # per block: its job index less the blocks reduced
         reduced = []
 
-        def traced_block(config, rho, n, rho_idx, n_idx, block_idx, size):
+        def traced_block(shared, rho):
             block_threads.add(threading.current_thread().name)
-            job = (rho_idx * 2 + n_idx) * 3 + block_idx
+            # jobs run in (n, block, rho) order
+            job = ((shared.n_idx * 3 + shared.block_idx) * 3
+                   + grid.index(rho))
             ahead.append(job - len(reduced))
-            return cell_block(config, rho, n, rho_idx, n_idx, block_idx,
-                              size)
+            return cell_block(shared, rho)
 
         def counted_sums(values, shifts):
             reduced.append(1)
@@ -100,7 +108,7 @@ class TestDeterminism:
         cont = ContaminationParams(rho=0.0, epsilon=0.1, lambda_x=10.0,
                                    lambda_y=10.0, rho_prime=0.0)
         for model in ("binormal", "contaminated"):
-            cfg = small_config(model=model, rho_grid=(-0.4, 0.3, 0.8),
+            cfg = small_config(model=model, rho_grid=grid,
                                n_list=(10, 65), trials=2 * 4096 + 7,
                                contamination=cont)
             rows = {}
@@ -127,25 +135,25 @@ class TestDeterminism:
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
         monkeypatch.setenv("RANKMOMENTS_THREADS", "2")
         cell_block = simulate._cell_block
+        grid = (0.1, 0.2, 0.3, 0.4, 0.5)
         calls = []
 
-        def failing_block(config, rho, n, rho_idx, n_idx, block_idx, size):
-            calls.append((rho_idx, block_idx))
-            if (rho_idx, block_idx) == (1, 1):
+        def failing_block(shared, rho):
+            calls.append((grid.index(rho), shared.block_idx))
+            if calls[-1] == (1, 1):
                 raise MemoryError("block (1, 1)")
-            return cell_block(config, rho, n, rho_idx, n_idx, block_idx,
-                              size)
+            return cell_block(shared, rho)
 
         monkeypatch.setattr(simulate, "_cell_block", failing_block)
         before = set(threading.enumerate())
-        cfg = small_config(rho_grid=(0.1, 0.2, 0.3, 0.4, 0.5), n_list=(10,),
-                           trials=3 * 4096)
+        cfg = small_config(rho_grid=grid, n_list=(10,), trials=3 * 4096)
         with pytest.raises(MemoryError, match=r"block \(1, 1\)"):
             run_experiment(cfg)
         assert set(threading.enumerate()) == before
-        # job 4 (from 0) of 15 failed; the window of 2 * 2 jobs in flight
-        # then ended at job 7, and the rest of the stream never ran
-        assert (1, 1) in calls and len(calls) <= 4 + 4
+        # job 6 (from 0, in (block, rho) order) of 15 failed; the window
+        # of 2 * 2 jobs in flight then ended at job 9, and the rest of
+        # the stream never ran
+        assert (1, 1) in calls and len(calls) <= 6 + 4
 
     def test_seed_changes_results(self):
         a = run_experiment(small_config(seed=1))
@@ -153,9 +161,86 @@ class TestDeterminism:
         assert a.rows != b.rows
 
 
+def where_oracle(params, n, stream, size):
+    """The mixture pairs by whole-array np.where, from the same stream
+    draws as sample_contaminated_block: the form it replaced."""
+    def cholesky_pair(r):
+        return r, math.sqrt(max(1 - r * r, 0.0))
+
+    u, v = stream.standard_normal((2, size, n))
+    contaminated = stream.random((size, n)) < params.epsilon
+    a0, b0 = cholesky_pair(params.rho)
+    a1, b1 = cholesky_pair(params.rho_prime)
+    x = np.where(contaminated, params.lambda_x * u, u)
+    y_core = np.where(contaminated, a1 * u + b1 * v, a0 * u + b0 * v)
+    y = np.where(contaminated, params.lambda_y * y_core, y_core)
+    return x, y
+
+
+class TestCommonRandomNumbers:
+    CONT = ContaminationParams(rho=0.0, epsilon=0.2, lambda_x=10.0,
+                               lambda_y=3.0, rho_prime=-0.5)
+
+    @pytest.mark.parametrize("model", ["binormal", "contaminated"])
+    def test_cell_rows_do_not_depend_on_the_grid(self, model):
+        grid = (0.3, 0.6, 0.9)
+        cfg = small_config(model=model, rho_grid=grid, n_list=(10, 65),
+                           trials=4096 + 5, contamination=self.CONT)
+        together = run_experiment(cfg).rows
+        for rho in grid:
+            alone = run_experiment(replace(cfg, rho_grid=(rho,))).rows
+            assert alone == [r for r in together if r.rho == rho]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_one_draw_per_n_and_block(self, monkeypatch, workers):
+        from rankmoments import simulate
+
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("RANKMOMENTS_THREADS", workers)
+        draws = []
+        for name in ("sample_binormal_block", "sample_contaminated_block"):
+            def counted(*args, _sample=getattr(simulate, name)):
+                draws.append(args[-2:])         # (stream, size)
+                return _sample(*args)
+            monkeypatch.setattr(simulate, name, counted)
+        for model in ("binormal", "contaminated"):
+            draws.clear()
+            cfg = small_config(model=model, rho_grid=(-0.4, 0.3, 0.8, 1.0),
+                               n_list=(10, 65), trials=2 * 4096 + 7,
+                               contamination=self.CONT)
+            run_experiment(cfg)
+            # len(n_list) x blocks, not x len(rho_grid)
+            assert sorted(size for _, size in draws) == [7, 7] + [4096] * 4
+
+    def test_contaminated_transform_matches_where_formula(self):
+        # 150 seeded draws, some of several transform chunks (32 rows at
+        # n = 1000, 65 at n = 500); every draw serves each rho in turn,
+        # out of place and in place, and must give the np.where
+        # formula's bits
+        rhos = (-1.0, -0.6, 0.0, 0.25, 0.9, 1.0)
+        rho_primes = (-1.0, -0.3, 0.0, 0.5, 0.99, 1.0, -0.8)
+        lambdas = (1e-300, 1e-150, 1e-3, 0.5, 1.0, 7.0, 1e50, 1e150)
+        epsilons = (0.0, 0.05, 0.5, 0.9, 1.0)
+        for i in range(150):
+            n, size = (1000, 500, 6)[i % 3], 1 + 7 * i % 80
+            base = ContaminationParams(
+                rho=0.0, epsilon=epsilons[i % 5],
+                rho_prime=rho_primes[i % 7], lambda_x=lambdas[i % 8],
+                lambda_y=lambdas[(3 * i + 1) % 8])
+            draw = sample_contaminated_block(
+                base, n, np.random.default_rng(i), size)
+            for rho in rhos:
+                want = where_oracle(replace(base, rho=rho), n,
+                                    np.random.default_rng(i), size)
+                copy = tuple(None if a is None else a.copy() for a in draw)
+                for got in (_pairs(draw, rho), _pairs(copy, rho, True)):
+                    assert [a.tobytes() for a in got] == [
+                        a.tobytes() for a in want]
+
+
 class TestStreamingMoments:
     def test_matches_two_pass(self):
-        from rankmoments.simulate import _BLOCK, _cell_block
+        from rankmoments.simulate import _BLOCK, _cell_block, _SharedDraw
 
         cfg = small_config(trials=10000)
         report = run_experiment(cfg)
@@ -165,7 +250,7 @@ class TestStreamingMoments:
         # with plain two-pass numpy as the reference
         sizes = [_BLOCK, _BLOCK, cfg.trials - 2 * _BLOCK]
         n_blocks = len(sizes)
-        blocks = [_cell_block(cfg, 0.3, 10, 0, 0, i, sizes[i])
+        blocks = [_cell_block(_SharedDraw(cfg, 10, 0, i, sizes[i], 1), 0.3)
                   for i in range(n_blocks)]
         pooled = {name: np.concatenate([b[name] for b in blocks])
                   for name in blocks[0]}
