@@ -11,40 +11,35 @@ using the covariance rule for differences of i.i.d. coordinates,
     cov(X_a - X_b, Y_c - Y_d) = rho * (d_ac - d_ad - d_bc + d_bd)
 
 Each template is split once into (same, cross), the pattern matrix being
-same + rho * cross. The first omegas pass of a process (for pattern_w, a
-pass with no rho) checks the pairs once: as correlation matrices at
-rho = -1 and rho = 1, which covers every |rho| <= 1 since the rho at
-which an affine matrix is one form a convex set; then the legs of the 24
-matrices at rho = 0 and rho = 1 ride in that pass's run, and their W must
-meet exact anchor values and four internal W-identities. A failure
-raises DerivationError, and nothing of the pass is cached. Each pass
-checks omega3 = W_g / 2 + W_h against 1/18 + I, I the integral along rho
-of its Plackett (1954) derivative; omega4 = pi^2 / 2 * I. Childs's (1967)
-legs of W are the same identity along Z1's row from W = 0. Both are sums
-of term rows of orthant._plackett_coeffs, integrated by one body,
+same + rho * cross. The templates are constants; the Tier-1 tests check
+them: same -/+ cross as correlation matrices, which covers every
+|rho| <= 1 since the rho at which an affine matrix is one form a convex
+set, and the W of all twelve at rho = 0 and rho = 1 against exact anchor
+values and four internal W-identities. Each omegas pass checks
+omega3 = W_g / 2 + W_h against 1/18 + I, I the integral along rho of its
+Plackett (1954) derivative; omega4 = pi^2 / 2 * I. Childs's (1967) legs
+of W are the same identity along Z1's row from W = 0. Both are sums of
+term rows of orthant._plackett_coeffs, integrated by one body,
 orthant._plackett_term, in one lock-step run per pass of up to 24 rho,
 some 600 rows, evaluated at most 4096 nodes at a time. The check stays
 independent: the routes use disjoint halves of its cubic numerator
 (d0, d2 on Z1's row, d1, d3 on rho), and the variances b, g and the
-factor 1 / sqrt(1 - c^2 t^2) they share are pinned by the anchors above
-and by the tests' QUADPACK omega4 oracle.
+factor 1 / sqrt(1 - c^2 t^2) they share are pinned by the tests' anchors
+and QUADPACK omega4 oracle.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import (CrossCheckError, DerivationError, DomainError,
-                     NegativeVarianceError)
-from .orthant import (_correlation_fault, _p4_from_w, _plackett_coeffs,
-                      integrate_terms, leg_rows, w_integral)
+from .errors import CrossCheckError, DomainError, NegativeVarianceError
+from .orthant import (_plackett_coeffs, integrate_terms, leg_rows,
+                      w_integral)
 from .quadrature import ABS_TOL
 
 _NEG_CLAMP = -1e-10
@@ -85,18 +80,6 @@ _PATTERN_TEMPLATES = {
     "q": (("x", "i", "j"), ("y", "i", "j"), ("x", "l", "m"), ("y", "l", "i")),
 }
 
-# exact anchors: positive-orthant probability at rho=0, W value at rho=1
-_ANCHORS_P4_RHO0 = {
-    "c": Fraction(1, 9), "d": Fraction(1, 24), "f": Fraction(1, 16),
-    "g": Fraction(1, 9), "h": Fraction(1, 24), "l": Fraction(1, 18),
-    "n": Fraction(1, 36), "o": Fraction(1, 16),
-}
-_ANCHORS_W_RHO1 = {
-    "c": Fraction(1, 5), "d": Fraction(1, 15), "f": Fraction(2, 15),
-    "g": Fraction(1, 3), "h": Fraction(1, 3), "l": Fraction(0),
-    "m": Fraction(1, 3), "n": Fraction(0), "o": Fraction(1, 3),
-}
-
 
 def _split_template(template):
     """(same, cross) with pattern matrix = same + rho * cross."""
@@ -114,37 +97,6 @@ def _split_template(template):
 _PATTERNS = {label: _split_template(t)
              for label, t in _PATTERN_TEMPLATES.items()}
 
-# the twelve templates' endpoint matrices same -/+ cross and their anchor
-# matrices at rho = 0 and rho = 1, each (24, 4, 4) in _PATTERNS order
-_SAME, _CROSS = (np.stack(part) for part in zip(*_PATTERNS.values()))
-_ENDPOINTS = np.concatenate([_SAME - _CROSS, _SAME + _CROSS])
-_ANCHOR_MATS = np.concatenate([_SAME, _SAME + _CROSS])
-
-_validation_done = False
-_validation_lock = threading.Lock()
-
-
-def _check_anchors(w):
-    """Check the 24 W of _ANCHOR_MATS against the anchors and the
-    W-identities; a miss, or a NaN, raises DerivationError."""
-    for half, (rho, anchors, kind) in enumerate(
-            ((0.0, _ANCHORS_P4_RHO0, "P4"), (1.0, _ANCHORS_W_RHO1, "W"))):
-        mats = dict(zip(_PATTERNS, _ANCHOR_MATS[12 * half:12 * half + 12]))
-        w_rho = dict(zip(_PATTERNS, w[12 * half:12 * half + 12].tolist()))
-        for label, anchor in anchors.items():
-            got = _p4_from_w(mats[label], w_rho[label]) if kind == "P4" \
-                else w_rho[label]
-            if not abs(got - float(anchor)) <= 1e-9:
-                raise DerivationError(
-                    f"pattern {label} fails its rho={rho} anchor: "
-                    f"{kind}={got!r}, expected {float(anchor)!r}")
-        checks = (w_rho["e"] - 2 * w_rho["d"], w_rho["g"] - w_rho["p"],
-                  w_rho["h"] - w_rho["q"], w_rho["m"] - 2 * w_rho["l"] - 1 / 3)
-        if not max(abs(v) for v in checks) <= 1e-10:
-            raise DerivationError(
-                f"W-identities violated at rho={rho}: {checks}")
-
-
 def _check_rho(rho):
     if not abs(rho) <= 1:
         raise DomainError(f"|rho| must be <= 1, got {rho}")
@@ -154,8 +106,6 @@ def pattern_w(labels: str, rho: float) -> dict:
     """W terms at rho of the pattern matrices named by the letters of
     labels, from one lock-step w_integral run, keyed by letter."""
     _check_rho(rho)
-    if not _validation_done:
-        _omega_pass([])  # a pass with no rho: the validation alone
     stack = np.stack([same + rho * cross
                       for same, cross in (_PATTERNS[c] for c in labels)])
     return dict(zip(labels, w_integral(stack).tolist()))
@@ -213,8 +163,7 @@ def omegas(rho):
     |rho| = 1 all four are exact constants. Each row keeps its own
     bisections, so a value does not depend on the rho it was computed
     with. Raises CrossCheckError if omega3 and 1/18 + I differ by more
-    than _ROUTE_TOL, and DerivationError if the first pass of the process
-    finds a bad template; neither caches anything of the failed pass.
+    than _ROUTE_TOL, and caches nothing of the failed pass.
     """
     single = isinstance(rho, numbers.Real)
     rhos = [rho] if single else list(rho)
@@ -235,37 +184,21 @@ def omegas(rho):
 def _omega_pass(rhos: list) -> dict:
     """{rho: OmegaValues} for distinct rho, from one integrate_terms run
     over the legs of the eight pattern matrices and the omega3 term rows
-    on [0, rho] of each |rho| < 1. The first pass of a process holds
-    _validation_lock and checks the templates (see the module docstring)
-    before it returns."""
-    global _validation_done
-    with contextlib.nullcontext() if _validation_done else _validation_lock:
-        validate = not _validation_done
-        inner = [r for r in rhos if abs(r) < 1]
-        k = len(inner)
-        stack = (_OMEGA_SAME + np.array(inner)[:, None, None, None]
-                 * _OMEGA_CROSS).reshape(-1, 4, 4)
-        if validate:
-            fault = _correlation_fault(_ENDPOINTS)
-            if fault is not None:
-                index, reason = fault
-                raise DerivationError(
-                    f"pattern {list(_PATTERNS)[index % 12]} at "
-                    f"rho={(-1.0, 1.0)[index // 12]}: {reason}")
-            stack = np.concatenate([stack, _ANCHOR_MATS])
-        legs, start = leg_rows(stack)
-        # each rho's t omega3 rows add to one total after the W; their
-        # tolerances sum to 2 ABS_TOL / pi^2 in I
-        t, m = _OMEGA3_TERMS.shape[1], len(stack)
-        omega3 = (np.tile(_OMEGA3_TERMS, k), np.repeat(inner, t),
-                  np.full(k * t, ABS_TOL / (2 * t)),
-                  np.repeat(np.arange(m, m + k), t))
-        totals = integrate_terms(
-            [np.concatenate(c, axis=-1) for c in zip(legs, omega3)],
-            np.concatenate([start, np.zeros(k)]))
-        if validate:
-            _check_anchors(totals[8 * k:m])
-            _validation_done = True
+    on [0, rho] of each |rho| < 1."""
+    inner = [r for r in rhos if abs(r) < 1]
+    k = len(inner)
+    stack = (_OMEGA_SAME + np.array(inner)[:, None, None, None]
+             * _OMEGA_CROSS).reshape(-1, 4, 4)
+    legs, start = leg_rows(stack)
+    # each rho's t omega3 rows add to one total after the W; their
+    # tolerances sum to 2 ABS_TOL / pi^2 in I
+    t, m = _OMEGA3_TERMS.shape[1], len(stack)
+    omega3 = (np.tile(_OMEGA3_TERMS, k), np.repeat(inner, t),
+              np.full(k * t, ABS_TOL / (2 * t)),
+              np.repeat(np.arange(m, m + k), t))
+    totals = integrate_terms(
+        [np.concatenate(c, axis=-1) for c in zip(legs, omega3)],
+        np.concatenate([start, np.zeros(k)]))
     out = {}
     for r, (c, d, f, g, h, l, n, o), integral in zip(
             inner, totals[:8 * k].reshape(-1, 8).tolist(),

@@ -32,8 +32,8 @@ from .contaminated import ContaminationParams
 from .correlation import (PairedSample, inequality_check, kendall, pearson,
                           spearman)
 from .errors import (ConvergenceError, CrossCheckError, DegenerateError,
-                     DerivationError, DomainError, NegativeVarianceError,
-                     RankMomentsError, ResourceError, SizeError, TieError)
+                     DomainError, NegativeVarianceError, RankMomentsError,
+                     ResourceError, SizeError, TieError)
 from .estimators import EstimatorKind, are, estimates
 from .formatting import format_fixed, label_places
 from .simulate import (ExperimentConfig, compare_report, format_report_csv,
@@ -409,8 +409,7 @@ def main(argv=None) -> int:
     except (SizeError, DomainError, DegenerateError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_DATA
-    except (ConvergenceError, NegativeVarianceError, CrossCheckError,
-            DerivationError) as exc:
+    except (ConvergenceError, NegativeVarianceError, CrossCheckError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
     except _IoFailure as exc:

@@ -38,9 +38,5 @@ class CrossCheckError(RankMomentsError):
     """Two independent forms of one exact quantity disagree."""
 
 
-class DerivationError(RankMomentsError):
-    """A derived pattern correlation matrix failed its anchor checks."""
-
-
 class ResourceError(RankMomentsError):
     """Simulation request exceeds the configured work budget."""

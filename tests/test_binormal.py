@@ -4,9 +4,9 @@ import re
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
+from dataclasses import astuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +20,7 @@ from rankmoments.binormal import (cov_rs_rk_asymptotic,
                                   lemma2_moments, omegas, pattern_w,
                                   var_rs_asymptotic, var_rs_exact)
 from rankmoments.cli import main
-from rankmoments.errors import CrossCheckError, DerivationError, DomainError
+from rankmoments.errors import CrossCheckError, DomainError
 from rankmoments.orthant import CorrelationMatrix4
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -201,7 +201,6 @@ class TestCovariance:
     def test_wrong_shared_factor_trips_the_guard(self, monkeypatch):
         # a mutated term body, |c| in place of c^2 under the root, serves
         # both routes; their disjoint numerators still tell them apart
-        pattern_w("c", 0.0)  # the one-time validation runs here
         asin = orthant._plackett_asin
 
         def wrong(u, coef, c, *coeffs):
@@ -265,7 +264,6 @@ class TestPatternMatrices:
             CorrelationMatrix4(same + rho * cross)
 
     def test_omegas_evaluates_eight_w(self, monkeypatch):
-        pattern_w("c", 0.0)  # the one-time validation runs here
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         calls = []
         leg_rows = binormal.leg_rows
@@ -294,7 +292,6 @@ class TestOmegaGrid:
         return [(v.omega1, v.omega2, v.omega3, v.omega4) for v in values]
 
     def test_sequence_matches_single_calls(self, monkeypatch):
-        pattern_w("c", 0.0)  # the one-time validation runs here
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         monkeypatch.setattr("rankmoments.binormal._RHOS_PER_PASS", 3)
         grid = omegas(self.RHOS)
@@ -321,7 +318,6 @@ class TestOmegaGrid:
         # whose integrand runs in slices: 1.18 MB traced on 1001 rho with
         # 24 rho a pass; an unchunked pass, unsliced integrand temporaries
         # or a dense MAX_SUBDIVISIONS-wide panel table exceed this bound
-        pattern_w("c", 0.0)  # the one-time validation runs here
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         grid = np.linspace(-1.0, 1.0, 1001).tolist()
         tracemalloc.start()
@@ -356,86 +352,126 @@ class TestOmegaGrid:
         assert outputs[0] == outputs[1]
 
 
+# exact anchors: positive-orthant probability at rho=0, W value at rho=1
+_ANCHORS_P4_RHO0 = {
+    "c": Fraction(1, 9), "d": Fraction(1, 24), "f": Fraction(1, 16),
+    "g": Fraction(1, 9), "h": Fraction(1, 24), "l": Fraction(1, 18),
+    "n": Fraction(1, 36), "o": Fraction(1, 16),
+}
+_ANCHORS_W_RHO1 = {
+    "c": Fraction(1, 5), "d": Fraction(1, 15), "f": Fraction(2, 15),
+    "g": Fraction(1, 3), "h": Fraction(1, 3), "l": Fraction(0),
+    "m": Fraction(1, 3), "n": Fraction(0), "o": Fraction(1, 3),
+}
+
+
+def _check_templates():
+    """Check the twelve pattern templates as the package reads them: same
+    -/+ cross of each as correlation matrices, which covers every
+    |rho| <= 1, then the W of all twelve at rho = 0 and rho = 1 from
+    pattern_w against the anchors and the four W-identities. Any warning
+    is an error: the rho = 1 matrices have exactly coincident pairs, and a
+    leg built for one would divide by zero. A miss, or a NaN, raises
+    AssertionError."""
+    labels = "".join(binormal._PATTERNS)
+    same, cross = (np.stack(part)
+                   for part in zip(*binormal._PATTERNS.values()))
+    fault = orthant._correlation_fault(
+        np.concatenate([same - cross, same + cross]))
+    if fault is not None:
+        index, reason = fault
+        raise AssertionError(f"pattern {labels[index % 12]} at "
+                             f"rho={(-1.0, 1.0)[index // 12]}: {reason}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho, anchors, kind in ((0.0, _ANCHORS_P4_RHO0, "P4"),
+                                   (1.0, _ANCHORS_W_RHO1, "W")):
+            w = pattern_w(labels, rho)
+            mats = dict(zip(labels, same + rho * cross))
+            for label, anchor in anchors.items():
+                got = orthant._p4_from_w(mats[label], w[label]) \
+                    if kind == "P4" else w[label]
+                if not abs(got - float(anchor)) <= 1e-9:
+                    raise AssertionError(
+                        f"pattern {label} fails its rho={rho} anchor: "
+                        f"{kind}={got!r}, expected {float(anchor)!r}")
+            checks = (w["e"] - 2 * w["d"], w["g"] - w["p"],
+                      w["h"] - w["q"], w["m"] - 2 * w["l"] - 1 / 3)
+            if not max(abs(v) for v in checks) <= 1e-10:
+                raise AssertionError(
+                    f"W-identities violated at rho={rho}: {checks}")
+
+
 class TestPatternValidation:
-    """The one-time check of the twelve templates rides in the first omega
-    pass of a process: a bad template or anchor stops that pass before
-    anything is cached, from whichever entry point comes first, and the
-    check runs once, also when threads race on the first call."""
+    """The twelve templates are constants, checked here and not at run
+    time: _check_templates runs the production pattern_w path on them,
+    and each mutation below, with its message, must fail that check."""
 
-    @pytest.fixture
-    def fresh(self, monkeypatch):
-        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
-        monkeypatch.setattr("rankmoments.binormal._validation_done", False)
-
-    @staticmethod
-    def _put(monkeypatch, label, same, cross):
-        """Replace one template's (same, cross) everywhere the check reads
-        it."""
-        index = list(binormal._PATTERNS).index(label)
-        monkeypatch.setitem(binormal._PATTERNS, label, (same, cross))
-        for name, mats in (("_ENDPOINTS", (same - cross, same + cross)),
-                           ("_ANCHOR_MATS", (same, same + cross))):
-            stack = getattr(binormal, name).copy()
-            stack[index], stack[12 + index] = mats
-            monkeypatch.setattr(binormal, name, stack)
+    def test_templates(self):
+        _check_templates()
 
     def _not_psd(self, monkeypatch):
         same, cross = binormal._PATTERNS["c"]
-        self._put(monkeypatch, "c", same, 2 * cross)
+        monkeypatch.setitem(binormal._PATTERNS, "c", (same, 2 * cross))
         return r"pattern c at rho=-1\.0: .* not positive semidefinite"
 
     def _wrong_index(self, monkeypatch):
         # f's last difference Y_l - Y_j read as Y_l - Y_k
         template = binormal._PATTERN_TEMPLATES["f"][:3] + (("y", "l", "k"),)
-        self._put(monkeypatch, "f", *binormal._split_template(template))
+        monkeypatch.setitem(binormal._PATTERNS, "f",
+                            binormal._split_template(template))
         return r"pattern f fails its rho=0\.0 anchor: P4="
 
     def _identity(self, monkeypatch):
         # q has no anchor of its own; only W_h = W_q can catch it
-        self._put(monkeypatch, "q", *binormal._PATTERNS["c"])
+        monkeypatch.setitem(binormal._PATTERNS, "q", binormal._PATTERNS["c"])
         return r"W-identities violated at rho=0\.0"
 
     def _anchor(self, monkeypatch):
-        monkeypatch.setitem(binormal._ANCHORS_W_RHO1, "g", Fraction(1, 4))
+        monkeypatch.setitem(_ANCHORS_W_RHO1, "g", Fraction(1, 4))
         return r"pattern g fails its rho=1\.0 anchor: W=0\.333"
 
+    def _nan_anchor(self, monkeypatch):
+        monkeypatch.setitem(_ANCHORS_W_RHO1, "g", float("nan"))
+        return r"pattern g fails its rho=1\.0 anchor: W=0\.333.*expected nan"
+
     @pytest.mark.parametrize("fault", ["_not_psd", "_wrong_index",
-                                       "_identity", "_anchor"])
-    @pytest.mark.parametrize("entry", ["omegas", "pattern_w", "tables"])
-    def test_fault_stops_first_pass(self, fault, entry, fresh, monkeypatch,
-                                    capsys):
+                                       "_identity", "_anchor", "_nan_anchor"])
+    def test_fault_fails_the_check(self, fault, monkeypatch):
         message = getattr(self, fault)(monkeypatch)
-        for _ in range(2):  # a failed check is not marked done
-            if entry == "tables":
-                assert main(["tables", "--grid", "0(0.5)1"]) == 2
-                out, err = capsys.readouterr()
-                assert out == "" and err.count("\n") == 1
-                assert err.startswith("numerical failure: ")
-                assert re.search(message, err)
-            else:
-                call = {"omegas": lambda: omegas([0.3, 1.0]),
-                        "pattern_w": lambda: pattern_w("cd", 0.3)}[entry]
-                with pytest.raises(DerivationError, match=message):
-                    call()
-            assert binormal._omega_cache == {}
-            assert not binormal._validation_done
+        with pytest.raises(AssertionError, match=message):
+            _check_templates()
 
-    def test_once_per_process_under_a_race(self, fresh, monkeypatch, capsys):
-        calls = []
-        check_anchors = binormal._check_anchors
-        fault = binormal._correlation_fault
 
-        def slow_check(w):
-            calls.append("anchors")
-            time.sleep(0.05)  # the other thread arrives meanwhile
-            return check_anchors(w)
+class TestFirstPass:
+    """The first omegas call of a process does the work of any later one,
+    also when threads race on it."""
 
-        def counted_fault(ms):
-            calls.append("endpoints")
-            return fault(ms)
+    def test_same_rounds_as_a_later_pass(self):
+        # lock-step rounds are _gk15 calls; in a fresh process the first
+        # omegas(0.3) must run no more of them than a recompute does
+        code = ("from rankmoments import binormal, quadrature\n"
+                "gk15, calls = quadrature._gk15, []\n"
+                "def counted(*args):\n"
+                "    calls.append(1)\n"
+                "    return gk15(*args)\n"
+                "quadrature._gk15 = counted\n"
+                "binormal.omegas(0.3)\n"
+                "first = len(calls)\n"
+                "binormal._omega_cache.clear()\n"
+                "binormal.omegas(0.3)\n"
+                "print(first, len(calls) - first)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        first, later = map(int, proc.stdout.split())
+        assert first == later > 0
 
-        monkeypatch.setattr(binormal, "_check_anchors", slow_check)
-        monkeypatch.setattr(binormal, "_correlation_fault", counted_fault)
+    def test_first_calls_race(self, monkeypatch):
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         grids = ([0.1, 0.2], [0.3, 0.1], [0.2], [0.1, 0.3])
         barrier = threading.Barrier(len(grids))
         results, errors = {}, []
@@ -459,16 +495,20 @@ class TestPatternValidation:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert errors == [] and calls == ["endpoints", "anchors"]
-        omegas([0.6, 0.7])
-        pattern_w("ch", 0.2)
-        assert main(["are", "--rho", "0.4"]) == 0
-        assert capsys.readouterr().out.startswith("rho,are_spearman")
-        assert calls == ["endpoints", "anchors"]
+        assert errors == []
+        raced = dict(binormal._omega_cache)
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         again = dict(zip((0.1, 0.2, 0.3), omegas([0.1, 0.2, 0.3])))
+
+        def bits(v):
+            return [float.hex(x) for x in astuple(v)]
+
+        assert sorted(raced) == sorted(again)
+        for r, v in again.items():
+            assert bits(raced[r]) == bits(v)
         for rhos in grids:
-            assert results[tuple(rhos)] == [again[r] for r in rhos]
+            assert [bits(v) for v in results[tuple(rhos)]] == \
+                [bits(again[r]) for r in rhos]
 
 
 class TestTables:
@@ -494,12 +534,9 @@ class TestTables:
         assert a == b
 
     def test_no_warnings(self, capsys, monkeypatch):
-        # no integrand evaluation may warn, here or in the one-time
-        # validation; its rho = 1 matrices have exactly coincident pairs,
-        # and a leg built for one would divide by zero, so this is the
-        # test that catches a missed closed-form reduction
+        # no integrand evaluation may warn; the rho = 1 matrices of
+        # _check_templates catch a missed closed-form reduction
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
-        monkeypatch.setattr("rankmoments.binormal._validation_done", False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["tables", "--grid", "0(0.01)1"]) == 0

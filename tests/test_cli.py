@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.stats import kendalltau
 
 from rankmoments import cli
-from rankmoments.binormal import cov_rs_rk_exact, omegas, var_rs_exact
+from rankmoments.binormal import cov_rs_rk_exact, var_rs_exact
 from rankmoments.cli import main, parse_grid
 from rankmoments.errors import ConvergenceError, DomainError
 from rankmoments.formatting import format_fixed
@@ -95,7 +95,6 @@ class TestTables:
         assert err == "invalid input: tables requires --grid\n"
 
     def test_convergence_failure_exit_2(self, tmp_path, monkeypatch, capsys):
-        omegas(0.5)  # the one-time pattern validation runs here
 
         def fail(*args, **kwargs):
             raise ConvergenceError("forced")
@@ -111,7 +110,6 @@ class TestTables:
 
     def test_grid_pass_stall_exit_2(self, tmp_path, monkeypatch, capsys):
         # a real stall inside a whole-grid pass: two bisections per integral
-        omegas(0.5)  # the one-time pattern validation runs here
         monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
         monkeypatch.setattr("rankmoments.quadrature.MAX_SUBDIVISIONS", 2)
         target = tmp_path / "t.csv"

@@ -1,8 +1,7 @@
 """CLI output bytes, compared against committed golden files.
 
 Each command runs in a fresh `python -m rankmoments.cli` process, so the
-omega memo cache and the pattern validation start cold every time, as
-they do for a user. The golden files were written by the same commands
+omega memo cache starts cold every time, as it does for a user. The golden files were written by the same commands
 and must only change together with a named, deliberate output change.
 """
 
