@@ -365,6 +365,10 @@ _ANCHORS_W_RHO1 = {
 }
 
 
+# the eight letters whose W the omegas read
+_OMEGA_LETTERS = "cdfghlno"
+
+
 def _check_templates():
     """Check the twelve pattern templates as the package reads them: same
     -/+ cross of each as correlation matrices, which covers every
@@ -404,43 +408,92 @@ def _check_templates():
 
 class TestPatternValidation:
     """The twelve templates are constants, checked here and not at run
-    time: _check_templates runs the production pattern_w path on them,
-    and each mutation below, with its message, must fail that check."""
+    time: _check_templates runs the production pattern_w path on them.
+    No entry point's first pass checks them any more, so this check is
+    what stops a bad template before one: each mutation below must fail
+    it, with its message, and must reach the output of exactly the entry
+    points that read its letter, so the check, which reads all twelve
+    from _PATTERNS, covers every one of them."""
 
     def test_templates(self):
         _check_templates()
+        # the omegas read their eight letters from stacks built at import
+        same, cross = zip(*(binormal._PATTERNS[c] for c in _OMEGA_LETTERS))
+        assert np.array_equal(binormal._OMEGA_SAME, np.stack(same))
+        assert np.array_equal(binormal._OMEGA_CROSS, np.stack(cross))
+
+    @staticmethod
+    def _put(monkeypatch, label, same, cross):
+        """Replace one template's (same, cross) everywhere the package
+        reads it: _PATTERNS, and the omega stacks for their letters."""
+        monkeypatch.setitem(binormal._PATTERNS, label, (same, cross))
+        if label in _OMEGA_LETTERS:
+            index = _OMEGA_LETTERS.index(label)
+            for name, part in (("_OMEGA_SAME", same), ("_OMEGA_CROSS", cross)):
+                stack = getattr(binormal, name).copy()
+                stack[index] = part
+                monkeypatch.setattr(binormal, name, stack)
 
     def _not_psd(self, monkeypatch):
         same, cross = binormal._PATTERNS["c"]
-        monkeypatch.setitem(binormal._PATTERNS, "c", (same, 2 * cross))
-        return r"pattern c at rho=-1\.0: .* not positive semidefinite"
+        self._put(monkeypatch, "c", same, 2 * cross)
+        return "c", r"pattern c at rho=-1\.0: .* not positive semidefinite"
 
     def _wrong_index(self, monkeypatch):
         # f's last difference Y_l - Y_j read as Y_l - Y_k
         template = binormal._PATTERN_TEMPLATES["f"][:3] + (("y", "l", "k"),)
-        monkeypatch.setitem(binormal._PATTERNS, "f",
-                            binormal._split_template(template))
-        return r"pattern f fails its rho=0\.0 anchor: P4="
+        self._put(monkeypatch, "f", *binormal._split_template(template))
+        return "f", r"pattern f fails its rho=0\.0 anchor: P4="
 
     def _identity(self, monkeypatch):
         # q has no anchor of its own; only W_h = W_q can catch it
-        monkeypatch.setitem(binormal._PATTERNS, "q", binormal._PATTERNS["c"])
-        return r"W-identities violated at rho=0\.0"
+        self._put(monkeypatch, "q", *binormal._PATTERNS["c"])
+        return "q", r"W-identities violated at rho=0\.0"
 
     def _anchor(self, monkeypatch):
         monkeypatch.setitem(_ANCHORS_W_RHO1, "g", Fraction(1, 4))
-        return r"pattern g fails its rho=1\.0 anchor: W=0\.333"
+        return None, r"pattern g fails its rho=1\.0 anchor: W=0\.333"
 
     def _nan_anchor(self, monkeypatch):
         monkeypatch.setitem(_ANCHORS_W_RHO1, "g", float("nan"))
-        return r"pattern g fails its rho=1\.0 anchor: W=0\.333.*expected nan"
+        return None, (r"pattern g fails its rho=1\.0 anchor: "
+                      r"W=0\.333.*expected nan")
+
+    @staticmethod
+    def _entry(entry, capsys):
+        """(letters the entry point reads, a run of it that returns its
+        outcome: the float bits or text it gives, or the error it raises)."""
+        labels = "".join(binormal._PATTERNS)
+
+        def call():
+            if entry == "tables":
+                code = main(["tables", "--grid", "0(0.5)1"])
+                return code, capsys.readouterr()
+            if entry == "omegas":
+                return [list(map(float.hex, astuple(v)))
+                        for v in omegas([0.3, 1.0])]
+            return {c: float.hex(w) for c, w in pattern_w(labels, 0.3).items()}
+
+        def run():
+            try:
+                return call()
+            except Exception as exc:  # an error is an outcome too
+                return repr(exc)
+
+        return (labels if entry == "pattern_w" else _OMEGA_LETTERS), run
 
     @pytest.mark.parametrize("fault", ["_not_psd", "_wrong_index",
                                        "_identity", "_anchor", "_nan_anchor"])
-    def test_fault_fails_the_check(self, fault, monkeypatch):
-        message = getattr(self, fault)(monkeypatch)
+    @pytest.mark.parametrize("entry", ["omegas", "pattern_w", "tables"])
+    def test_fault_stops_first_pass(self, fault, entry, monkeypatch, capsys):
+        reads, run = self._entry(entry, capsys)
+        monkeypatch.setattr("rankmoments.binormal._omega_cache", {})
+        clean = run()
+        binormal._omega_cache.clear()
+        letter, message = getattr(self, fault)(monkeypatch)
         with pytest.raises(AssertionError, match=message):
             _check_templates()
+        assert (run() != clean) == (letter is not None and letter in reads)
 
 
 class TestFirstPass:
