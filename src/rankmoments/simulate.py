@@ -16,25 +16,26 @@ their estimates from estimators.estimates, the bodies that single
 samples and the estimate command use too.
 
 The whole campaign is one stream of (n, block, rho) jobs, rho
-innermost, so that consecutive jobs share a draw: the first of them to
-run makes it, and the last to end drops it. Worker threads compute the
+innermost, made on the main thread: it makes each (n, block) draw once
+and passes it to the block's rho jobs by reference, so the draw is
+freed when the last job that holds it ends. Worker threads compute the
 jobs, at most two per worker ahead of the job the main thread is
 reducing, so the pool does not drain at a block boundary and at most
 that many results, and the draws they use, are held. A campaign of one
-job runs on the main thread. The main thread takes the results in job
-order: a cell's first block gives the shift (its means), and every
-block of the cell adds raw power sums shifted by it. So the final
-reduction reproduces two-pass central moments to near machine precision
-while remaining a fixed-order sum of per-block contributions, and the
-blocks themselves never wait for the shift. Cells and rows come out in
-the config's order, rho outer and n inner.
+job, or of one worker, runs on the main thread. The main thread takes
+the results in job order: a cell's first block gives the shift (its
+means), and every block of the cell adds raw power sums shifted by it.
+So the final reduction reproduces two-pass central moments to near
+machine precision while remaining a fixed-order sum of per-block
+contributions, and the blocks themselves never wait for the shift.
+Cells and rows come out in the config's order, rho outer and n inner.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -76,6 +77,11 @@ class ExperimentConfig:
             raise DomainError(f"unknown model {self.model!r}")
         if self.model == "contaminated" and self.contamination is None:
             raise DomainError("contaminated model needs ContaminationParams")
+        if len(self.rho_grid) == 0 or len(self.n_list) == 0:
+            raise DomainError("rho_grid and n_list must not be empty")
+        if not all(isinstance(v, numbers.Integral)
+                   for v in (self.trials, self.seed, *self.n_list)):
+            raise DomainError("n, trials and seed must be integers")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if any(n < 4 for n in self.n_list):
@@ -153,9 +159,13 @@ class TrialReport:
 
 
 def threads_limit() -> int:
-    """Worker thread count, capped by the RANKMOMENTS_THREADS variable."""
+    """Worker thread count: the CPUs this process may run on, at most 8,
+    capped by the RANKMOMENTS_THREADS variable."""
     cap = os.environ.get("RANKMOMENTS_THREADS")
-    avail = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        avail = len(os.sched_getaffinity(0))
+    else:
+        avail = os.cpu_count() or 1
     if cap is None:
         return min(avail, 8)
     try:
@@ -240,52 +250,30 @@ def _finalize(total_sums: dict, trials: int, shifts: dict
     return series, cov, se_cov
 
 
-class _SharedDraw:
-    """The draw of one (n, block), shared by the block's jobs, one per rho.
-
-    The first job to take it makes it, under the lock; the last to end
-    drops it, so only draws that a job still needs are alive.
-    """
-
-    def __init__(self, config: ExperimentConfig, n: int, n_idx: int,
-                 block_idx: int, size: int, users: int):
-        self.config, self.n, self.size = config, n, size
-        self.n_idx, self.block_idx = n_idx, block_idx
-        self.users = users
-        self._left = users
-        self._draw = None
-        self._lock = threading.Lock()
-
-    def take(self) -> tuple:
-        with self._lock:
-            if self._draw is None:
-                seq = np.random.SeedSequence(
-                    entropy=self.config.seed,
-                    spawn_key=(self.n_idx, self.block_idx))
-                stream = np.random.Generator(np.random.Philox(seq))
-                if self.config.model == "binormal":
-                    self._draw = sample_binormal_block(self.n, stream,
-                                                       self.size)
-                else:
-                    self._draw = sample_contaminated_block(
-                        self.config.contamination, self.n, stream, self.size)
-            return self._draw
-
-    def done(self) -> None:
-        with self._lock:
-            self._left -= 1
-            if self._left == 0:
-                self._draw = None
+def _jobs(config: ExperimentConfig, sizes: list, grid: list):
+    """(draw, rho, in_place) for every (n, block, rho), rho innermost:
+    each (n, block) draw is made once and shared by its rho jobs."""
+    in_place = len(grid) == 1        # no other rho reads the draw's v
+    for j, n in enumerate(config.n_list):
+        for b, size in enumerate(sizes):
+            seq = np.random.SeedSequence(entropy=config.seed,
+                                         spawn_key=(j, b))
+            stream = np.random.Generator(np.random.Philox(seq))
+            if config.model == "binormal":
+                draw = sample_binormal_block(int(n), stream, size)
+            else:
+                draw = sample_contaminated_block(config.contamination,
+                                                 int(n), stream, size)
+            for rho in grid:
+                yield draw, rho, in_place
+            del draw        # before the next draw: only its jobs hold it
 
 
-def _cell_block(shared: _SharedDraw, rho: float) -> dict:
-    """Every series of one rho's trials on a shared (n, block) draw."""
-    try:
-        x, y = _pairs(shared.take(), rho, in_place=shared.users == 1)
-        r_p, r_s, r_k = coefficients_rows(x, y)
-    finally:
-        shared.done()
-    return {"r_s": r_s, "r_k": r_k, **estimates(r_p, r_s, r_k, shared.n)}
+def _cell_block(draw: tuple, rho: float, in_place: bool) -> dict:
+    """Every series of one rho's trials on an (n, block) draw."""
+    x, y = _pairs(draw, rho, in_place)
+    r_p, r_s, r_k = coefficients_rows(x, y)
+    return {"r_s": r_s, "r_k": r_k, **estimates(r_p, r_s, r_k, x.shape[1])}
 
 
 def _in_order(pool, fn, jobs: list, window: int):
@@ -319,29 +307,26 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
     sizes = [_BLOCK] * (n_blocks - 1) + [trials - _BLOCK * (n_blocks - 1)]
     grid = [float(rho) for rho in config.rho_grid]
-    # (n, block, rho) order, rho innermost: consecutive jobs share a draw
-    jobs = []
-    for j, n in enumerate(config.n_list):
-        for b, size in enumerate(sizes):
-            shared = _SharedDraw(config, int(n), j, b, size, len(grid))
-            jobs.extend((shared, rho) for rho in grid)
-    workers = min(threads_limit(), len(jobs))
+    # (rho index, n index, block index) of each job, in _jobs' order
+    keys = [(i, j, b) for j in range(len(config.n_list))
+            for b in range(n_blocks) for i in range(len(grid))]
+    workers = min(threads_limit(), len(keys))
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     sums = {}               # (rho index, n index) -> (shifts, sums)
     try:
+        jobs = _jobs(config, sizes, grid)
         if pool is None:
             blocks = starmap(_cell_block, jobs)
         else:
             blocks = _in_order(pool, _cell_block, jobs, 2 * workers)
-        for k, ((shared, _), values) in enumerate(zip(jobs, blocks)):
-            key = (k % len(grid), shared.n_idx)
-            if shared.block_idx == 0:
+        for (i, j, b), values in zip(keys, blocks):
+            if b == 0:
                 shifts = {name: float(arr.mean())
                           for name, arr in values.items()}
-                sums[key] = (shifts, _block_sums(values, shifts))
+                sums[i, j] = (shifts, _block_sums(values, shifts))
                 continue
             # fixed reduction order: a cell's blocks arrive in block order
-            shifts, total = sums[key]
+            shifts, total = sums[i, j]
             for name, block in _block_sums(values, shifts).items():
                 total[name] = tuple(a + c for a, c in zip(total[name], block))
     finally:

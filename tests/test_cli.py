@@ -668,13 +668,16 @@ class TestSimulate:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_memory_limit_exit_5(self, threads):
-        # a 6 GB block under a 2 GB address-space limit, set in the child
-        # only; two cells of two blocks, so at two threads the MemoryError
-        # is raised in a pool worker and re-raised from its future
+        # a 6 GB draw under a 2 GB address-space limit, set in the child
+        # only; two cells of two blocks, so at two threads the pool is
+        # made and the first draw, on the main thread, fails before any
+        # job is submitted (a MemoryError raised in a pool worker:
+        # test_simulate.py::test_failed_block_stops_the_stream)
         pytest.importorskip("resource")
         child = ("import os, resource, sys\n"
                  "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
                  "os.cpu_count = lambda: 4\n"
+                 "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
                  "from rankmoments.cli import main\n"
                  "sys.exit(main(sys.argv[1:]))\n")
         env = dict(os.environ, RANKMOMENTS_THREADS=threads,

@@ -1,5 +1,6 @@
 import math
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,34 @@ def small_config(**kw):
                 trials=10000, seed=123)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def four_cpus(monkeypatch):
+    """Let threads_limit() see four usable CPUs, so that a 1-core host
+    runs the pool too."""
+    from rankmoments import simulate
+
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(simulate.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2, 3}, raising=False)
+
+
+def tracked_draws(monkeypatch):
+    """Patch both samplers to append each draw they make to the list
+    returned, in the order made: (n index, block index) order."""
+    from rankmoments import simulate
+
+    draws = []
+    for name in ("sample_binormal_block", "sample_contaminated_block"):
+        def tracked(*args, _sample=getattr(simulate, name)):
+            draws.append(_sample(*args))
+            return draws[-1]
+        monkeypatch.setattr(simulate, name, tracked)
+    return draws
+
+
+def draw_index(draws, draw):
+    return next(k for k, d in enumerate(draws) if d is draw)
 
 
 def binormal_pairs(rho, n, rng, size):
@@ -80,24 +109,23 @@ class TestDeterminism:
         assert a.rows == b.rows
 
     def test_worker_count_irrelevant(self, monkeypatch):
-        # several cells of several blocks, the last one short; the CPU
-        # count is raised so that a 1-core host runs the pool too
+        # several cells of several blocks, the last one short
         from rankmoments import simulate
 
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+        four_cpus(monkeypatch)
+        draws = tracked_draws(monkeypatch)
         cell_block, block_sums = simulate._cell_block, simulate._block_sums
         grid = (-0.4, 0.3, 0.8)
         block_threads = set()
         ahead = []      # per block: its job index less the blocks reduced
         reduced = []
 
-        def traced_block(shared, rho):
+        def traced_block(draw, rho, in_place):
             block_threads.add(threading.current_thread().name)
-            # jobs run in (n, block, rho) order
-            job = ((shared.n_idx * 3 + shared.block_idx) * 3
-                   + grid.index(rho))
+            # jobs run in (n, block, rho) order, and draws in (n, block)
+            job = draw_index(draws, draw) * 3 + grid.index(rho)
             ahead.append(job - len(reduced))
-            return cell_block(shared, rho)
+            return cell_block(draw, rho, in_place)
 
         def counted_sums(values, shifts):
             reduced.append(1)
@@ -114,6 +142,7 @@ class TestDeterminism:
             rows = {}
             for workers in (1, 2, 3):
                 monkeypatch.setenv("RANKMOMENTS_THREADS", str(workers))
+                draws.clear()
                 block_threads.clear()
                 ahead.clear()
                 reduced.clear()
@@ -132,17 +161,18 @@ class TestDeterminism:
     def test_failed_block_stops_the_stream(self, monkeypatch):
         from rankmoments import simulate
 
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+        four_cpus(monkeypatch)
         monkeypatch.setenv("RANKMOMENTS_THREADS", "2")
+        draws = tracked_draws(monkeypatch)
         cell_block = simulate._cell_block
         grid = (0.1, 0.2, 0.3, 0.4, 0.5)
         calls = []
 
-        def failing_block(shared, rho):
-            calls.append((grid.index(rho), shared.block_idx))
+        def failing_block(draw, rho, in_place):
+            calls.append((grid.index(rho), draw_index(draws, draw)))
             if calls[-1] == (1, 1):
                 raise MemoryError("block (1, 1)")
-            return cell_block(shared, rho)
+            return cell_block(draw, rho, in_place)
 
         monkeypatch.setattr(simulate, "_cell_block", failing_block)
         before = set(threading.enumerate())
@@ -154,6 +184,41 @@ class TestDeterminism:
         # of 2 * 2 jobs in flight then ended at job 9, and the rest of
         # the stream never ran
         assert (1, 1) in calls and len(calls) <= 6 + 4
+
+    def test_failed_draw_stops_the_stream(self, monkeypatch):
+        # the draw of block 1 fails on the main thread while jobs of
+        # block 0 are still in flight: the window is 4 jobs, the grid 5
+        from rankmoments import simulate
+
+        four_cpus(monkeypatch)
+        monkeypatch.setenv("RANKMOMENTS_THREADS", "2")
+        sample = simulate.sample_binormal_block
+        cell_block = simulate._cell_block
+        made = []           # a weakref to each draw's x
+        ran = []            # the rho of each job run
+
+        def failing_sample(n, stream, size):
+            if made:
+                raise MemoryError("draw of block 1")
+            draw = sample(n, stream, size)
+            made.append(weakref.ref(draw[0]))
+            return draw
+
+        def counted_block(draw, rho, in_place):
+            ran.append(rho)
+            return cell_block(draw, rho, in_place)
+
+        monkeypatch.setattr(simulate, "sample_binormal_block", failing_sample)
+        monkeypatch.setattr(simulate, "_cell_block", counted_block)
+        before = set(threading.enumerate())
+        cfg = small_config(rho_grid=(0.1, 0.2, 0.3, 0.4, 0.5), n_list=(10,),
+                           trials=3 * 4096)
+        with pytest.raises(MemoryError, match="draw of block 1"):
+            run_experiment(cfg)
+        assert set(threading.enumerate()) == before
+        # only block 0 was drawn, so only its five jobs can have run
+        assert 0 < len(ran) <= 5
+        assert made[0]() is None
 
     def test_seed_changes_results(self):
         a = run_experiment(small_config(seed=1))
@@ -193,24 +258,61 @@ class TestCommonRandomNumbers:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_one_draw_per_n_and_block(self, monkeypatch, workers):
-        from rankmoments import simulate
-
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)
+        four_cpus(monkeypatch)
         monkeypatch.setenv("RANKMOMENTS_THREADS", workers)
-        draws = []
-        for name in ("sample_binormal_block", "sample_contaminated_block"):
-            def counted(*args, _sample=getattr(simulate, name)):
-                draws.append(args[-2:])         # (stream, size)
-                return _sample(*args)
-            monkeypatch.setattr(simulate, name, counted)
+        draws = tracked_draws(monkeypatch)
         for model in ("binormal", "contaminated"):
             draws.clear()
             cfg = small_config(model=model, rho_grid=(-0.4, 0.3, 0.8, 1.0),
                                n_list=(10, 65), trials=2 * 4096 + 7,
                                contamination=self.CONT)
             run_experiment(cfg)
-            # len(n_list) x blocks, not x len(rho_grid)
-            assert sorted(size for _, size in draws) == [7, 7] + [4096] * 4
+            # len(n_list) x blocks, not x len(rho_grid), in (n, block) order
+            assert [d[0].shape for d in draws] == [
+                (size, n) for n in (10, 65) for size in (4096, 4096, 7)]
+
+    @pytest.mark.parametrize("grid", [(0.3,), (-0.4, 0.8),
+                                      (0.1, 0.2, 0.3, 0.4, 0.5)])
+    def test_draws_freed_by_reference(self, monkeypatch, grid):
+        # a draw lives while a job in flight or the job stream holds it,
+        # so the 2 * workers jobs in flight span all the draws alive
+        from rankmoments import simulate
+
+        four_cpus(monkeypatch)
+        monkeypatch.setenv("RANKMOMENTS_THREADS", "2")
+        sample = simulate.sample_binormal_block
+        cell_block = simulate._cell_block
+        made = []           # a weakref to each draw's x
+        alive = []          # per job: the draws alive when it started
+        fail_at = None
+
+        def tracked_sample(*args):
+            draw = sample(*args)
+            made.append(weakref.ref(draw[0]))
+            return draw
+
+        def counted_block(draw, rho, in_place):
+            alive.append(sum(r() is not None for r in made))
+            if len(alive) == fail_at:
+                raise MemoryError("job")
+            return cell_block(draw, rho, in_place)
+
+        monkeypatch.setattr(simulate, "sample_binormal_block", tracked_sample)
+        monkeypatch.setattr(simulate, "_cell_block", counted_block)
+        cfg = small_config(rho_grid=grid, n_list=(10, 20), trials=3 * 4096 + 5)
+        spanned = math.ceil(2 * 2 / len(grid)) + 1
+        report = run_experiment(cfg)
+        assert len(made) == 8 and len(alive) == 8 * len(grid)
+        assert max(alive) <= spanned
+        assert [r() for r in made] == [None] * 8
+        assert len(report.cells) == 2 * len(grid)
+        for fail_at in (1, 4 * len(grid) + 1):
+            made.clear()
+            alive.clear()
+            with pytest.raises(MemoryError, match="job"):
+                run_experiment(cfg)
+            assert max(alive) <= spanned
+            assert [r() for r in made] == [None] * len(made)
 
     def test_contaminated_transform_matches_where_formula(self):
         # 150 seeded draws, some of several transform chunks (32 rows at
@@ -240,7 +342,7 @@ class TestCommonRandomNumbers:
 
 class TestStreamingMoments:
     def test_matches_two_pass(self):
-        from rankmoments.simulate import _BLOCK, _cell_block, _SharedDraw
+        from rankmoments.simulate import _BLOCK, _cell_block, _jobs
 
         cfg = small_config(trials=10000)
         report = run_experiment(cfg)
@@ -249,9 +351,7 @@ class TestStreamingMoments:
         # regenerate the identical trial values and compute the moments
         # with plain two-pass numpy as the reference
         sizes = [_BLOCK, _BLOCK, cfg.trials - 2 * _BLOCK]
-        n_blocks = len(sizes)
-        blocks = [_cell_block(_SharedDraw(cfg, 10, 0, i, sizes[i], 1), 0.3)
-                  for i in range(n_blocks)]
+        blocks = [_cell_block(*job) for job in _jobs(cfg, sizes, [0.3])]
         pooled = {name: np.concatenate([b[name] for b in blocks])
                   for name in blocks[0]}
         for name, s in cell.series.items():
@@ -360,6 +460,15 @@ class TestGuards:
         with pytest.raises(DomainError):
             ExperimentConfig(model="contaminated", rho_grid=(0.5,),
                              n_list=(10,), trials=10, seed=0)
+        # a non-integer n, trials or seed, or an empty grid or n list,
+        # is refused before it can run some other cell or none
+        for bad in (dict(n_list=(10.5,)), dict(n_list=(10, 20.0)),
+                    dict(trials=2.5), dict(seed=1.5), dict(seed="1"),
+                    dict(rho_grid=()), dict(n_list=())):
+            with pytest.raises(DomainError):
+                small_config(**bad)
+        small_config(rho_grid=np.array([0.3]), n_list=np.array([10]),
+                     trials=np.int32(100), seed=np.uint64(2 ** 63))
 
     def test_threads_env(self, monkeypatch):
         monkeypatch.setenv("RANKMOMENTS_THREADS", "2")
@@ -370,6 +479,27 @@ class TestGuards:
         monkeypatch.setenv("RANKMOMENTS_THREADS", "0")
         with pytest.raises(DomainError):
             threads_limit()
+
+    def test_threads_follow_the_affinity(self, monkeypatch):
+        # the CPUs this process may run on, not the host's
+        from rankmoments import simulate
+
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity",
+                            lambda pid: {3}, raising=False)
+        monkeypatch.delenv("RANKMOMENTS_THREADS", raising=False)
+        assert threads_limit() == 1
+        monkeypatch.setenv("RANKMOMENTS_THREADS", "4")
+        assert threads_limit() == 1
+        monkeypatch.setattr(simulate.os, "sched_getaffinity",
+                            lambda pid: set(range(12)))
+        assert threads_limit() == 4
+        monkeypatch.delenv("RANKMOMENTS_THREADS")
+        assert threads_limit() == 8
+        # where the platform has no affinity call, the CPU count
+        monkeypatch.delattr(simulate.os, "sched_getaffinity")
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        assert threads_limit() == 3
 
 
 def test_report_csv_shape():
