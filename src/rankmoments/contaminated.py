@@ -118,8 +118,8 @@ def sample_contaminated_block(params: ContaminationParams, n: int,
                               stream: np.random.Generator, size: int) -> tuple:
     """Draw `size` samples of n pairs from the mixture, for every rho:
     simulate makes one such draw per (n, block) and passes it to the
-    block's rho jobs by reference; a job writes its y over v only when
-    no other rho reads the draw.
+    block's rho jobs by reference, or on a grid of one rho lets the
+    block's one job make it and write its y over v.
 
     Returns the draw (x, v, mask, y_masked): x and v have shape
     (size, n), and mask is True where a pair came from the contaminant.

@@ -16,18 +16,23 @@ their estimates from estimators.estimates, the bodies that single
 samples and the estimate command use too.
 
 The whole campaign is one stream of (n, block, rho) jobs, rho
-innermost, made on the main thread: it makes each (n, block) draw once
-and passes it to the block's rho jobs by reference, so the draw is
-freed when the last job that holds it ends. Worker threads compute the
-jobs, at most two per worker ahead of the job the main thread is
-reducing, so the pool does not drain at a block boundary and at most
-that many results, and the draws they use, are held. A campaign of one
-job, or of one worker, runs on the main thread. The main thread takes
-the results in job order: a cell's first block gives the shift (its
-means), and every block of the cell adds raw power sums shifted by it.
-So the final reduction reproduces two-pass central moments to near
-machine precision while remaining a fixed-order sum of per-block
-contributions, and the blocks themselves never wait for the shift.
+innermost, made on the main thread. On a grid of several rho it makes
+each (n, block) draw once and passes it to the block's rho jobs by
+reference, so the draw is freed when the last job that holds it ends.
+On a grid of one rho no job shares a draw, so each job makes its own
+on its worker: draws are made in parallel and a queued job holds none.
+Worker threads compute the jobs, at most two per worker ahead of the
+job the main thread is reducing, so the pool does not drain at a block
+boundary and at most that many results are held. So at most
+ceil(2 workers / len(grid)) + 1 draws are alive on a grid of several
+rho, which is at most workers + 1, and at most workers on a grid of
+one. A campaign of one job, or of one worker, runs on the main thread.
+The main thread takes the results in job order: a cell's first block
+gives the shift (its means), and every block of the cell adds raw power
+sums shifted by it. So the final reduction reproduces two-pass central
+moments to near machine precision while remaining a fixed-order sum of
+per-block contributions, and the blocks themselves never wait for the
+shift.
 Cells and rows come out in the config's order, rho outer and n inner.
 """
 
@@ -39,6 +44,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import starmap
 
 import numpy as np
@@ -250,27 +256,39 @@ def _finalize(total_sums: dict, trials: int, shifts: dict
     return series, cov, se_cov
 
 
-def _jobs(config: ExperimentConfig, sizes: list, grid: list):
-    """(draw, rho, in_place) for every (n, block, rho), rho innermost:
-    each (n, block) draw is made once and shared by its rho jobs."""
-    in_place = len(grid) == 1        # no other rho reads the draw's v
-    for j, n in enumerate(config.n_list):
-        for b, size in enumerate(sizes):
-            seq = np.random.SeedSequence(entropy=config.seed,
-                                         spawn_key=(j, b))
-            stream = np.random.Generator(np.random.Philox(seq))
-            if config.model == "binormal":
-                draw = sample_binormal_block(int(n), stream, size)
-            else:
-                draw = sample_contaminated_block(config.contamination,
-                                                 int(n), stream, size)
-            for rho in grid:
-                yield draw, rho, in_place
+def _draw(config: ExperimentConfig, j: int, b: int, size: int) -> tuple:
+    """The draw of n index j and block index b: `size` samples from the
+    Philox stream of (j, b)."""
+    seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(j, b))
+    stream = np.random.Generator(np.random.Philox(seq))
+    n = int(config.n_list[j])
+    if config.model == "binormal":
+        return sample_binormal_block(n, stream, size)
+    return sample_contaminated_block(config.contamination, n, stream, size)
+
+
+def _jobs(config: ExperimentConfig, sizes: list, grid: list, keys: list):
+    """(draw, rho, in_place) for each (rho index, n index, block index)
+    key, rho innermost. With several rho the (n, block) draw is made
+    here, once, and shared by its rho jobs; with one rho there is
+    nothing to share, so the job gets the means to make its draw, and
+    writes its y over v."""
+    for i, j, b in keys:
+        if len(grid) == 1:
+            yield partial(_draw, config, j, b, sizes[b]), grid[0], True
+            continue
+        if i == 0:
+            draw = _draw(config, j, b, sizes[b])
+        yield draw, grid[i], False
+        if i == len(grid) - 1:
             del draw        # before the next draw: only its jobs hold it
 
 
-def _cell_block(draw: tuple, rho: float, in_place: bool) -> dict:
-    """Every series of one rho's trials on an (n, block) draw."""
+def _cell_block(draw, rho: float, in_place: bool) -> dict:
+    """Every series of one rho's trials on an (n, block) draw, or on the
+    draw that the function `draw` makes."""
+    if callable(draw):
+        draw = draw()
     x, y = _pairs(draw, rho, in_place)
     r_p, r_s, r_k = coefficients_rows(x, y)
     return {"r_s": r_s, "r_k": r_k, **estimates(r_p, r_s, r_k, x.shape[1])}
@@ -307,19 +325,19 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
     sizes = [_BLOCK] * (n_blocks - 1) + [trials - _BLOCK * (n_blocks - 1)]
     grid = [float(rho) for rho in config.rho_grid]
-    # (rho index, n index, block index) of each job, in _jobs' order
+    # (rho index, n index, block index) of each job, in job order
     keys = [(i, j, b) for j in range(len(config.n_list))
             for b in range(n_blocks) for i in range(len(grid))]
     workers = min(threads_limit(), len(keys))
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     sums = {}               # (rho index, n index) -> (shifts, sums)
     try:
-        jobs = _jobs(config, sizes, grid)
+        jobs = _jobs(config, sizes, grid, keys)
         if pool is None:
             blocks = starmap(_cell_block, jobs)
         else:
             blocks = _in_order(pool, _cell_block, jobs, 2 * workers)
-        for (i, j, b), values in zip(keys, blocks):
+        for (i, j, b), values in zip(keys, blocks, strict=True):
             if b == 0:
                 shifts = {name: float(arr.mean())
                           for name, arr in values.items()}

@@ -669,10 +669,10 @@ class TestSimulate:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_memory_limit_exit_5(self, threads):
         # a 6 GB draw under a 2 GB address-space limit, set in the child
-        # only; two cells of two blocks, so at two threads the pool is
-        # made and the first draw, on the main thread, fails before any
-        # job is submitted (a MemoryError raised in a pool worker:
-        # test_simulate.py::test_failed_block_stops_the_stream)
+        # only; two blocks per cell, so at two threads the pool is made.
+        # On the grid of two rho the first draw, on the main thread,
+        # fails before any job is submitted; at one rho each job makes
+        # its own draw, so it fails in a pool worker
         pytest.importorskip("resource")
         child = ("import os, resource, sys\n"
                  "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"
@@ -684,13 +684,14 @@ class TestSimulate:
                    OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "simulate", "--grid", "0.3(0.2)0.5",
-             "--n", "100000", "--trials", "8192", "--seed", "1"],
-            env=env, capture_output=True, text=True, check=False)
-        assert (proc.returncode, proc.stdout) == (5, "")
-        assert proc.stderr.startswith("resource limit: Unable to allocate")
-        assert proc.stderr.count("\n") == 1
+        for rho in (["--grid", "0.3(0.2)0.5"], ["--rho", "0.3"]):
+            proc = subprocess.run(
+                [sys.executable, "-c", child, "simulate", *rho,
+                 "--n", "100000", "--trials", "8192", "--seed", "1"],
+                env=env, capture_output=True, text=True, check=False)
+            assert (proc.returncode, proc.stdout) == (5, "")
+            assert proc.stderr.startswith("resource limit: Unable to allocate")
+            assert proc.stderr.count("\n") == 1
 
 
 class TestAre:

@@ -274,8 +274,10 @@ class TestCommonRandomNumbers:
     @pytest.mark.parametrize("grid", [(0.3,), (-0.4, 0.8),
                                       (0.1, 0.2, 0.3, 0.4, 0.5)])
     def test_draws_freed_by_reference(self, monkeypatch, grid):
-        # a draw lives while a job in flight or the job stream holds it,
-        # so the 2 * workers jobs in flight span all the draws alive
+        # on a grid of several rho a draw lives while a job in flight or
+        # the job stream holds it, so the 2 * workers jobs in flight span
+        # all the draws alive; on a grid of one, each job makes its own
+        # draw on its worker, so only the running jobs hold draws
         from rankmoments import simulate
 
         four_cpus(monkeypatch)
@@ -283,35 +285,44 @@ class TestCommonRandomNumbers:
         sample = simulate.sample_binormal_block
         cell_block = simulate._cell_block
         made = []           # a weakref to each draw's x
-        alive = []          # per job: the draws alive when it started
+        alive = []          # the draws alive at each draw and job start
+        drawn_on = set()    # the threads that made draws
         fail_at = None
+
+        def count_alive():
+            alive.append(sum(r() is not None for r in made))
 
         def tracked_sample(*args):
             draw = sample(*args)
             made.append(weakref.ref(draw[0]))
+            drawn_on.add(threading.current_thread().name)
+            count_alive()
             return draw
 
         def counted_block(draw, rho, in_place):
-            alive.append(sum(r() is not None for r in made))
-            if len(alive) == fail_at:
+            count_alive()
+            if len(alive) >= fail_at:
                 raise MemoryError("job")
             return cell_block(draw, rho, in_place)
 
         monkeypatch.setattr(simulate, "sample_binormal_block", tracked_sample)
         monkeypatch.setattr(simulate, "_cell_block", counted_block)
         cfg = small_config(rho_grid=grid, n_list=(10, 20), trials=3 * 4096 + 5)
-        spanned = math.ceil(2 * 2 / len(grid)) + 1
+        bound = 2 if len(grid) == 1 else math.ceil(2 * 2 / len(grid)) + 1
+        main = threading.current_thread().name
+        fail_at = math.inf
         report = run_experiment(cfg)
-        assert len(made) == 8 and len(alive) == 8 * len(grid)
-        assert max(alive) <= spanned
+        assert len(made) == 8 and len(alive) == 8 + 8 * len(grid)
+        assert max(alive) <= bound
+        assert (main in drawn_on) == (len(grid) > 1)
         assert [r() for r in made] == [None] * 8
         assert len(report.cells) == 2 * len(grid)
-        for fail_at in (1, 4 * len(grid) + 1):
+        for fail_at in (1, 3 * len(grid) + 1):
             made.clear()
             alive.clear()
             with pytest.raises(MemoryError, match="job"):
                 run_experiment(cfg)
-            assert max(alive) <= spanned
+            assert max(alive) <= bound
             assert [r() for r in made] == [None] * len(made)
 
     def test_contaminated_transform_matches_where_formula(self):
@@ -342,7 +353,7 @@ class TestCommonRandomNumbers:
 
 class TestStreamingMoments:
     def test_matches_two_pass(self):
-        from rankmoments.simulate import _BLOCK, _cell_block, _jobs
+        from rankmoments.simulate import _BLOCK, _cell_block, _draw
 
         cfg = small_config(trials=10000)
         report = run_experiment(cfg)
@@ -351,7 +362,8 @@ class TestStreamingMoments:
         # regenerate the identical trial values and compute the moments
         # with plain two-pass numpy as the reference
         sizes = [_BLOCK, _BLOCK, cfg.trials - 2 * _BLOCK]
-        blocks = [_cell_block(*job) for job in _jobs(cfg, sizes, [0.3])]
+        blocks = [_cell_block(_draw(cfg, 0, b, size), 0.3, False)
+                  for b, size in enumerate(sizes)]
         pooled = {name: np.concatenate([b[name] for b in blocks])
                   for name in blocks[0]}
         for name, s in cell.series.items():
