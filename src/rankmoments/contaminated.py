@@ -117,17 +117,15 @@ def rival_formula_star(params: ContaminationParams) -> float:
 def sample_contaminated_block(params: ContaminationParams, n: int,
                               stream: np.random.Generator, size: int) -> tuple:
     """Draw `size` samples of n pairs from the mixture, for every rho:
-    simulate makes one such draw per (n, block) and passes it to the
-    block's rho jobs by reference, or on a grid of one rho lets the
-    block's one job make it and write its y over v.
+    simulate makes such a draw per (n, block), once for each group of rho
+    it cuts the grid into, and computes each rho's cell from it.
 
-    Returns the draw (x, v, mask, y_masked): x and v have shape
-    (size, n), and mask is True where a pair came from the contaminant.
-    For standard normals u and v, x is u, or lambda_x u on the mask. Off
-    the mask a rho's y is sqrt(1 - rho^2) v + rho x (simulate._pairs).
-    On the mask y does not depend on rho: y_masked holds
-    lambda_y (rho' u + sqrt(1 - rho'^2) v) for the mask's entries, in
-    row-major order. params.rho is not read.
+    Returns the draw (x, v, mask): x and v have shape (size, n), and mask
+    is True where a pair came from the contaminant. For standard normals
+    u and v, x is u, or lambda_x u on the mask. Off the mask a rho's y is
+    sqrt(1 - rho^2) v + rho x (simulate._YRows). On the mask y does not
+    depend on rho, and v holds it: lambda_y (rho' u + sqrt(1 - rho'^2) v)
+    of that entry's own u and v. params.rho is not read.
     """
     if n < 1 or size < 1:
         raise DomainError("n and size must be positive")
@@ -141,4 +139,5 @@ def sample_contaminated_block(params: ContaminationParams, n: int,
     y_masked *= params.lambda_y
     u_masked *= params.lambda_x
     x[mask] = u_masked
-    return x, v, mask, y_masked
+    v[mask] = y_masked
+    return x, v, mask

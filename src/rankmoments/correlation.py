@@ -78,27 +78,40 @@ def _tied(s: np.ndarray) -> bool:
     return bool((s[:, 1:] == s[:, :-1]).any())
 
 
+def _x_order(x: np.ndarray, kind: str | None = None
+             ) -> tuple[np.ndarray, str | None]:
+    """(at, kind) for a (b, n) array x: at[i] the positions in x.ravel()
+    of row i in ascending order, and the sort kind that the y of this x
+    take. The sort is numpy's default (unstable, SIMD where the CPU has
+    it) unless a row of x holds a tie; then x and every y are sorted
+    stably, so that tied x rank in input order."""
+    b, n = x.shape
+    at = np.argsort(x, axis=1, kind=kind)
+    at += np.arange(0, b * n, n)[:, None]
+    if kind is None and _tied(x.ravel()[at]):
+        return _x_order(x, "stable")
+    return at, kind
+
+
 def _permutation_rows(x: np.ndarray, y: np.ndarray,
-                      kind: str | None = None) -> np.ndarray:
+                      x_order: tuple | None = None) -> np.ndarray:
     """For each row of two (b, n) arrays, the permutation pi of 0..n-1
     with pi[k] the x rank of the observation of y rank k (ranks from 0).
 
-    One argsort puts y in x order, through one flat gather, and a second
-    sorts it. The argsorts are numpy's default (unstable, SIMD where the
-    CPU has it). On tie-free rows every sort gives the same pi. A tie
-    would make pi depend on the sort, so the sorted neighbours are
-    compared, and if any row holds a tie, every row is sorted again
-    stably: tied x then rank in input order, tied y in x order.
+    x's argsort (_x_order, which callers with several y of one x make
+    once) puts y in x order through one flat gather, and a second
+    argsort sorts it. On tie-free rows every sort gives the same pi. A
+    tie would make pi depend on the sort, so the sorted neighbours are
+    compared, and if any row of x or y holds a tie, every row is sorted
+    again stably: tied x then rank in input order, tied y in x order.
     """
-    b, n = x.shape
-    offsets = np.arange(0, b * n, n)[:, None]
-    at = np.argsort(x, axis=1, kind=kind)
-    at += offsets
-    xs = x.ravel()[at]
+    b, n = y.shape
+    at, kind = _x_order(x) if x_order is None else x_order
     yx = y.ravel()[at]
     pi = np.argsort(yx, axis=1, kind=kind)
-    if kind is None and (_tied(xs) or _tied(yx.ravel()[pi + offsets])):
-        return _permutation_rows(x, y, "stable")
+    offsets = np.arange(0, b * n, n)[:, None]
+    if kind is None and _tied(yx.ravel()[pi + offsets]):
+        return _permutation_rows(x, y, _x_order(x, "stable"))
     return pi
 
 
@@ -112,17 +125,21 @@ def _scaled(v: np.ndarray) -> np.ndarray:
     return np.ldexp(v, -np.frexp(top)[1][:, None])
 
 
-def _centred_sums(x: np.ndarray, y: np.ndarray):
-    xc = x - x.mean(axis=1, keepdims=True)
-    yc = y - y.mean(axis=1, keepdims=True)
-    return (xc * yc).sum(axis=1), (xc * xc).sum(axis=1), (yc * yc).sum(axis=1)
+def _centred(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of v less its mean, and the sum of its squares (inf or
+    nan where a row overflows: _pearson_rows then sums it again)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vc = v - v.mean(axis=1, keepdims=True)
+        return vc, (vc * vc).sum(axis=1)
 
 
-def _pearson_rows(x: np.ndarray, y: np.ndarray
+def _pearson_rows(x: np.ndarray, y: np.ndarray,
+                  x_centred: tuple | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Product-moment correlation of each row of two (b, n) arrays (0 where
     the centred sums of squares multiply to 0), and that product's root.
     No BLAS: a row reads the same in any block and on any BLAS kernel.
+    x_centred is _centred(x), for callers with several y of one x.
 
     A power of two scales the centred sums exactly unless one overflows or
     loses terms to underflow. So a row is summed again from _scaled copies
@@ -131,11 +148,16 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray
     product of the two sums is a normal number.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        sxy, sxx, syy = _centred_sums(x, y)
+        xc, sxx = _centred(x) if x_centred is None else x_centred
+        yc, syy = _centred(y)
+        sxy = (xc * yc).sum(axis=1)
         redo = ~((np.minimum(sxx, syy) >= _FLOOR) & (sxx * syy < np.inf))
     if redo.any():
-        sxy[redo], sxx[redo], syy[redo] = _centred_sums(_scaled(x[redo]),
-                                                        _scaled(y[redo]))
+        (xc, sxx_redo), (yc, syy_redo) = (_centred(_scaled(v[redo]))
+                                          for v in (x, y))
+        sxx = sxx.copy()            # x_centred may serve other y too
+        sxy[redo], sxx[redo], syy[redo] = ((xc * yc).sum(axis=1),
+                                           sxx_redo, syy_redo)
     denom = np.sqrt(sxx * syy)
     r_p = np.where(denom > 0, sxy / np.maximum(denom, 1e-300), 0.0)
     return r_p, denom
@@ -192,7 +214,7 @@ def spearman(sample: PairedSample) -> float:
 def inversions_rows(perms: np.ndarray) -> np.ndarray:
     """Inversion count of each row of a (b, n) array of permutations of
     0..n-1, in O(b n log^2 n) time and O(n) memory per chunk;
-    coefficients_rows hands it one chunk at a time.
+    coefficients_rows_each hands it one chunk at a time.
 
     Each row is padded to a power of two with increasing values above n,
     which adds no inversions, and cut into runs of base = min(width, 64).
@@ -272,23 +294,45 @@ def kendall(sample: PairedSample) -> float:
 def coefficients_rows(x: np.ndarray, y: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row (r_P, r_S, r_K) of two (b, n) arrays of tie-free samples,
-    bitwise equal to pearson, spearman and kendall of each row.
+    bitwise equal to pearson, spearman and kendall of each row: the one-y
+    case of coefficients_rows_each."""
+    out = coefficients_rows_each(x, (y,))[0]
+    return out[0], out[1], out[2]
+
+
+def coefficients_rows_each(x: np.ndarray, ys) -> np.ndarray:
+    """Per-row (r_P, r_S, r_K) of a (b, n) array x of tie-free samples
+    against each y of the sequence ys, as a (len(ys), 3, b) array. A y is
+    a (b, n) array, or any object whose row slices y[lo:hi] are the
+    (hi - lo, n) arrays of those rows, so that a caller may make each
+    chunk's y on demand.
 
     The rows go in chunks of the inversion counter's size, so each
-    chunk's arrays are still in cache from Pearson through both counts,
-    and one permutation per row (_permutation_rows) gives r_S and r_K.
-    No value depends on the chunking: r_S and r_K are exact rationals
-    and a row's Pearson sums do not see the other rows.
+    chunk's arrays are still in cache from Pearson through both counts.
+    A chunk's x is sorted, tie-checked and centred once for every y, and
+    one permutation per row of each y (_permutation_rows) gives r_S and
+    r_K. No value depends on the chunking: r_S and r_K are exact
+    rationals and a row's Pearson sums do not see the other rows.
     """
     b, n = x.shape
     rows = _chunk_shape(n)[1]
-    out = np.empty((3, b))
+    out = np.empty((len(ys), 3, b))
     for lo in range(0, b, rows):
-        xs, ys = x[lo:lo + rows], y[lo:lo + rows]
-        pi = _permutation_rows(xs, ys)
-        out[:, lo:lo + rows] = (_pearson_rows(xs, ys)[0], _spearman_rows(pi),
-                                _kendall_rows(pi))
-    return out[0], out[1], out[2]
+        xs = x[lo:lo + rows]
+        x_order, x_centred = _x_order(xs), _centred(xs)
+        for y, cell in zip(ys, out[:, :, lo:lo + rows]):
+            y = y[lo:lo + rows]
+            cell[0] = _pearson_rows(xs, y, x_centred)[0]
+            pi = _permutation_rows(xs, y, x_order)
+            del y
+            cell[1] = _spearman_rows(pi)
+            cell[2] = _kendall_rows(pi)
+        # each array goes once its last reader is done (y before the
+        # counts, a chunk's x side before the next chunk's): scratch that
+        # outlives its use lies under the next scratch, and malloc then
+        # hands the heap top back and faults it in again every chunk
+        del x_order, x_centred
+    return out
 
 
 def inequality_check(rs: float, rk: float, n: int) -> tuple[bool, bool]:

@@ -11,22 +11,25 @@ results are reduced in block order, so the output is bit-identical for
 a given (config, seed) regardless of how many worker threads computed
 the blocks.
 
-Blocks take their coefficients from correlation.coefficients_rows and
+Blocks take their coefficients from correlation.coefficients_rows_each and
 their estimates from estimators.estimates, the bodies that single
 samples and the estimate command use too.
 
-The whole campaign is one stream of (n, block, rho) jobs, rho
-innermost, made on the main thread. On a grid of several rho it makes
-each (n, block) draw once and passes it to the block's rho jobs by
-reference, so the draw is freed when the last job that holds it ends.
-On a grid of one rho no job shares a draw, so each job makes its own
-on its worker: draws are made in parallel and a queued job holds none.
-Worker threads compute the jobs, at most two per worker ahead of the
-job the main thread is reducing, so the pool does not drain at a block
-boundary and at most that many results are held. So at most
-ceil(2 workers / len(grid)) + 1 draws are alive on a grid of several
-rho, which is at most workers + 1, and at most workers on a grid of
-one. A campaign of one job, or of one worker, runs on the main thread.
+The whole campaign is one stream of jobs, one per (n, block) and group
+of rho. The grid is one group unless a job's results would pass
+_JOB_BYTES (4 MB, 14 rho of a full block) or there are fewer (n, block)
+draws than threads: then it is cut into as many groups as either needs,
+and the job of each group makes the (n, block) draw again. A job makes
+its draw on its worker thread and computes each rho cell of its group
+from it: coefficients_rows_each sorts, tie-checks and centres each chunk
+of x once for all the group's rho, and each rho's y is made one chunk of
+rows at a time (_YRows). Worker threads compute the jobs, at most two
+per worker ahead of the job the main thread is reducing, so the pool
+does not drain at a block boundary and at most that many results are
+held. A draw lives only while its job runs, so at most `workers` draws
+are alive on any grid, and while a pool runs the main thread makes
+none. A campaign of one job (one n, one block and one group), or of one
+worker, runs on the main thread.
 The main thread takes the results in job order: a cell's first block
 gives the shift (its means), and every block of the cell adds raw power
 sums shifted by it. So the final reduction reproduces two-pass central
@@ -44,7 +47,6 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import starmap
 
 import numpy as np
@@ -53,7 +55,7 @@ from .binormal import cov_rs_rk_exact, lemma2_moments, omegas, var_rs_exact
 from .contaminated import (ContaminationParams, expected_rk_contaminated,
                            expected_rs_contaminated, rival_formula_star,
                            sample_contaminated_block)
-from .correlation import coefficients_rows
+from .correlation import coefficients_rows_each
 from .errors import DomainError, ResourceError
 from .estimators import (EstimatorKind, bias_theoretical, estimates,
                          variance_theoretical)
@@ -61,10 +63,14 @@ from .estimators import (EstimatorKind, bias_theoretical, estimates,
 _BLOCK = 4096            # trials per block; each block has its own stream
 _BUDGET = 10 ** 9        # cap on trials * n per cell
 _MAX_N = 2 ** 24         # cap on n: one row of one array is 128 MB
-_CHUNK = 2 ** 15         # values per step of the per-rho transform
+# cap on the results of one job: 9 floats per trial and rho (its
+# coefficients and then its series)
+_JOB_BYTES = 2 ** 22
 # absolute slack of every verdict: the sqrt(eps) error of asin near +-1,
 # which a cell of identical trials (se = 0) has no other way to absorb
 _VERDICT_ALLOWANCE = 1e-8
+# the series of a cell, in the order of a block's rows
+_SERIES = ("r_s", "r_k", "pearson", "spearman", "kendall", "mixed")
 
 
 @dataclass(frozen=True)
@@ -186,66 +192,60 @@ def threads_limit() -> int:
 def sample_binormal_block(n: int, stream: np.random.Generator,
                           size: int) -> tuple:
     """Independent standard normals for pairs of any rho, as a draw
-    (x, v, None, None) with x and v of shape (size, n): with a, b = rho,
+    (x, v, None) with x and v of shape (size, n): with a, b = rho,
     sqrt(1 - rho^2), the pairs are (x, b v + a x)."""
     if n < 1:
         raise DomainError("n must be >= 1")
     x, v = stream.standard_normal((2, size, n))
-    return x, v, None, None
+    return x, v, None
 
 
-def _pairs(draw: tuple, rho: float, in_place: bool = False
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) of one rho from a draw (x, v, mask, y_masked): y is
-    sqrt(1 - rho^2) v + rho x, then y_masked on the mask's entries.
+class _YRows:
+    """The y of one rho on a draw (x, v, mask), made a row slice at a
+    time for correlation.coefficients_rows_each: sqrt(1 - rho^2) v + rho x,
+    and v itself on the mask's entries."""
 
-    The rho x term is added _CHUNK values at a time, so y is the only
-    block-sized array made. in_place writes y over v, for a draw that
-    no other rho will read.
-    """
-    x, v, mask, y_masked = draw
-    b = math.sqrt(1 - rho * rho)
-    y = v if in_place else np.empty_like(v)
-    step = max(1, _CHUNK // v.shape[1])
-    for lo in range(0, len(v), step):
-        rows = slice(lo, lo + step)
-        np.multiply(v[rows], b, out=y[rows])
-        y[rows] += rho * x[rows]
-    if mask is not None:
-        y[mask] = y_masked
-    return x, y
+    def __init__(self, draw: tuple, rho: float):
+        self.draw, self.rho = draw, rho
+        self.b = math.sqrt(1 - rho * rho)
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        x, v, mask = self.draw
+        y = v[rows] * self.b
+        y += self.rho * x[rows]
+        if mask is not None:
+            np.copyto(y, v[rows], where=mask[rows])
+        return y
 
 
-def _block_sums(values: dict, shifts: dict) -> dict:
-    """Shifted raw power sums for every series, plus the rank cross terms."""
-    out = {}
-    for name, arr in values.items():
-        u = arr - shifts[name]
-        u2 = u * u
-        out[name] = (len(arr), u.sum(), u2.sum(), (u2 * u).sum(), (u2 * u2).sum())
-    us = values["r_s"] - shifts["r_s"]
-    uk = values["r_k"] - shifts["r_k"]
-    out["__cross__"] = ((us * uk).sum(), (us * us * uk).sum(),
-                        (us * uk * uk).sum(), (us * us * uk * uk).sum())
-    return out
+def _block_sums(values: np.ndarray, shifts: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Shifted raw power sums of each series (a row of values, in _SERIES
+    order) as a (4, series) array of the sums of u, u^2, u^3 and u^4, and
+    the four rank cross terms from the r_s and r_k rows."""
+    u = values - shifts[:, None]
+    u2 = u * u
+    us_uk = u[0] * u[1]
+    us2_uk = u2[0] * u[1]
+    powers = np.stack([u.sum(axis=1), u2.sum(axis=1), (u2 * u).sum(axis=1),
+                       (u2 * u2).sum(axis=1)])
+    cross = np.stack([us_uk, us2_uk, us_uk * u[1], us2_uk * u[1]]).sum(axis=1)
+    return powers, cross
 
 
-def _finalize(total_sums: dict, trials: int, shifts: dict
-              ) -> tuple[dict, float, float]:
+def _finalize(powers: np.ndarray, cross: np.ndarray, trials: int,
+              shifts: np.ndarray) -> tuple[dict, float, float]:
     series = {}
     raw = {}
-    for name, sums in total_sums.items():
-        if name == "__cross__":
-            continue
-        _, s1, s2, s3, s4 = sums
+    for name, (s1, s2, s3, s4), shift in zip(_SERIES, powers.T, shifts):
         r1, r2, r3, r4 = s1 / trials, s2 / trials, s3 / trials, s4 / trials
         mu2 = r2 - r1 * r1
         mu3 = r3 - 3 * r1 * r2 + 2 * r1 ** 3
         mu4 = r4 - 4 * r1 * r3 + 6 * r1 * r1 * r2 - 3 * r1 ** 4
-        series[name] = SeriesStats(count=trials, mean=shifts[name] + r1,
+        series[name] = SeriesStats(count=trials, mean=shift + r1,
                                    var=mu2, mu3=mu3, mu4=mu4)
         raw[name] = (r1, r2)
-    c11, c21, c12, c22 = (v / trials for v in total_sums["__cross__"])
+    c11, c21, c12, c22 = (v / trials for v in cross)
     us_m, us_r2 = raw["r_s"]
     uk_m, uk_r2 = raw["r_k"]
     cov = c11 - us_m * uk_m
@@ -267,31 +267,20 @@ def _draw(config: ExperimentConfig, j: int, b: int, size: int) -> tuple:
     return sample_contaminated_block(config.contamination, n, stream, size)
 
 
-def _jobs(config: ExperimentConfig, sizes: list, grid: list, keys: list):
-    """(draw, rho, in_place) for each (rho index, n index, block index)
-    key, rho innermost. With several rho the (n, block) draw is made
-    here, once, and shared by its rho jobs; with one rho there is
-    nothing to share, so the job gets the means to make its draw, and
-    writes its y over v."""
-    for i, j, b in keys:
-        if len(grid) == 1:
-            yield partial(_draw, config, j, b, sizes[b]), grid[0], True
-            continue
-        if i == 0:
-            draw = _draw(config, j, b, sizes[b])
-        yield draw, grid[i], False
-        if i == len(grid) - 1:
-            del draw        # before the next draw: only its jobs hold it
-
-
-def _cell_block(draw, rho: float, in_place: bool) -> dict:
-    """Every series of one rho's trials on an (n, block) draw, or on the
-    draw that the function `draw` makes."""
-    if callable(draw):
-        draw = draw()
-    x, y = _pairs(draw, rho, in_place)
-    r_p, r_s, r_k = coefficients_rows(x, y)
-    return {"r_s": r_s, "r_k": r_k, **estimates(r_p, r_s, r_k, x.shape[1])}
+def _block(config: ExperimentConfig, rhos: list, j: int, b: int,
+           size: int) -> np.ndarray:
+    """Every series of each rho's trials on the draw of n index j and
+    block index b, as a (rho, series, trial) array."""
+    draw = _draw(config, j, b, size)
+    n = draw[0].shape[1]
+    coefficients = coefficients_rows_each(
+        draw[0], [_YRows(draw, rho) for rho in rhos])
+    del draw                # the job's largest arrays: free them early
+    out = np.empty((len(rhos), len(_SERIES), size))
+    for cell, (r_p, r_s, r_k) in zip(out, coefficients):
+        est = estimates(r_p, r_s, r_k, n)
+        np.stack([r_s, r_k, *(est[name] for name in _SERIES[2:])], out=cell)
+    return out
 
 
 def _in_order(pool, fn, jobs: list, window: int):
@@ -325,35 +314,50 @@ def run_experiment(config: ExperimentConfig) -> TrialReport:
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
     sizes = [_BLOCK] * (n_blocks - 1) + [trials - _BLOCK * (n_blocks - 1)]
     grid = [float(rho) for rho in config.rho_grid]
-    # (rho index, n index, block index) of each job, in job order
-    keys = [(i, j, b) for j in range(len(config.n_list))
-            for b in range(n_blocks) for i in range(len(grid))]
-    workers = min(threads_limit(), len(keys))
+    threads = threads_limit()
+    draws = len(config.n_list) * n_blocks
+    # Cut the grid into groups of rho, each with a job per (n, block):
+    # enough groups that a job's results stay within _JOB_BYTES, and, on
+    # fewer draws than threads, enough that every thread has a job.
+    per_job = max(1, _JOB_BYTES // (9 * 8 * sizes[0]))
+    groups = max(-(-len(grid) // per_job),
+                 min(len(grid), -(-threads // draws)))
+    cuts = [len(grid) * g // groups for g in range(groups + 1)]
+    # (first rho index, rho group, n index, block index) of each job, in
+    # job order
+    jobs = [(lo, grid[lo:hi], j, b) for j in range(len(config.n_list))
+            for b in range(n_blocks) for lo, hi in zip(cuts, cuts[1:])]
+    workers = min(threads, len(jobs))
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    sums = {}               # (rho index, n index) -> (shifts, sums)
+
+    def block(lo, rhos, j, b):
+        return _block(config, rhos, j, b, sizes[b])
+
+    sums = {}               # (rho index, n index) -> (shifts, powers, cross)
     try:
-        jobs = _jobs(config, sizes, grid, keys)
         if pool is None:
-            blocks = starmap(_cell_block, jobs)
+            blocks = starmap(block, jobs)
         else:
-            blocks = _in_order(pool, _cell_block, jobs, 2 * workers)
-        for (i, j, b), values in zip(keys, blocks, strict=True):
-            if b == 0:
-                shifts = {name: float(arr.mean())
-                          for name, arr in values.items()}
-                sums[i, j] = (shifts, _block_sums(values, shifts))
-                continue
-            # fixed reduction order: a cell's blocks arrive in block order
-            shifts, total = sums[i, j]
-            for name, block in _block_sums(values, shifts).items():
-                total[name] = tuple(a + c for a, c in zip(total[name], block))
+            blocks = _in_order(pool, block, jobs, 2 * workers)
+        for (lo, _, j, b), values in zip(jobs, blocks, strict=True):
+            for i, cell in enumerate(values, lo):
+                if b == 0:
+                    shifts = cell.mean(axis=1)
+                    sums[i, j] = (shifts, *_block_sums(cell, shifts))
+                    continue
+                # fixed reduction order: a cell's blocks arrive in order
+                shifts, powers, cross = sums[i, j]
+                block_powers, block_cross = _block_sums(cell, shifts)
+                powers += block_powers
+                cross += block_cross
     finally:
         if pool is not None:
             # a failed block leaves later jobs queued: drop them, then join
             pool.shutdown(cancel_futures=True)
     report = TrialReport(config=config)
-    for (i, j), (shifts, total) in sorted(sums.items()):  # rho outer, n inner
-        series, cov, se_cov = _finalize(total, trials, shifts)
+    for (i, j), (shifts, powers, cross) in sorted(sums.items()):
+        # rho outer, n inner
+        series, cov, se_cov = _finalize(powers, cross, trials, shifts)
         cell = CellResult(rho=grid[i], n=int(config.n_list[j]), trials=trials,
                           series=series, cov_rs_rk=cov, se_cov_rs_rk=se_cov)
         report.cells.append(cell)

@@ -75,6 +75,24 @@ class TestGridParser:
         assert err.startswith("invalid input: grid '0(1e-9)1' has more than")
 
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--grid", "-0.6(0.3)0.3", "--n", "10", "--trials", "100"],
+        ["are", "--grid", "-1(0.5)0"], ["are", "--grid", "-1e-3"]])
+    def test_leading_minus(self, command, capsys):
+        # argparse would take the value for a flag; --grid=value always
+        # worked and must give the same bytes
+        code, out, err = run(command, capsys)
+        k = command.index("--grid")
+        joined = command[:k] + [f"--grid={command[k + 1]}"] + command[k + 2:]
+        assert code == 0 and out.count("\n") > 1
+        assert run(joined, capsys) == (code, out, err)
+
+    def test_leading_minus_out_of_tables_range(self, capsys):
+        code, out, err = run(["tables", "--grid", "-1(0.5)0"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "invalid input: tables grid must lie within [0, 1]\n"
+
+
 class TestTables:
     def test_small_grid(self, capsys):
         code, out, _ = run(["tables", "--grid", "0(0.5)1"], capsys)
@@ -669,10 +687,9 @@ class TestSimulate:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_memory_limit_exit_5(self, threads):
         # a 6 GB draw under a 2 GB address-space limit, set in the child
-        # only; two blocks per cell, so at two threads the pool is made.
-        # On the grid of two rho the first draw, on the main thread,
-        # fails before any job is submitted; at one rho each job makes
-        # its own draw, so it fails in a pool worker
+        # only; two blocks per cell, so at two threads the pool is made
+        # and each job's draw fails in a pool worker, on a grid of two
+        # rho as at one
         pytest.importorskip("resource")
         child = ("import os, resource, sys\n"
                  "resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))\n"

@@ -14,7 +14,7 @@ from rankmoments.contaminated import (ContaminationParams,
                                       sample_contaminated_block)
 from rankmoments.correlation import PairedSample, kendall, spearman
 from rankmoments.errors import DomainError
-from rankmoments.simulate import _pairs
+from rankmoments.simulate import _YRows
 
 from oracles import mixture_correlations_oracle
 
@@ -25,7 +25,8 @@ def params(rho=0.5, eps=0.1, lx=3.0, ly=2.0, rp=-0.4):
 
 
 def sample_pairs(p, n, stream, size):
-    return _pairs(sample_contaminated_block(p, n, stream, size), p.rho)
+    draw = sample_contaminated_block(p, n, stream, size)
+    return draw[0], _YRows(draw, p.rho)[:]
 
 
 def rk_limit(p):

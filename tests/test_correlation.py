@@ -11,6 +11,7 @@ from rankmoments import correlation
 from rankmoments.correlation import (_CHUNK_ELEMENTS, PairedSample,
                                      _kendall_rows, _permutation_rows,
                                      _spearman_rows, coefficients_rows,
+                                     coefficients_rows_each,
                                      inequality_check, inversions_rows,
                                      kendall, pearson, spearman)
 from rankmoments.errors import DegenerateError, SizeError, TieError
@@ -376,6 +377,67 @@ class TestBlockKernel:
             np, "argsort",
             lambda a, axis=-1, kind=None: argsort(a, axis, kind="stable"))
         assert [v.tolist() for v in coefficients_rows(x, y)] == got
+
+
+class TestSeveralY:
+    """coefficients_rows_each(x, ys) sorts, tie-checks and centres each
+    chunk of x once for all the ys; each y must read as it does alone."""
+
+    @staticmethod
+    def assert_each_alone(x, ys):
+        got = coefficients_rows_each(x, ys)
+        assert got.shape == (len(ys), 3, len(x))
+        for y, cell in zip(ys, got):
+            want = np.array(coefficients_rows(x, y))
+            assert cell.tobytes() == want.tobytes()
+
+    @staticmethod
+    def several_y(x, rng):
+        return [rho * x + math.sqrt(1 - rho * rho) * rng.standard_normal(
+            x.shape) for rho in (-0.7, 0.2, 0.9)]
+
+    @pytest.mark.parametrize("n", [20, 1000])
+    def test_tie_in_x(self, n):
+        # a tie in row 1 of x sends every y of the first chunk to the
+        # stable sorts
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((2 * rows_per_chunk(n) + 3, n))
+        x[1, [0, n // 2, n - 1]] = x[1, 1]
+        ys = self.several_y(x, rng)
+        self.assert_each_alone(x, ys)
+        for y, cell in zip(ys, coefficients_rows_each(x, ys)):
+            pi = stable_permutation(x, y)
+            assert cell[1].tolist() == _spearman_rows(pi).tolist()
+            assert cell[2].tolist() == _kendall_rows(pi).tolist()
+
+    @pytest.mark.parametrize("n", [20, 1000])
+    def test_tie_in_one_y(self, n):
+        rng = np.random.default_rng(n + 1)
+        x = rng.standard_normal((2 * rows_per_chunk(n) + 3, n))
+        ys = self.several_y(x, rng)
+        ys[1][-2, [2, n - 2]] = ys[1][-2, n // 3]
+        self.assert_each_alone(x, ys)
+
+    @pytest.mark.parametrize("scale", [1e80, 1e-160])
+    def test_scaled_pearson_rows(self, scale):
+        # rows 1-6 of x are scaled, rows 1-3 of every y and rows 4-6 of
+        # one y: rows take the _scaled path for some ys and not others
+        # (at 1e80), or for each y in turn (at 1e-160), and no y may see
+        # the sums another y's rescaling made
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((9, 20))
+        ys = self.several_y(x, rng)
+        x[1:7] *= scale
+        for y in ys:
+            y[1:4] *= scale
+        ys[1][4:7] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_each_alone(x, ys)
+            got = coefficients_rows_each(x, ys)
+        for y, cell in zip(ys, got):
+            assert cell[0].tolist() == [pearson(sample(a, b))
+                                        for a, b in zip(x, y)]
 
 
 class TestSharedPermutation:

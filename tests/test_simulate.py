@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 import weakref
 from dataclasses import replace
 
@@ -9,10 +10,11 @@ import pytest
 from rankmoments.contaminated import (ContaminationParams,
                                       sample_contaminated_block)
 from rankmoments.correlation import (PairedSample, coefficients_rows,
+                                     coefficients_rows_each,
                                      kendall, pearson, spearman)
 from rankmoments.errors import DomainError, ResourceError
 from rankmoments.simulate import (ExperimentConfig, ReportRow, TrialReport,
-                                  _pairs, compare_report, format_report_csv,
+                                  _YRows, compare_report, format_report_csv,
                                   run_experiment, sample_binormal_block,
                                   threads_limit)
 
@@ -48,12 +50,9 @@ def tracked_draws(monkeypatch):
     return draws
 
 
-def draw_index(draws, draw):
-    return next(k for k, d in enumerate(draws) if d is draw)
-
-
 def binormal_pairs(rho, n, rng, size):
-    return _pairs(sample_binormal_block(n, rng, size), rho)
+    draw = sample_binormal_block(n, rng, size)
+    return draw[0], _YRows(draw, rho)[:]
 
 
 class TestSampler:
@@ -109,47 +108,50 @@ class TestDeterminism:
         assert a.rows == b.rows
 
     def test_worker_count_irrelevant(self, monkeypatch):
-        # several cells of several blocks, the last one short
+        # several cells of several blocks, the last one short: one job per
+        # (n, block), each computing every rho of the grid
         from rankmoments import simulate
 
         four_cpus(monkeypatch)
-        draws = tracked_draws(monkeypatch)
-        cell_block, block_sums = simulate._cell_block, simulate._block_sums
+        block, block_sums = simulate._block, simulate._block_sums
         grid = (-0.4, 0.3, 0.8)
         block_threads = set()
-        ahead = []      # per block: its job index less the blocks reduced
-        reduced = []
+        ahead = []      # per job: its index less the jobs reduced
+        reduced = []    # one entry per (rho, block) reduced
 
-        def traced_block(draw, rho, in_place):
+        def traced_block(config, rhos, j, b, size):
             block_threads.add(threading.current_thread().name)
-            # jobs run in (n, block, rho) order, and draws in (n, block)
-            job = draw_index(draws, draw) * 3 + grid.index(rho)
-            ahead.append(job - len(reduced))
-            return cell_block(draw, rho, in_place)
+            # jobs run in (n, block) order, five blocks per n
+            ahead.append(5 * j + b - len(reduced) // len(grid))
+            return block(config, rhos, j, b, size)
 
         def counted_sums(values, shifts):
+            if not reduced:
+                # a slow first reduction: the pool runs ahead as far as
+                # the window lets it
+                time.sleep(0.1)
             reduced.append(1)
             return block_sums(values, shifts)
 
-        monkeypatch.setattr(simulate, "_cell_block", traced_block)
+        monkeypatch.setattr(simulate, "_block", traced_block)
         monkeypatch.setattr(simulate, "_block_sums", counted_sums)
         cont = ContaminationParams(rho=0.0, epsilon=0.1, lambda_x=10.0,
                                    lambda_y=10.0, rho_prime=0.0)
         for model in ("binormal", "contaminated"):
             cfg = small_config(model=model, rho_grid=grid,
-                               n_list=(10, 65), trials=2 * 4096 + 7,
+                               n_list=(10, 65), trials=4 * 4096 + 7,
                                contamination=cont)
             rows = {}
             for workers in (1, 2, 3):
                 monkeypatch.setenv("RANKMOMENTS_THREADS", str(workers))
-                draws.clear()
                 block_threads.clear()
                 ahead.clear()
                 reduced.clear()
                 report = run_experiment(cfg)
-                # a block starts only when fewer than 2 * workers jobs are
+                # a job starts only when fewer than 2 * workers jobs are
                 # in flight, so the results held stay bounded
-                assert len(ahead) == 18 and max(ahead) < 2 * workers
+                assert len(ahead) == 10 and max(ahead) < 2 * workers
+                assert len(reduced) == 10 * len(grid)
                 rows[workers] = report.rows
                 assert [(c.rho, c.n) for c in report.cells] == [
                     (r, n) for r in cfg.rho_grid for n in cfg.n_list]
@@ -163,62 +165,54 @@ class TestDeterminism:
 
         four_cpus(monkeypatch)
         monkeypatch.setenv("RANKMOMENTS_THREADS", "2")
-        draws = tracked_draws(monkeypatch)
-        cell_block = simulate._cell_block
-        grid = (0.1, 0.2, 0.3, 0.4, 0.5)
+        block = simulate._block
         calls = []
 
-        def failing_block(draw, rho, in_place):
-            calls.append((grid.index(rho), draw_index(draws, draw)))
-            if calls[-1] == (1, 1):
-                raise MemoryError("block (1, 1)")
-            return cell_block(draw, rho, in_place)
+        def failing_block(config, rhos, j, b, size):
+            calls.append(b)
+            if b == 2:
+                raise MemoryError("block 2")
+            return block(config, rhos, j, b, size)
 
-        monkeypatch.setattr(simulate, "_cell_block", failing_block)
+        monkeypatch.setattr(simulate, "_block", failing_block)
         before = set(threading.enumerate())
-        cfg = small_config(rho_grid=grid, n_list=(10,), trials=3 * 4096)
-        with pytest.raises(MemoryError, match=r"block \(1, 1\)"):
+        cfg = small_config(rho_grid=(0.1, 0.2, 0.3), n_list=(10,),
+                           trials=10 * 4096)
+        with pytest.raises(MemoryError, match="block 2"):
             run_experiment(cfg)
         assert set(threading.enumerate()) == before
-        # job 6 (from 0, in (block, rho) order) of 15 failed; the window
-        # of 2 * 2 jobs in flight then ended at job 9, and the rest of
-        # the stream never ran
-        assert (1, 1) in calls and len(calls) <= 6 + 4
+        # job 2 (from 0) of 10 failed; the window of 2 * 2 jobs in flight
+        # then ended at job 5, and the rest of the stream never ran
+        assert 2 in calls and len(calls) <= 2 + 4
 
     def test_failed_draw_stops_the_stream(self, monkeypatch):
-        # the draw of block 1 fails on the main thread while jobs of
-        # block 0 are still in flight: the window is 4 jobs, the grid 5
+        # the draw of block 1 fails on its worker while other jobs are
+        # in flight: the window is 4 jobs of 10
         from rankmoments import simulate
 
         four_cpus(monkeypatch)
         monkeypatch.setenv("RANKMOMENTS_THREADS", "2")
-        sample = simulate.sample_binormal_block
-        cell_block = simulate._cell_block
+        draw = simulate._draw
         made = []           # a weakref to each draw's x
-        ran = []            # the rho of each job run
 
-        def failing_sample(n, stream, size):
-            if made:
+        def failing_draw(config, j, b, size):
+            if b == 1:
                 raise MemoryError("draw of block 1")
-            draw = sample(n, stream, size)
-            made.append(weakref.ref(draw[0]))
-            return draw
+            x, v, mask = draw(config, j, b, size)
+            made.append(weakref.ref(x))
+            return x, v, mask
 
-        def counted_block(draw, rho, in_place):
-            ran.append(rho)
-            return cell_block(draw, rho, in_place)
-
-        monkeypatch.setattr(simulate, "sample_binormal_block", failing_sample)
-        monkeypatch.setattr(simulate, "_cell_block", counted_block)
+        monkeypatch.setattr(simulate, "_draw", failing_draw)
         before = set(threading.enumerate())
         cfg = small_config(rho_grid=(0.1, 0.2, 0.3, 0.4, 0.5), n_list=(10,),
-                           trials=3 * 4096)
+                           trials=10 * 4096)
         with pytest.raises(MemoryError, match="draw of block 1"):
             run_experiment(cfg)
         assert set(threading.enumerate()) == before
-        # only block 0 was drawn, so only its five jobs can have run
-        assert 0 < len(ran) <= 5
-        assert made[0]() is None
+        # job 1 failed, so jobs 0, 2, 3 and 4 at most made their draws,
+        # and none of them is still alive
+        assert 0 < len(made) <= 4
+        assert [r() for r in made] == [None] * len(made)
 
     def test_seed_changes_results(self):
         a = run_experiment(small_config(seed=1))
@@ -274,16 +268,15 @@ class TestCommonRandomNumbers:
     @pytest.mark.parametrize("grid", [(0.3,), (-0.4, 0.8),
                                       (0.1, 0.2, 0.3, 0.4, 0.5)])
     def test_draws_freed_by_reference(self, monkeypatch, grid):
-        # on a grid of several rho a draw lives while a job in flight or
-        # the job stream holds it, so the 2 * workers jobs in flight span
-        # all the draws alive; on a grid of one, each job makes its own
-        # draw on its worker, so only the running jobs hold draws
+        # each job makes its draw on its worker and frees it when it ends,
+        # so on every grid at most `workers` draws are alive, and the main
+        # thread makes none while a pool runs
         from rankmoments import simulate
 
         four_cpus(monkeypatch)
         monkeypatch.setenv("RANKMOMENTS_THREADS", "2")
         sample = simulate.sample_binormal_block
-        cell_block = simulate._cell_block
+        block = simulate._block
         made = []           # a weakref to each draw's x
         alive = []          # the draws alive at each draw and job start
         drawn_on = set()    # the threads that made draws
@@ -299,36 +292,103 @@ class TestCommonRandomNumbers:
             count_alive()
             return draw
 
-        def counted_block(draw, rho, in_place):
+        def counted_block(*args):
             count_alive()
             if len(alive) >= fail_at:
                 raise MemoryError("job")
-            return cell_block(draw, rho, in_place)
+            return block(*args)
 
         monkeypatch.setattr(simulate, "sample_binormal_block", tracked_sample)
-        monkeypatch.setattr(simulate, "_cell_block", counted_block)
+        monkeypatch.setattr(simulate, "_block", counted_block)
         cfg = small_config(rho_grid=grid, n_list=(10, 20), trials=3 * 4096 + 5)
-        bound = 2 if len(grid) == 1 else math.ceil(2 * 2 / len(grid)) + 1
-        main = threading.current_thread().name
         fail_at = math.inf
         report = run_experiment(cfg)
-        assert len(made) == 8 and len(alive) == 8 + 8 * len(grid)
-        assert max(alive) <= bound
-        assert (main in drawn_on) == (len(grid) > 1)
+        assert len(made) == 8 and len(alive) == 8 + 8
+        assert max(alive) <= 2
+        assert threading.current_thread().name not in drawn_on
         assert [r() for r in made] == [None] * 8
         assert len(report.cells) == 2 * len(grid)
-        for fail_at in (1, 3 * len(grid) + 1):
+        for fail_at in (1, 7):
             made.clear()
             alive.clear()
             with pytest.raises(MemoryError, match="job"):
                 run_experiment(cfg)
-            assert max(alive) <= bound
+            assert max(alive) <= 2
             assert [r() for r in made] == [None] * len(made)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_rho_groups(self, monkeypatch, workers):
+        # on one (n, block) draw, fewer than the threads, the grid is cut
+        # into a group of rho per thread; on a grid whose results would
+        # pass _JOB_BYTES, into groups that bound each job's results and
+        # so those held in flight; the rows never depend on the cut
+        from rankmoments import simulate
+
+        four_cpus(monkeypatch)
+        block = simulate._block
+        groups = []         # the rho of each job
+        threads = set()     # the threads that ran jobs
+        results = []        # a weakref to each job's result
+        held = []           # the bytes of results alive at each job start
+
+        def traced_block(config, rhos, j, b, size):
+            alive = [r() for r in results]
+            held.append(sum(a.nbytes for a in alive if a is not None))
+            groups.append(rhos)
+            threads.add(threading.current_thread().name)
+            out = block(config, rhos, j, b, size)
+            results.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(simulate, "_block", traced_block)
+        cfg = small_config(model="contaminated",
+                           rho_grid=tuple(np.linspace(-0.96, 0.96, 25)),
+                           trials=300, contamination=self.CONT)
+        monkeypatch.setenv("RANKMOMENTS_THREADS", "1")
+        want = run_experiment(cfg).rows
+        assert groups == [list(cfg.rho_grid)]
+        monkeypatch.setenv("RANKMOMENTS_THREADS", str(workers))
+        for job_bytes, count in ((simulate._JOB_BYTES, workers),
+                                 (9 * 8 * 300 * 4, 7)):
+            monkeypatch.setattr(simulate, "_JOB_BYTES", job_bytes)
+            groups.clear()
+            threads.clear()
+            results.clear()
+            held.clear()
+            assert run_experiment(cfg).rows == want
+            assert len(groups) == count
+            assert sum(groups, []) == list(cfg.rho_grid)
+            assert max(map(len, groups)) - min(map(len, groups)) <= 1
+            main = threading.current_thread().name
+            assert (main in threads) == (workers == 1)
+            if count == 7:
+                # 4 rho per job, and the results of at most 2 * workers
+                # jobs in flight and of the one being reduced
+                assert max(map(len, groups)) == 4
+                assert max(held) <= (2 * workers + 1) * 4 * 6 * 8 * 300
+
+    @pytest.mark.parametrize("n", [1000, 500])
+    def test_y_by_chunk_matches_each_rho_alone(self, n):
+        # coefficients_rows_each makes each rho's y one chunk of rows at a time
+        # (32 rows at n = 1000, 64 at n = 500) from the shared draw; the
+        # mask's entries cross the chunk boundaries
+        rows = 2 * (32 if n == 1000 else 64) + 5
+        params = replace(self.CONT, epsilon=0.3)
+        draw = sample_contaminated_block(params, n,
+                                         np.random.default_rng(n), rows)
+        grid = (-1.0, 0.3, 0.9)
+        got = coefficients_rows_each(draw[0],
+                                     [_YRows(draw, rho) for rho in grid])
+        for rho, cell in zip(grid, got):
+            x, y = where_oracle(replace(params, rho=rho), n,
+                                np.random.default_rng(n), rows)
+            assert cell.tobytes() == np.array(
+                coefficients_rows(x, y)).tobytes()
+
     def test_contaminated_transform_matches_where_formula(self):
-        # 150 seeded draws, some of several transform chunks (32 rows at
-        # n = 1000, 65 at n = 500); every draw serves each rho in turn,
-        # out of place and in place, and must give the np.where
+        # 150 seeded draws, some of several kernel chunks (32 rows at
+        # n = 1000, 64 at n = 500); every draw serves each rho in turn,
+        # whole and 7 rows at a time, and must give the np.where
         # formula's bits
         rhos = (-1.0, -0.6, 0.0, 0.25, 0.9, 1.0)
         rho_primes = (-1.0, -0.3, 0.0, 0.5, 0.99, 1.0, -0.8)
@@ -345,15 +405,17 @@ class TestCommonRandomNumbers:
             for rho in rhos:
                 want = where_oracle(replace(base, rho=rho), n,
                                     np.random.default_rng(i), size)
-                copy = tuple(None if a is None else a.copy() for a in draw)
-                for got in (_pairs(draw, rho), _pairs(copy, rho, True)):
+                y = _YRows(draw, rho)
+                by_7 = np.concatenate([y[lo:lo + 7]
+                                       for lo in range(0, size, 7)])
+                for got in ((draw[0], y[:]), (draw[0], by_7)):
                     assert [a.tobytes() for a in got] == [
                         a.tobytes() for a in want]
 
 
 class TestStreamingMoments:
     def test_matches_two_pass(self):
-        from rankmoments.simulate import _BLOCK, _cell_block, _draw
+        from rankmoments.simulate import _BLOCK, _SERIES, _block
 
         cfg = small_config(trials=10000)
         report = run_experiment(cfg)
@@ -362,10 +424,9 @@ class TestStreamingMoments:
         # regenerate the identical trial values and compute the moments
         # with plain two-pass numpy as the reference
         sizes = [_BLOCK, _BLOCK, cfg.trials - 2 * _BLOCK]
-        blocks = [_cell_block(_draw(cfg, 0, b, size), 0.3, False)
+        blocks = [_block(cfg, [0.3], 0, b, size)[0]
                   for b, size in enumerate(sizes)]
-        pooled = {name: np.concatenate([b[name] for b in blocks])
-                  for name in blocks[0]}
+        pooled = dict(zip(_SERIES, np.concatenate(blocks, axis=1)))
         for name, s in cell.series.items():
             v = pooled[name]
             d = v - v.mean()
@@ -378,6 +439,28 @@ class TestStreamingMoments:
         dk = pooled["r_k"] - pooled["r_k"].mean()
         assert cell.cov_rs_rk == pytest.approx((ds * dk).mean(), rel=1e-11,
                                                abs=1e-14)
+
+    def test_block_sums_match_each_series(self):
+        # the stacked sums of a block read the bits of each series summed
+        # alone, and of its r_s and r_k rows for the cross terms
+        from rankmoments.simulate import _block_sums
+
+        rng = np.random.default_rng(14)
+        sizes = [1, 2, 3, 7, 100, 1023, 4095, 4096, *rng.integers(1, 4097, 32)]
+        for size in sizes:
+            values = rng.standard_normal((6, size)) * rng.uniform(0.01, 2,
+                                                                  (6, 1))
+            shifts = values.mean(axis=1) + rng.normal(0, 0.01, 6)
+            powers, cross = _block_sums(values, shifts)
+            for row, shift, got in zip(values, shifts, powers.T):
+                u = row - float(shift)
+                u2 = u * u
+                assert got.tolist() == [u.sum(), u2.sum(), (u2 * u).sum(),
+                                        (u2 * u2).sum()]
+            us, uk = values[0] - float(shifts[0]), values[1] - float(shifts[1])
+            assert cross.tolist() == [(us * uk).sum(), (us * us * uk).sum(),
+                                      (us * uk * uk).sum(),
+                                      (us * us * uk * uk).sum()]
 
     def test_mse_identity(self):
         report = run_experiment(small_config())
