@@ -46,9 +46,9 @@ EXIT_IO = 4
 EXIT_RESOURCE = 5
 
 _GRID_RE = re.compile(r"^\s*([-+0-9.eE]+)\(([-+0-9.eE]+)\)([-+0-9.eE]+)\s*$")
-# a value that no flag of this parser starts with: a minus, then a digit
-# or a point
-_NEGATIVE = re.compile(r"-[0-9.]")
+# a long flag with no "=value", a space, then a value that no flag of this
+# parser starts with: a minus, then a digit or a point
+_NEGATIVE = re.compile(r"--[^= ]+ -[0-9.]")
 # most points a grid may have; checked before the list is built, since a
 # 10**9-point list alone takes about 30 GB
 _MAX_GRID_POINTS = 10_001
@@ -333,12 +333,12 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         # argparse reads a value that starts with a minus as a flag unless
-        # it is a plain number, so "--grid -1(0.5)0" would lack its value:
-        # such a value is joined to its flag as "--grid=-1(0.5)0"
+        # it is a plain number, so "--rho -1e-3" would lack its value: such
+        # a value is joined to the long flag before it, as "--rho=-1e-3"
         joined = []
         for arg in sys.argv[1:] if args is None else args:
-            if joined and joined[-1] == "--grid" and _NEGATIVE.match(arg):
-                joined[-1] = f"--grid={arg}"
+            if joined and _NEGATIVE.match(f"{joined[-1]} {arg}"):
+                joined[-1] += f"={arg}"
             else:
                 joined.append(arg)
         return super().parse_known_args(joined, namespace)

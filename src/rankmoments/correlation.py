@@ -134,18 +134,18 @@ def _centred(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pearson_rows(x: np.ndarray, y: np.ndarray,
-                  x_centred: tuple | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Product-moment correlation of each row of two (b, n) arrays (0 where
-    the centred sums of squares multiply to 0), and that product's root.
-    No BLAS: a row reads the same in any block and on any BLAS kernel.
-    x_centred is _centred(x), for callers with several y of one x.
+                  x_centred: tuple | None = None) -> np.ndarray:
+    """Product-moment correlation of each row of two (b, n) arrays, 0 where
+    the centred sums of squares multiply to 0, which only a constant row
+    does. No BLAS: a row reads the same in any block and on any BLAS
+    kernel. x_centred is _centred(x), for callers with several y of one x.
 
     A power of two scales the centred sums exactly unless one overflows or
     loses terms to underflow. So a row is summed again from _scaled copies
     only where its sums overflowed or a sum of squares is below _FLOOR;
     above it an underflowed term is far below the sum's last bit, and the
-    product of the two sums is a normal number.
+    product of the two sums is a normal number. A scaled row that is not
+    constant has a centred value of 2**-55 or more, whose square is not 0.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         xc, sxx = _centred(x) if x_centred is None else x_centred
@@ -159,19 +159,17 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray,
         sxy[redo], sxx[redo], syy[redo] = ((xc * yc).sum(axis=1),
                                            sxx_redo, syy_redo)
     denom = np.sqrt(sxx * syy)
-    r_p = np.where(denom > 0, sxy / np.maximum(denom, 1e-300), 0.0)
-    return r_p, denom
+    return np.where(denom > 0, sxy / np.maximum(denom, 1e-300), 0.0)
 
 
 def pearson(sample: PairedSample) -> float:
     """Product-moment correlation of the raw values."""
     x, y = sample.x, sample.y
-    r_p, denom = _pearson_rows(x[None], y[None])
-    # a constant column whose mean rounds (six copies of 0.1) leaves
-    # centred values of roundoff size, so test max == min as well
-    if x.max() == x.min() or y.max() == y.min() or denom[0] == 0:
+    # the one zero-variance test: a constant column whose mean rounds (six
+    # copies of 0.1) leaves centred values of roundoff size
+    if x.max() == x.min() or y.max() == y.min():
         raise DegenerateError("constant coordinate has zero variance")
-    return float(r_p[0])
+    return float(_pearson_rows(x[None], y[None])[0])
 
 
 def _rank_dot_rows(pi: np.ndarray):
@@ -213,8 +211,8 @@ def spearman(sample: PairedSample) -> float:
 
 def inversions_rows(perms: np.ndarray) -> np.ndarray:
     """Inversion count of each row of a (b, n) array of permutations of
-    0..n-1, in O(b n log^2 n) time and O(n) memory per chunk;
-    coefficients_rows_each hands it one chunk at a time.
+    0..n-1 in O(b n log^2 n) time, all as one chunk of (b, width) scratch:
+    coefficients_rows_each hands it one chunk of rows, kendall one row.
 
     Each row is padded to a power of two with increasing values above n,
     which adds no inversions, and cut into runs of base = min(width, 64).
@@ -233,46 +231,41 @@ def inversions_rows(perms: np.ndarray) -> np.ndarray:
     below it; the rest of the left run is inverted with it.
     """
     b, n = perms.shape
-    width, rows = _chunk_shape(n)
+    width = _chunk_shape(n)[0]
     base = min(width, _RUN)
-    out = np.empty(b, dtype=np.int64)
-    for lo in range(0, b, rows):
-        chunk = perms[lo:lo + rows]
-        c = len(chunk)
-        a = np.empty((c, width), dtype=np.int64)
-        a[:, :n] = chunk
-        a[:, n:] = np.arange(n, width)
-        runs = a.reshape(-1, base)
-        # when one run is the whole row, its values are its local ranks
-        local = runs if base == width else runs.argsort(axis=1)
-        # one contiguous row of every run's values per position; padding
-        # above n in a lone run adds nothing, so stop at n
-        values = local.T[:min(base, n)].astype(np.uint64, order="C")
-        bits = np.uint64(1) << values
-        seen = np.zeros(len(runs), dtype=np.uint64)
-        # a run holds up to 64 * 63 / 2 = 2016 inversions
-        run_inv = np.zeros(len(runs), dtype=np.uint16)
-        for v, bit in zip(values, bits):
-            run_inv += np.bitwise_count(seen >> v)
-            seen |= bit
-        inv = run_inv.reshape(c, -1).sum(axis=1, dtype=np.int64)
-        if base < width:
-            runs.sort(axis=1)
-            a <<= 1
-        w = base
-        while w < width:
-            runs = a.reshape(-1, 2, w)
-            runs &= ~1
-            runs[:, 1] |= 1
-            a.reshape(-1, 2 * w).sort(axis=1)
-            places = (a.reshape(c, -1, 2 * w) & 1) @ np.arange(2 * w)
-            # each merge has w*w (left, right) pairs; the uninverted ones
-            # number the right run's places less 0 + 1 + ... + (w - 1)
-            inv += (width // (2 * w) * (w * w + w * (w - 1) // 2)
-                    - places.sum(axis=1))
-            w *= 2
-        out[lo:lo + c] = inv
-    return out
+    a = np.empty((b, width), dtype=np.int64)
+    a[:, :n] = perms
+    a[:, n:] = np.arange(n, width)
+    runs = a.reshape(-1, base)
+    # when one run is the whole row, its values are its local ranks
+    local = runs if base == width else runs.argsort(axis=1)
+    # one contiguous row of every run's values per position; padding
+    # above n in a lone run adds nothing, so stop at n
+    values = local.T[:min(base, n)].astype(np.uint64, order="C")
+    bits = np.uint64(1) << values
+    seen = np.zeros(len(runs), dtype=np.uint64)
+    # a run holds up to 64 * 63 / 2 = 2016 inversions
+    run_inv = np.zeros(len(runs), dtype=np.uint16)
+    for v, bit in zip(values, bits):
+        run_inv += np.bitwise_count(seen >> v)
+        seen |= bit
+    inv = run_inv.reshape(b, -1).sum(axis=1, dtype=np.int64)
+    if base < width:
+        runs.sort(axis=1)
+        a <<= 1
+    w = base
+    while w < width:
+        runs = a.reshape(-1, 2, w)
+        runs &= ~1
+        runs[:, 1] |= 1
+        a.reshape(-1, 2 * w).sort(axis=1)
+        places = (a.reshape(b, -1, 2 * w) & 1) @ np.arange(2 * w)
+        # each merge has w*w (left, right) pairs; the uninverted ones
+        # number the right run's places less 0 + 1 + ... + (w - 1)
+        inv += (width // (2 * w) * (w * w + w * (w - 1) // 2)
+                - places.sum(axis=1))
+        w *= 2
+    return inv
 
 
 def _kendall_rows(pi: np.ndarray) -> np.ndarray:
@@ -307,8 +300,9 @@ def coefficients_rows_each(x: np.ndarray, ys) -> np.ndarray:
     (hi - lo, n) arrays of those rows, so that a caller may make each
     chunk's y on demand.
 
-    The rows go in chunks of the inversion counter's size, so each
-    chunk's arrays are still in cache from Pearson through both counts.
+    The rows go in chunks, cut here alone (_chunk_shape): that bounds the
+    scratch of every step, and each chunk's arrays stay in cache from
+    Pearson through both counts.
     A chunk's x is sorted, tie-checked and centred once for every y, and
     one permutation per row of each y (_permutation_rows) gives r_S and
     r_K. No value depends on the chunking: r_S and r_K are exact
@@ -322,7 +316,7 @@ def coefficients_rows_each(x: np.ndarray, ys) -> np.ndarray:
         x_order, x_centred = _x_order(xs), _centred(xs)
         for y, cell in zip(ys, out[:, :, lo:lo + rows]):
             y = y[lo:lo + rows]
-            cell[0] = _pearson_rows(xs, y, x_centred)[0]
+            cell[0] = _pearson_rows(xs, y, x_centred)
             pi = _permutation_rows(xs, y, x_order)
             del y
             cell[1] = _spearman_rows(pi)

@@ -77,15 +77,30 @@ class TestGridParser:
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--grid", "-0.6(0.3)0.3", "--n", "10", "--trials", "100"],
-        ["are", "--grid", "-1(0.5)0"], ["are", "--grid", "-1e-3"]])
+        ["are", "--grid", "-1(0.5)0"], ["are", "--grid", "-1e-3"],
+        ["are", "--rho", "-1e-3"], ["moments", "--rho", "-1e-3", "--n", "5"],
+        ["simulate", "--model", "contaminated", "--rho-prime", "-1e-1",
+         "--epsilon", "0.1", "--lambda", "3", "--rho", "0.5", "--n", "10",
+         "--trials", "100"]])
     def test_leading_minus(self, command, capsys):
-        # argparse would take the value for a flag; --grid=value always
+        # argparse would take the value for a flag; --flag=value always
         # worked and must give the same bytes
         code, out, err = run(command, capsys)
-        k = command.index("--grid")
-        joined = command[:k] + [f"--grid={command[k + 1]}"] + command[k + 2:]
+        k = next(i for i, arg in enumerate(command)
+                 if re.match(r"-[0-9.]", arg))
+        joined = (command[:k - 1] + [f"{command[k - 1]}={command[k]}"]
+                  + command[k + 1:])
         assert code == 0 and out.count("\n") > 1
         assert run(joined, capsys) == (code, out, err)
+
+    def test_leading_minus_after_a_switch(self, capsys):
+        # --strict takes no value: joined as "--strict=-1", it still fails
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--rho", "0.5", "--n", "10", "--trials", "100",
+                  "--strict", "-1"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (3, "")
+        assert "--strict: ignored explicit argument '-1'" in captured.err
 
     def test_leading_minus_out_of_tables_range(self, capsys):
         code, out, err = run(["tables", "--grid", "-1(0.5)0"], capsys)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from rankmoments import correlation
 from rankmoments.correlation import (_CHUNK_ELEMENTS, PairedSample,
-                                     _kendall_rows, _permutation_rows,
+                                     _chunk_shape, _kendall_rows,
+                                     _permutation_rows,
                                      _spearman_rows, coefficients_rows,
                                      coefficients_rows_each,
                                      inequality_check, inversions_rows,
@@ -120,6 +121,26 @@ class TestFixtures:
         values = [scale, 2 * scale, 3 * scale, 4 * scale]
         for x, y in ((values, [1, 3, 2, 4]), ([1, 3, 2, 4], values)):
             assert pearson(sample(x, y)) == pytest.approx(0.8, abs=1e-15)
+
+    # a row at each scale, spread over a few times the scale or over 1-3
+    # ulps: 2**-1074 (subnormal), 1e-300, 1, 1e300 and near 1.7e308
+    SPREAD_ROWS = [scale * np.array([1.0, 2, 4, 7, 11]) for scale in
+                   (2.0 ** -1074, 1e-300, 1.0, 1e300, 1.7e308 / 11)] + [
+        v + np.spacing(v) * np.array([0.0, 1, 3, 6, 7]) for v in
+        (2.0 ** -1074, 2.0 ** -1022, 1e-300, 0.1, -1.0, 1e300, 1.7e308)]
+
+    def test_nonconstant_rows_have_variance(self):
+        # max == min is the one zero-variance test, which relies on every
+        # other row having a nonzero denominator: a zero one would read 0
+        x = np.array(self.SPREAD_ROWS)
+        assert (x.max(axis=1) > x.min(axis=1)).all()
+        for sign in (1.0, -1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                block = coefficients_rows(x, sign * x)[0]
+                single = [pearson(sample(row, sign * row)) for row in x]
+            assert block.tolist() == single
+            assert np.abs(block - sign).max() <= 1e-12
 
 
 class TestProperties:
@@ -255,7 +276,8 @@ class TestInversionCounter:
         assert inversions_rows(rows).tolist() == [0, n * (n - 1) // 2]
 
     def test_partial_last_chunk(self):
-        # n = 20 pads to 32, so a chunk holds _CHUNK_ELEMENTS // 32 rows
+        # one call on more rows than a chunk (n = 20 pads to 32, so a chunk
+        # holds _CHUNK_ELEMENTS // 32 rows), counted as one chunk
         rows_per_chunk = _CHUNK_ELEMENTS // 32
         rng = np.random.default_rng(3)
         perms = np.array([rng.permutation(20)
@@ -277,8 +299,10 @@ class TestInversionCounter:
             inversions_oracle(p) for p in perms]
 
     def test_row_wider_than_a_chunk(self):
-        # row i*k + j holds p[i]*k + q[j]: every pair of blocks i, i' is
-        # inverted k*k times if p is, and each block holds q's inversions
+        # one call on rows of more than _CHUNK_ELEMENTS, where a chunk is a
+        # single row. Row i*k + j holds p[i]*k + q[j]: every pair of
+        # blocks i, i' is inverted k*k times if p is, and each block holds
+        # q's inversions
         k = math.isqrt(_CHUNK_ELEMENTS) + 2
         rng = np.random.default_rng(12)
         p, q = rng.permutation(k), rng.permutation(k)
@@ -287,6 +311,25 @@ class TestInversionCounter:
         want = inversions_oracle(p) * k * k + k * inversions_oracle(q)
         assert inversions_rows(np.stack([row, row[::-1]])).tolist() == [
             want, k * k * (k * k - 1) // 2 - want]
+
+
+def test_kernel_is_the_one_chunker(monkeypatch):
+    # coefficients_rows_each cuts a block into chunks and kendall counts
+    # one row; the counter itself never gets more than a chunk's rows
+    shapes = []
+
+    def recorded(perms, _count=inversions_rows):
+        shapes.append(perms.shape)
+        return _count(perms)
+
+    monkeypatch.setattr(correlation, "inversions_rows", recorded)
+    rng = np.random.default_rng(6)
+    for n in (20, 1000):
+        x, y = rng.standard_normal((2, 2 * _chunk_shape(n)[1] + 3, n))
+        coefficients_rows_each(x, (y,))
+    kendall(random_sample(rng, 50))
+    assert [n for _, n in shapes] == [20] * 3 + [1000] * 3 + [50]
+    assert all(b <= _chunk_shape(n)[1] for b, n in shapes)
 
 
 def stable_permutation(x, y):
@@ -328,16 +371,10 @@ def tied_block(n, b, rng):
     return x, y
 
 
-def rows_per_chunk(n):
-    """A block is cut into chunks of _CHUNK_ELEMENTS // width rows, with
-    width the row length n padded to a power of two."""
-    return _CHUNK_ELEMENTS // (1 << (n - 1).bit_length())
-
-
 class TestBlockKernel:
     @pytest.mark.parametrize("n", [4, 20, 64, 65, 1000])
     def test_chunk_boundaries(self, n):
-        rows = rows_per_chunk(n)
+        rows = _chunk_shape(n)[1]
         rng = np.random.default_rng(n)
         x = rng.standard_normal((2 * rows + 3, n))
         y = 0.6 * x + 0.8 * rng.standard_normal(x.shape)
@@ -368,7 +405,7 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("n", [20, 1000])
     def test_ties_match_stable_sorts(self, n, monkeypatch):
-        x, y = tied_block(n, 2 * rows_per_chunk(n) + 3,
+        x, y = tied_block(n, 2 * _chunk_shape(n)[1] + 3,
                           np.random.default_rng(n))
         assert (_permutation_rows(x, y) == stable_permutation(x, y)).all()
         got = [v.tolist() for v in coefficients_rows(x, y)]
@@ -401,7 +438,7 @@ class TestSeveralY:
         # a tie in row 1 of x sends every y of the first chunk to the
         # stable sorts
         rng = np.random.default_rng(n)
-        x = rng.standard_normal((2 * rows_per_chunk(n) + 3, n))
+        x = rng.standard_normal((2 * _chunk_shape(n)[1] + 3, n))
         x[1, [0, n // 2, n - 1]] = x[1, 1]
         ys = self.several_y(x, rng)
         self.assert_each_alone(x, ys)
@@ -413,7 +450,7 @@ class TestSeveralY:
     @pytest.mark.parametrize("n", [20, 1000])
     def test_tie_in_one_y(self, n):
         rng = np.random.default_rng(n + 1)
-        x = rng.standard_normal((2 * rows_per_chunk(n) + 3, n))
+        x = rng.standard_normal((2 * _chunk_shape(n)[1] + 3, n))
         ys = self.several_y(x, rng)
         ys[1][-2, [2, n - 2]] = ys[1][-2, n // 3]
         self.assert_each_alone(x, ys)
