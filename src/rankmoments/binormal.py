@@ -222,7 +222,10 @@ def _omega_pass(rhos: list) -> dict:
 # ---------------------------------------------------------------------------
 
 def _check_n(n: int, least: int, message: str):
-    """DomainError(message) for n < least, and past 2**53 (n^4 overflows)."""
+    """DomainError for an n that is not an integer, DomainError(message)
+    for n < least, and past 2**53 (n^4 overflows)."""
+    if not isinstance(n, numbers.Integral):
+        raise DomainError(f"n must be an integer, got {n!r}")
     if n < least or n > 2 ** 53:
         raise DomainError(message if n < least
                           else f"n must be at most 2**53, got {n}")

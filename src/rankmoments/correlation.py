@@ -78,19 +78,21 @@ def _tied(s: np.ndarray) -> bool:
     return bool((s[:, 1:] == s[:, :-1]).any())
 
 
-def _x_order(x: np.ndarray, kind: str | None = None
-             ) -> tuple[np.ndarray, str | None]:
+def _x_order(x: np.ndarray) -> tuple[np.ndarray, str | None]:
     """(at, kind) for a (b, n) array x: at[i] the positions in x.ravel()
     of row i in ascending order, and the sort kind that the y of this x
     take. The sort is numpy's default (unstable, SIMD where the CPU has
-    it) unless a row of x holds a tie; then x and every y are sorted
-    stably, so that tied x rank in input order."""
+    it) unless a row of x holds a tie; then x is sorted again stably, so
+    that tied x rank in input order, and every y is sorted stably."""
     b, n = x.shape
-    at = np.argsort(x, axis=1, kind=kind)
-    at += np.arange(0, b * n, n)[:, None]
-    if kind is None and _tied(x.ravel()[at]):
-        return _x_order(x, "stable")
-    return at, kind
+    at = np.argsort(x, axis=1)
+    offsets = np.arange(0, b * n, n)[:, None]
+    at += offsets
+    if not _tied(x.ravel()[at]):
+        return at, None
+    at = np.argsort(x, axis=1, kind="stable")
+    at += offsets
+    return at, "stable"
 
 
 def _permutation_rows(x: np.ndarray, y: np.ndarray,
@@ -102,8 +104,9 @@ def _permutation_rows(x: np.ndarray, y: np.ndarray,
     once) puts y in x order through one flat gather, and a second
     argsort sorts it. On tie-free rows every sort gives the same pi. A
     tie would make pi depend on the sort, so the sorted neighbours are
-    compared, and if any row of x or y holds a tie, every row is sorted
-    again stably: tied x then rank in input order, tied y in x order.
+    compared. A tie in a row of x sorts x and every y stably (_x_order);
+    a tie in y alone sorts the rows of that y again stably, since tie-free
+    x have one order. Tied x then rank in input order, tied y in x order.
     """
     b, n = y.shape
     at, kind = _x_order(x) if x_order is None else x_order
@@ -111,7 +114,7 @@ def _permutation_rows(x: np.ndarray, y: np.ndarray,
     pi = np.argsort(yx, axis=1, kind=kind)
     offsets = np.arange(0, b * n, n)[:, None]
     if kind is None and _tied(yx.ravel()[pi + offsets]):
-        return _permutation_rows(x, y, _x_order(x, "stable"))
+        return np.argsort(yx, axis=1, kind="stable")
     return pi
 
 
@@ -172,36 +175,28 @@ def pearson(sample: PairedSample) -> float:
     return float(_pearson_rows(x[None], y[None])[0])
 
 
-def _rank_dot_rows(pi: np.ndarray):
-    """sum_k k * pi[k] of each row of a (b, n) array of permutations,
-    exactly: in int64 while its bound sum_k k^2 fits (n below about
-    3.03e6), else as Python ints from int64 partial sums."""
-    n = pi.shape[1]
-    k = np.arange(n)
-    if (n - 1) * n * (2 * n - 1) // 6 < 2 ** 63:
-        return pi @ k
-    # a piece of this many products, each below (n - 1)^2, sums in int64
-    starts = np.arange(0, n, 2 ** 63 // (n - 1) ** 2)
-    return [sum(int(s) for s in np.add.reduceat(row * k, starts))
-            for row in pi]
-
-
 def _spearman_rows(pi: np.ndarray) -> np.ndarray:
     """Rank correlation of each row of a (b, n) array of permutations.
 
     The squared rank differences sum to d2 = sum_k (pi[k] - k)^2
     = n(n - 1)(2n - 1)/3 - 2 sum_k k pi[k]. Each value is the
-    correctly-rounded double of (m - 6 d2)/m with m = n(n^2 - 1). Both
-    integers are exact doubles while m < 2**53; beyond that Python's
-    integer division, correctly rounded at any size, takes over.
+    correctly-rounded double of (m - 6 d2)/m with m = n(n^2 - 1). While
+    m < 2**53 (n below about 2.1e5) both integers are exact doubles, and
+    sum_k k pi[k], below m, is an int64 dot. Beyond that the sum is taken
+    as Python ints, and Python's integer division, correctly rounded at
+    any size, takes over.
     """
     n = pi.shape[1]
     m = n * (n * n - 1)
     squares = (n - 1) * n * (2 * n - 1) // 3
-    dot = _rank_dot_rows(pi)
+    k = np.arange(n)
     if m < 2 ** 53:
-        return (m - 6 * (squares - 2 * dot)) / m
-    return np.array([(m - 6 * (squares - 2 * int(d))) / m for d in dot])
+        return (m - 6 * (squares - 2 * (pi @ k))) / m
+    # a piece of this many products, each below (n - 1)^2, sums in int64
+    starts = np.arange(0, n, 2 ** 63 // (n - 1) ** 2)
+    dots = (sum(int(s) for s in np.add.reduceat(row * k, starts))
+            for row in pi)
+    return np.array([(m - 6 * (squares - 2 * d)) / m for d in dots])
 
 
 def spearman(sample: PairedSample) -> float:

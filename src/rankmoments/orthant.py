@@ -66,7 +66,9 @@ def _psd_within_tol(m: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class CorrelationMatrix4:
-    """Symmetric 4x4 unit-diagonal correlation matrix, PSD within tolerance."""
+    """Symmetric 4x4 unit-diagonal correlation matrix, PSD within tolerance.
+    The checks run in that order, and the first that fails raises
+    DomainError with its reason."""
 
     rho: np.ndarray
 
@@ -75,31 +77,14 @@ class CorrelationMatrix4:
         object.__setattr__(self, "rho", r)
         if r.shape != (4, 4):
             raise DomainError("correlation matrix must be 4x4")
-        fault = _correlation_fault(r[None])
-        if fault is not None:
-            raise DomainError(fault[1])
-
-
-def _correlation_fault(ms: np.ndarray):
-    """None if each matrix of a (M, 4, 4) stack is a correlation matrix,
-    else (index, reason) of the first failing check, all but the exact
-    PSD test made on the whole stack at once."""
-    bad = (
-        (~np.isclose(ms, ms.swapaxes(1, 2), atol=1e-12).all(axis=(1, 2)),
-         "correlation matrix must be symmetric"),
-        (~np.isclose(ms.diagonal(axis1=1, axis2=2), 1.0,
-                     atol=1e-12).all(axis=1),
-         "correlation matrix must have unit diagonal"),
-        (np.abs(ms).max(axis=(1, 2)) > 1 + 1e-12,
-         "correlations must lie in [-1, 1]"),
-    )
-    for mask, reason in bad:
-        if mask.any():
-            return int(mask.argmax()), reason
-    for index, m in enumerate(ms):
-        if not _psd_within_tol(m):
-            return index, "correlation matrix is not positive semidefinite"
-    return None
+        if not np.isclose(r, r.T, atol=1e-12).all():
+            raise DomainError("correlation matrix must be symmetric")
+        if not np.isclose(r.diagonal(), 1.0, atol=1e-12).all():
+            raise DomainError("correlation matrix must have unit diagonal")
+        if np.abs(r).max() > 1 + 1e-12:
+            raise DomainError("correlations must lie in [-1, 1]")
+        if not _psd_within_tol(r):
+            raise DomainError("correlation matrix is not positive semidefinite")
 
 
 def _clamp_unit(r):

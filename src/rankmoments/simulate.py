@@ -422,8 +422,9 @@ def compare_report(report: TrialReport, tol_sigmas: float) -> ComparisonSummary:
     """Attach PASS/FAIL verdicts at tol_sigmas standard errors plus 1e-8."""
     if not report.rows:
         raise DomainError("empty report")
-    if not tol_sigmas > 0:
-        raise DomainError("tol_sigmas must be > 0")
+    # an infinite tolerance would read inf * 0 = nan on every se = 0 row
+    if not 0 < tol_sigmas < math.inf:
+        raise DomainError("tol_sigmas must be finite and > 0")
     out = []
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}
     for row in report.rows:

@@ -164,12 +164,17 @@ class TestSampleSizeBounds:
              (cov_series_asymptotic, 1, "need n >= 1"))
 
     def test_bounds_and_messages(self):
-        # n past 2**53 is refused before n^4 can overflow a float
+        # n past 2**53 is refused before n^4 can overflow a float, and an
+        # n that is not an integer before it can read between two n
         for func, least, message in self.FUNCS:
             func(0.5, least)
             func(0.5, 2 ** 53)
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
                 func(0.5, least - 1)
+            for n in (10.5, 10.0):
+                with pytest.raises(DomainError, match=re.escape(
+                        f"n must be an integer, got {n!r}")):
+                    func(0.5, n)
             for n in (2 ** 53 + 1, 10 ** 80):
                 with pytest.raises(DomainError, match=re.escape(
                         f"n must be at most 2**53, got {n}")):
@@ -371,7 +376,7 @@ _OMEGA_LETTERS = "cdfghlno"
 
 def _check_templates():
     """Check the twelve pattern templates as the package reads them: same
-    -/+ cross of each as correlation matrices, which covers every
+    -/+ cross of each as a CorrelationMatrix4, which covers every
     |rho| <= 1, then the W of all twelve at rho = 0 and rho = 1 from
     pattern_w against the anchors and the four W-identities. Any warning
     is an error: the rho = 1 matrices have exactly coincident pairs, and a
@@ -380,12 +385,13 @@ def _check_templates():
     labels = "".join(binormal._PATTERNS)
     same, cross = (np.stack(part)
                    for part in zip(*binormal._PATTERNS.values()))
-    fault = orthant._correlation_fault(
-        np.concatenate([same - cross, same + cross]))
-    if fault is not None:
-        index, reason = fault
-        raise AssertionError(f"pattern {labels[index % 12]} at "
-                             f"rho={(-1.0, 1.0)[index // 12]}: {reason}")
+    for rho, mats in ((-1.0, same - cross), (1.0, same + cross)):
+        for label, m in zip(labels, mats):
+            try:
+                CorrelationMatrix4(m)
+            except DomainError as exc:
+                raise AssertionError(
+                    f"pattern {label} at rho={rho}: {exc}") from exc
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for rho, anchors, kind in ((0.0, _ANCHORS_P4_RHO0, "P4"),

@@ -611,6 +611,15 @@ class TestSimulate:
                           "--tol-sigmas", "0.0001", "--strict"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_exit_3(self, tol, capsys):
+        # at rho = 1 every trial is identical and every se is 0
+        code, out, err = run(["simulate", "--rho", "1", "--n", "10",
+                              "--trials", "5", "--tol-sigmas", tol,
+                              "--strict"], capsys)
+        assert (code, out) == (3, "")
+        assert "tol_sigmas must be finite and > 0" in err
+
     def test_missing_args(self, capsys):
         assert run(["simulate", "--n", "10"], capsys)[0] == 3
 

@@ -229,10 +229,11 @@ def test_kendall_from_ranks_matches():
     assert _kendall_rows(pi[None])[0] == kendall_oracle(s)
 
 
-@pytest.mark.parametrize("n", [4, 65, 1000, 300_002])
+@pytest.mark.parametrize("n", [4, 65, 1000, 208_063, 208_064, 300_002])
 def test_spearman_rows_correctly_rounded(n):
-    # at n = 300 002, n(n^2 - 1) is not an exact double: dividing in
-    # float64 there would misround about half of the rows
+    # n = 208 063 and 208 064 straddle the one switch, where n(n^2 - 1)
+    # passes 2**53; at n = 300 002 it is not an exact double, and dividing
+    # in float64 there would misround about half of the rows
     rng = np.random.default_rng(n)
     p = np.array([rng.permutation(n) + 1 for _ in range(6)])
     q = np.array([rng.permutation(n) + 1 for _ in range(6)])
@@ -408,7 +409,17 @@ class TestBlockKernel:
         x, y = tied_block(n, 2 * _chunk_shape(n)[1] + 3,
                           np.random.default_rng(n))
         assert (_permutation_rows(x, y) == stable_permutation(x, y)).all()
+        # x is sorted once per chunk, also in the middle chunk, whose one
+        # tie is in y
+        x_order, calls = correlation._x_order, []
+
+        def counted(xs):
+            calls.append(1)
+            return x_order(xs)
+
+        monkeypatch.setattr(correlation, "_x_order", counted)
         got = [v.tolist() for v in coefficients_rows(x, y)]
+        assert len(calls) == 3
         argsort = np.argsort
         monkeypatch.setattr(
             np, "argsort",

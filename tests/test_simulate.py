@@ -513,6 +513,16 @@ class TestVerdicts:
         rep.rows = [row]
         assert compare_report(rep, 3.0).rows[0].verdict == "SKIP"
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # at tol = inf an se = 0 row would read inf * 0 = nan and FAIL
+        rep = TrialReport(config=small_config())
+        rep.rows = [ReportRow(model="binormal", rho=1.0, n=10, kind="r_k",
+                              metric="mean", empirical=1.0, theory=1.0,
+                              se=0.0)]
+        with pytest.raises(DomainError, match="finite and > 0"):
+            compare_report(rep, tol)
+
     def test_empty_report_rejected(self):
         with pytest.raises(DomainError):
             compare_report(TrialReport(config=small_config()), 3.0)
